@@ -15,7 +15,6 @@ from .evaluation import (
     ErrorCategory,
     ErrorRecord,
     RequirementScoreRecord,
-    RunMetrics,
     RunRecord,
     aggregate,
     emit_report,

@@ -268,6 +268,10 @@ class HttpBackend:
         try:
             content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
+            content = None
+        # Refusals and tool-call replies carry "content": null; only text
+        # can reach the parsers.
+        if not isinstance(content, str):
             raise BackendExhausted(f"malformed completion body: {json.dumps(body)[:200]}")
         usage = body.get("usage") or {}
         return ChatResponse(
@@ -276,8 +280,3 @@ class HttpBackend:
             prompt_tokens=usage.get("prompt_tokens"),
             completion_tokens=usage.get("completion_tokens"),
         )
-
-
-def system_user(system: str, user: str) -> tuple[ChatMessage, ChatMessage]:
-    """The two-message shape every first-round agent call uses."""
-    return (ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, user))

@@ -25,26 +25,20 @@ from .errors import (
     UpliftError,
 )
 from .evaluation import (
+    FAILED_ERROR_THRESHOLD,
     aggregate,
     emit_report,
     ingest_ledger,
     ingest_replaced_functions,
     ingest_scores,
+    load_spec,
     read_bench_index,
     run_bench,
+    run_once,
     write_bench_index,
 )
 from .model import artifact_from_file, load_requirements
-from .pipeline import (
-    BASELINE_MODES,
-    PipelineConfig,
-    PipelineMode,
-    RunStatus,
-    Transcript,
-    run_baseline,
-    run_pipeline,
-    write_transcript,
-)
+from .pipeline import MAX_LOOP_ITERATIONS, PipelineConfig, PipelineMode, RunStatus, Transcript
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,8 +57,8 @@ class CliConfig:
     backend_model: str = DEFAULT_MODEL
     backend_script_path: str | None = None
     pipeline_mode: str = PipelineMode.SYSTEM_MANAGER.value
-    pipeline_max_loop_iterations: int = 2
-    pipeline_failed_error_threshold: int = 7
+    pipeline_max_loop_iterations: int = MAX_LOOP_ITERATIONS
+    pipeline_failed_error_threshold: int = FAILED_ERROR_THRESHOLD
     prompts_dir: str = str(DEFAULT_PROMPT_DIR)
     bench_repetitions: int = 10
     bench_parallelism: int = 1
@@ -80,6 +74,8 @@ class CliConfig:
             raise ConfigError("bench.repetitions must be >= 1")
         if self.bench_parallelism < 1:
             raise ConfigError("bench.parallelism must be >= 1")
+        if self.pipeline_failed_error_threshold < 1:
+            raise ConfigError("pipeline.failed_error_threshold must be >= 1")
         try:
             PipelineMode(self.pipeline_mode)
         except ValueError:
@@ -147,7 +143,6 @@ def pipeline_config(config: CliConfig, backend: Backend) -> PipelineConfig:
         backend=backend,
         prompt_dir=Path(config.prompts_dir),
         max_loop_iterations=config.pipeline_max_loop_iterations,
-        failed_error_threshold=config.pipeline_failed_error_threshold,
         model=config.backend_model,
     )
 
@@ -170,30 +165,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_one(config: CliConfig, input_path: Path, spec_path: Path, out_dir: Path):
-    backend = make_backend(config)
-    pconfig = pipeline_config(config, backend)
-    code = artifact_from_file(input_path)
-    transcript = Transcript("run-001")
-    if pconfig.mode in BASELINE_MODES:
-        prompt_text = spec_path.read_text(encoding="utf-8")
-        outcome = run_baseline(code, prompt_text, pconfig, transcript=transcript)
-    else:
-        requirements = load_requirements(spec_path)
-        outcome = run_pipeline(code, requirements, pconfig, transcript=transcript)
-    case_dir = out_dir / input_path.stem
-    case_dir.mkdir(parents=True, exist_ok=True)
-    write_transcript(outcome, transcript.entries, case_dir / f"{outcome.run_id}.jsonl")
-    if outcome.final_code is not None:
-        updated = case_dir / f"{outcome.run_id}.updated{input_path.suffix}"
-        updated.write_text(outcome.final_code.content + "\n", encoding="utf-8")
-    return outcome
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     config = apply_flags(load_config(args.config), args)
-    out_dir = Path(args.out or "out")
-    outcome = _run_one(config, Path(args.input), Path(args.spec), out_dir)
+    pconfig = pipeline_config(config, make_backend(config))
+    input_path = Path(args.input)
+    code = artifact_from_file(input_path)
+    spec = load_spec(args.spec, pconfig.mode)
+    out_dir = Path(args.out or "out") / input_path.stem
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outcome = run_once(code, spec, pconfig, "run-001", out_dir, input_path.suffix)
     loc = outcome.final_code.loc if outcome.final_code is not None else "-"
     print(
         f"{outcome.run_id} status={outcome.status.value} "
@@ -209,15 +189,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     case_dir = Path(args.case_dir)
     if not case_dir.is_dir():
         raise ConfigError(f"case directory not found: {case_dir}")
-    if config.backend_kind == "script":
-        def factory(i: int) -> Backend:
-            return load_script(config.backend_script_path)
-
-        backend: Backend = factory(0)
-    else:
-        factory = None
-        backend = make_backend(config)
-    pconfig = pipeline_config(config, backend)
+    # Scripted backends are consumed per run, so each repetition loads its own.
+    factory = (lambda i: make_backend(config)) if config.backend_kind == "script" else None
+    pconfig = pipeline_config(config, make_backend(config))
     out_dir = Path(args.out or "out") / case_dir.name
     outcomes = run_bench(
         case_dir,
@@ -240,6 +214,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     scores = ingest_scores(args.scores) if args.scores else []
     replaced = ingest_replaced_functions(args.rf) if args.rf else None
     config = load_config(args.config)
+    config.validate()
     metrics = aggregate(
         records,
         errors,
@@ -327,13 +302,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PlanParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PLAN
-    except UpliftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, TypeError) as exc:
+    except (UpliftError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -26,10 +26,11 @@ from .errors import (
     LedgerParseError,
     UnknownCategory,
 )
-from .model import artifact_from_file, load_requirements
+from .model import CodeArtifact, RequirementSet, artifact_from_file, load_requirements
 from .pipeline import (
     BASELINE_MODES,
     PipelineConfig,
+    PipelineMode,
     RunOutcome,
     RunStatus,
     Transcript,
@@ -42,6 +43,9 @@ LEDGER_HEADER = ["run_id", "mistake_id", "category", "description"]
 SCORES_HEADER = ["run_id", "requirement_index", "value"]
 RF_HEADER = ["run_id", "replaced_functions"]
 INDEX_HEADER = ["run_id", "status", "duration_seconds", "loc"]
+
+# A run with more distinct mistakes than this counts as failed.
+FAILED_ERROR_THRESHOLD = 7
 
 
 class ErrorCategory(str, Enum):
@@ -110,16 +114,6 @@ class RunRecord:
             duration_seconds=outcome.duration_seconds,
             loc=outcome.final_code.loc if outcome.final_code is not None else None,
         )
-
-
-@dataclass(frozen=True)
-class RunMetrics:
-    run_id: str
-    different_errors: int | None
-    loc: int | None
-    duration_seconds: float
-    status: RunStatus
-    replaced_functions: int | None = None
 
 
 @dataclass(frozen=True)
@@ -243,32 +237,6 @@ def _as_record(outcome: RunOutcome | RunRecord) -> RunRecord:
     return RunRecord.from_outcome(outcome)
 
 
-def run_metrics(
-    outcomes: Sequence[RunOutcome | RunRecord],
-    errors: Sequence[ErrorRecord],
-    replaced_functions: Mapping[str, int] | None = None,
-) -> list[RunMetrics]:
-    """Per-run metric rows; failed runs carry no error count."""
-    records = [_as_record(o) for o in outcomes]
-    by_run: dict[str, set[str]] = {}
-    for err in errors:
-        by_run.setdefault(err.run_id, set()).add(err.mistake_id)
-    rows = []
-    for rec in records:
-        failed = rec.status is RunStatus.FAILED_GENERATION
-        rows.append(
-            RunMetrics(
-                run_id=rec.run_id,
-                different_errors=None if failed else len(by_run.get(rec.run_id, ())),
-                loc=rec.loc,
-                duration_seconds=rec.duration_seconds,
-                status=rec.status,
-                replaced_functions=(replaced_functions or {}).get(rec.run_id),
-            )
-        )
-    return rows
-
-
 def aggregate(
     outcomes: Sequence[RunOutcome | RunRecord],
     errors: Sequence[ErrorRecord],
@@ -276,7 +244,7 @@ def aggregate(
     label: str,
     *,
     replaced_functions: Mapping[str, int] | None = None,
-    failed_error_threshold: int = 7,
+    failed_error_threshold: int = FAILED_ERROR_THRESHOLD,
 ) -> AggregateMetrics:
     """Cross-run aggregation for one method label.
 
@@ -366,6 +334,35 @@ def _find_original(case_dir: Path) -> Path:
     return candidates[0]
 
 
+def load_spec(path: str | Path, mode: PipelineMode) -> RequirementSet | str:
+    """A run's spec: the prompt text in a baseline mode, else the requirements."""
+    if mode in BASELINE_MODES:
+        return Path(path).read_text(encoding="utf-8")
+    return load_requirements(path)
+
+
+def run_once(
+    code: CodeArtifact,
+    spec: RequirementSet | str,
+    config: PipelineConfig,
+    run_id: str,
+    out_dir: Path,
+    suffix: str,
+) -> RunOutcome:
+    """Execute one run and write its artifacts to out_dir: <run_id>.jsonl,
+    plus <run_id>.updated<suffix> when the run completed."""
+    transcript = Transcript(run_id)
+    if config.mode in BASELINE_MODES:
+        outcome = run_baseline(code, spec, config, transcript=transcript)
+    else:
+        outcome = run_pipeline(code, spec, config, transcript=transcript)
+    write_transcript(outcome, transcript.entries, out_dir / f"{run_id}.jsonl")
+    if outcome.final_code is not None:
+        updated = out_dir / f"{run_id}.updated{suffix}"
+        updated.write_text(outcome.final_code.content + "\n", encoding="utf-8")
+    return outcome
+
+
 def run_bench(
     case_dir: str | Path,
     config: PipelineConfig,
@@ -390,30 +387,15 @@ def run_bench(
     original_path = _find_original(case_dir)
     code = artifact_from_file(original_path)
     baseline = config.mode in BASELINE_MODES
-    if baseline:
-        prompt_path = case_dir / "prompt.txt"
-        if not prompt_path.is_file():
-            raise ConfigError(f"{case_dir}: baseline modes need a prompt.txt")
-        prompt_text = prompt_path.read_text(encoding="utf-8")
-        requirements = None
-    else:
-        requirements = load_requirements(case_dir / "requirements.txt")
-        prompt_text = ""
+    spec_path = case_dir / ("prompt.txt" if baseline else "requirements.txt")
+    if baseline and not spec_path.is_file():
+        raise ConfigError(f"{case_dir}: baseline modes need a prompt.txt")
+    spec = load_spec(spec_path, config.mode)
 
     def one_run(i: int) -> RunOutcome:
-        run_id = f"run-{i:03d}"
         backend = backend_factory(i) if backend_factory is not None else config.backend
         run_config = replace(config, backend=backend)
-        transcript = Transcript(run_id)
-        if baseline:
-            outcome = run_baseline(code, prompt_text, run_config, transcript=transcript)
-        else:
-            outcome = run_pipeline(code, requirements, run_config, transcript=transcript)
-        write_transcript(outcome, transcript.entries, out_path / f"{run_id}.jsonl")
-        if outcome.final_code is not None:
-            updated = out_path / f"{run_id}.updated{original_path.suffix}"
-            updated.write_text(outcome.final_code.content + "\n", encoding="utf-8")
-        return outcome
+        return run_once(code, spec, run_config, f"run-{i:03d}", out_path, original_path.suffix)
 
     indexes = range(1, repetitions + 1)
     if parallelism > 1:

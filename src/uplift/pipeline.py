@@ -54,6 +54,9 @@ __all__ = [
 # control condition, so their framing stays fixed in code.
 BASELINE_SYSTEM = "You are a careful software engineer. Follow the instructions in the message exactly."
 
+# Finalizer passes allowed per task before the latest code advances anyway.
+MAX_LOOP_ITERATIONS = 2
+
 
 class PipelineMode(str, Enum):
     SYSTEM_MANAGER = "system_manager"
@@ -81,8 +84,7 @@ class PipelineConfig:
     mode: PipelineMode
     backend: Backend
     prompt_dir: Path = DEFAULT_PROMPT_DIR
-    max_loop_iterations: int = 2
-    failed_error_threshold: int = 7
+    max_loop_iterations: int = MAX_LOOP_ITERATIONS
     model: str = DEFAULT_MODEL
     temperature: float | None = None
     max_output_tokens: int | None = None
@@ -91,8 +93,6 @@ class PipelineConfig:
         self.mode = PipelineMode(self.mode)
         if self.max_loop_iterations < 0:
             raise ValueError("max_loop_iterations must be non-negative")
-        if self.failed_error_threshold < 1:
-            raise ValueError("failed_error_threshold must be positive")
 
 
 @dataclass(frozen=True)

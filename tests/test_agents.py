@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from uplift.agents import (
     AgentContext,
-    AgentKind,
+    DEFAULT_PROMPT_DIR,
     PromptLibrary,
     RETURN_ONLY_CODE,
     execute,
@@ -36,10 +38,13 @@ def executor_artifact(content="<?php echo 1;") -> CodeArtifact:
 
 
 class TestTemplates:
-    def test_all_roles_have_one_template(self):
-        lib = PromptLibrary()
-        for kind in AgentKind:
-            assert lib.role(kind).system_prompt.strip()
+    def test_blank_template_is_an_error(self, tmp_path):
+        prompts = tmp_path / "prompts"
+        shutil.copytree(DEFAULT_PROMPT_DIR, prompts)
+        PromptLibrary(prompts)
+        (prompts / "verifier.txt").write_text(" \n\t\n", encoding="utf-8")
+        with pytest.raises(TemplateError, match="verifier.txt"):
+            PromptLibrary(prompts)
 
     def test_unfilled_placeholder_is_an_error(self):
         with pytest.raises(TemplateError):

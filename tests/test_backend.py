@@ -21,8 +21,10 @@ from uplift.errors import (
     ScriptExhausted,
     ScriptParseError,
 )
+from uplift.evaluation import run_bench
+from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, Transcript, run_pipeline
 
-from conftest import seq
+from conftest import SECTIONS_REPLY, seq
 
 
 def request_with(user: str = "hello") -> ChatRequest:
@@ -181,3 +183,47 @@ class TestHttpBackend:
         with pytest.raises(BackendExhausted):
             backend.complete(request_with())
         assert transport.calls == 1
+
+    def test_null_content_is_a_backend_failure(self, monkeypatch):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        transport = FakeTransport(ok_body(None))
+        backend = HttpBackend("http://x", transport=transport, sleep=lambda _: None)
+        with pytest.raises(BackendExhausted, match="malformed completion body"):
+            backend.complete(request_with())
+        assert transport.calls == 1
+
+
+class TestNullContentRun:
+    """A refusal or tool-call reply ("content": null) ends its run as a
+    recorded failed run and never aborts a bench."""
+
+    @staticmethod
+    def null_executor_backend():
+        transport = FakeTransport(ok_body(SECTIONS_REPLY), ok_body(None))
+        return HttpBackend("http://x", transport=transport, sleep=lambda _: None)
+
+    def test_run_ends_failed_with_error_on_last_exchange(self, monkeypatch, original_code, two_requirements):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        config = PipelineConfig(mode=PipelineMode.SYSTEM_SINGLE_TASK, backend=self.null_executor_backend())
+        transcript = Transcript("r1")
+        outcome = run_pipeline(original_code, two_requirements, config, transcript=transcript)
+        assert outcome.status is RunStatus.FAILED_GENERATION
+        last = transcript.entries[-1]
+        assert last.agent == "executor"
+        assert last.response is None
+        assert last.error.startswith("BackendExhausted: malformed completion body")
+
+    def test_bench_returns_every_outcome(self, monkeypatch, fixtures_dir, tmp_path):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        config = PipelineConfig(mode=PipelineMode.SYSTEM_SINGLE_TASK, backend=self.null_executor_backend())
+        outcomes = run_bench(
+            fixtures_dir / "case_view",
+            config,
+            4,
+            out_dir=tmp_path,
+            backend_factory=lambda i: self.null_executor_backend(),
+            parallelism=2,
+        )
+        assert [o.run_id for o in outcomes] == ["run-001", "run-002", "run-003", "run-004"]
+        assert all(o.status is RunStatus.FAILED_GENERATION for o in outcomes)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"run-00{i}.jsonl" for i in range(1, 5)]

@@ -236,6 +236,27 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "case_view/requirements.txt", "--script", "case_view/script.json"],
+            [
+                "run",
+                "case_view/original.php",
+                "case_view/requirements.txt",
+                "--script",
+                "case_view/script.json",
+            ],
+            ["bench", "case_view", "--script", "case_view/script.json", "--reps", "1"],
+        ],
+        ids=["plan", "run", "bench"],
+    )
+    def test_threshold_below_one_exits_2(self, workdir, capsys, argv):
+        (workdir / "bad.json").write_text(json.dumps({"pipeline": {"failed_error_threshold": 0}}))
+        assert main(argv + ["--config", "bad.json"]) == 2
+        assert "failed_error_threshold" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
 
 class TestDeterminism:
     def test_rerun_reproduces_transcript_modulo_timing(self, workdir):
@@ -259,6 +280,26 @@ class TestDeterminism:
         updated_1 = (workdir / "out1/original/run-001.updated.php").read_bytes()
         updated_2 = (workdir / "out2/original/run-001.updated.php").read_bytes()
         assert updated_1 == updated_2
+
+    @pytest.mark.parametrize(
+        "case, spec, mode",
+        [
+            ("case_view", "requirements.txt", "system_manager"),
+            ("case_view_zsl", "prompt.txt", "baseline_zsl"),
+        ],
+    )
+    def test_run_writes_what_a_one_rep_bench_writes(self, workdir, case, spec, mode):
+        from uplift.pipeline import read_transcript, strip_timing
+
+        shared = ["--script", f"{case}/script.json", "--mode", mode]
+        assert main(["run", f"{case}/original.php", f"{case}/{spec}", *shared, "--out", "ran"]) == 0
+        assert main(["bench", case, *shared, "--reps", "1", "--out", "benched"]) == 0
+        ran, benched = workdir / "ran/original", workdir / f"benched/{case}"
+        assert strip_timing(read_transcript(ran / "run-001.jsonl")) == strip_timing(
+            read_transcript(benched / "run-001.jsonl")
+        )
+        updated = (ran / "run-001.updated.php").read_bytes()
+        assert updated == (benched / "run-001.updated.php").read_bytes()
 
 
 class TestBench:
@@ -372,6 +413,18 @@ class TestReport:
             "run_id,mistake_id,category,description\nrun-001,m1,syntax,bad\n", encoding="utf-8"
         )
         assert main(["report", str(out_dir), str(ledger), "--label", "x"]) == 5
+
+    @pytest.mark.parametrize("threshold", [0, -3])
+    def test_threshold_below_one_exits_2(self, workdir, capsys, threshold):
+        out_dir = self.bench(workdir, reps=2)
+        ledger = workdir / "ledger.csv"
+        ledger.write_text("run_id,mistake_id,category,description\n", encoding="utf-8")
+        config = workdir / "bad.json"
+        config.write_text(json.dumps({"pipeline": {"failed_error_threshold": threshold}}))
+        argv = ["report", str(out_dir), str(ledger), "--label", "x", "--config", str(config)]
+        assert main(argv) == 2
+        assert "failed_error_threshold" in capsys.readouterr().err
+        assert not (out_dir / "report.csv").exists()
 
     def test_rf_sidecar(self, workdir, capsys):
         out_dir = self.bench(workdir, reps=2)

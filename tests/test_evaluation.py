@@ -29,7 +29,6 @@ from uplift.evaluation import (
     read_bench_index,
     read_ledger,
     run_bench,
-    run_metrics,
     write_bench_index,
 )
 from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus
@@ -284,13 +283,6 @@ class TestAggregate:
             by_run.setdefault(e.run_id, set()).add(e.mistake_id)
         expected = sum(len(by_run.get(o.run_id, ())) for o in outcomes) / len(outcomes)
         assert metrics.mean_errors == pytest.approx(expected)
-
-    def test_run_metrics_rows(self):
-        outcomes = [completed("run-001"), failed("run-002")]
-        rows = run_metrics(outcomes, [error("run-001", "m1")], {"run-001": 2})
-        assert rows[0].different_errors == 1
-        assert rows[0].replaced_functions == 2
-        assert rows[1].different_errors is None
 
 
 class TestRunBench:
