@@ -127,8 +127,6 @@ class AgentContext:
     prompts: PromptLibrary
     transcript: Transcript
     model: str = DEFAULT_MODEL
-    temperature: float | None = None
-    max_output_tokens: int | None = None
 
     def call(
         self,
@@ -141,12 +139,7 @@ class AgentContext:
     ) -> ChatResponse:
         """Send one request and record exactly one transcript exchange,
         whether the backend succeeds or fails."""
-        request = ChatRequest(
-            messages=tuple(messages),
-            model=self.model,
-            temperature=self.temperature,
-            max_output_tokens=self.max_output_tokens,
-        )
+        request = ChatRequest(messages=tuple(messages), model=self.model)
         start = time.perf_counter()
         try:
             response = self.backend.complete(request)

@@ -30,6 +30,8 @@ log = logging.getLogger(__name__)
 
 DEFAULT_MODEL = "gpt-4o-mini"
 API_KEY_ENV = "LLM_API_KEY"
+MAX_ATTEMPTS = 3
+TIMEOUT_S = 120.0
 
 
 class Role(str, Enum):
@@ -52,16 +54,12 @@ class ChatMessage:
 class ChatRequest:
     messages: tuple[ChatMessage, ...]
     model: str = DEFAULT_MODEL
-    temperature: float | None = None
-    max_output_tokens: int | None = None
 
     def __post_init__(self):
         if not self.messages:
             raise ValueError("a request needs at least one message")
         if self.messages[0].role is not Role.SYSTEM:
             raise ValueError("the first message must have the system role")
-        if self.max_output_tokens is not None and self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be positive")
 
     def last_user_content(self) -> str | None:
         for message in reversed(self.messages):
@@ -70,15 +68,10 @@ class ChatRequest:
         return None
 
     def to_payload(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
+        return {
             "model": self.model,
             "messages": [{"role": m.role.value, "content": m.content} for m in self.messages],
         }
-        if self.temperature is not None:
-            payload["temperature"] = self.temperature
-        if self.max_output_tokens is not None:
-            payload["max_tokens"] = self.max_output_tokens
-        return payload
 
 
 @dataclass(frozen=True)
@@ -213,7 +206,7 @@ class HttpBackend:
     """OpenAI-compatible chat-completions client with bounded retries.
 
     Retries transport errors and HTTP 429/5xx with exponential backoff, up
-    to ``max_attempts`` tries total. The API key is read from the
+    to ``MAX_ATTEMPTS`` tries total. The API key is read from the
     environment on every call so a missing credential fails before any
     network activity.
     """
@@ -222,33 +215,27 @@ class HttpBackend:
         self,
         endpoint: str,
         *,
-        api_key_env: str = API_KEY_ENV,
-        max_attempts: int = 3,
         backoff_base: float = 0.5,
-        timeout: float = 120.0,
         transport: Transport | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.endpoint = endpoint
-        self.api_key_env = api_key_env
-        self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self.timeout = timeout
         self._transport = transport or _requests_transport
         self._sleep = sleep
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        api_key = os.environ.get(self.api_key_env)
+        api_key = os.environ.get(API_KEY_ENV)
         if not api_key:
-            raise CredentialMissing(f"environment variable {self.api_key_env} is not set")
+            raise CredentialMissing(f"environment variable {API_KEY_ENV} is not set")
         payload = request.to_payload()
         start = time.perf_counter()
         failures: list[str] = []
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 self._sleep(self.backoff_base * 2 ** (attempt - 1))
             try:
-                status, body = self._transport(self.endpoint, payload, api_key, self.timeout)
+                status, body = self._transport(self.endpoint, payload, api_key, TIMEOUT_S)
             except (requests.RequestException, OSError) as exc:
                 failures.append(f"attempt {attempt + 1}: {exc}")
                 log.debug("transport error on attempt %d: %s", attempt + 1, exc)
@@ -260,7 +247,7 @@ class HttpBackend:
                 raise BackendExhausted(f"non-retryable HTTP {status} from {self.endpoint}")
             return self._parse_body(body, time.perf_counter() - start)
         raise BackendExhausted(
-            f"{self.max_attempts} attempts failed against {self.endpoint}: " + "; ".join(failures)
+            f"{MAX_ATTEMPTS} attempts failed against {self.endpoint}: " + "; ".join(failures)
         )
 
     @staticmethod
@@ -270,13 +257,22 @@ class HttpBackend:
         except (KeyError, IndexError, TypeError):
             content = None
         # Refusals and tool-call replies carry "content": null; only text
-        # can reach the parsers.
-        if not isinstance(content, str):
+        # can reach the parsers, and only counts can reach ChatResponse.
+        counts = _token_counts(body.get("usage")) if isinstance(content, str) else None
+        if counts is None:
             raise BackendExhausted(f"malformed completion body: {json.dumps(body)[:200]}")
-        usage = body.get("usage") or {}
-        return ChatResponse(
-            content=content,
-            latency_seconds=latency,
-            prompt_tokens=usage.get("prompt_tokens"),
-            completion_tokens=usage.get("completion_tokens"),
-        )
+        return ChatResponse(content=content, latency_seconds=latency, **counts)
+
+
+def _token_counts(usage: Any) -> dict[str, int | None] | None:
+    """ChatResponse's token-count fields from a completion's usage block, or
+    None when it is malformed. An absent or null usage or count gives None;
+    a count that is present must be a non-negative int."""
+    if usage is None:
+        usage = {}
+    if not isinstance(usage, dict):
+        return None
+    counts = {key: usage.get(key) for key in ("prompt_tokens", "completion_tokens")}
+    if all(c is None or (type(c) is int and c >= 0) for c in counts.values()):
+        return counts
+    return None

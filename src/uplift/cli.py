@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .agents import AgentContext, PromptLibrary, DEFAULT_PROMPT_DIR, manager_confirm, manager_plan, render_tasks
+from .agents import DEFAULT_PROMPT_DIR, manager_confirm, manager_plan, render_tasks
 from .backend import Backend, DEFAULT_MODEL, HttpBackend, load_script
 from .errors import (
     DanglingReference,
@@ -38,7 +38,7 @@ from .evaluation import (
     write_bench_index,
 )
 from .model import artifact_from_file, load_requirements
-from .pipeline import MAX_LOOP_ITERATIONS, PipelineConfig, PipelineMode, RunStatus, Transcript
+from .pipeline import MAX_LOOP_ITERATIONS, PipelineConfig, PipelineMode, RunStatus, Transcript, context
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,12 +82,10 @@ class CliConfig:
             raise ConfigError(f"unknown pipeline.mode {self.pipeline_mode!r}") from None
 
 
-_SECTION_KEYS = {
-    "backend": {"kind", "endpoint", "model", "script_path"},
-    "pipeline": {"mode", "max_loop_iterations", "failed_error_threshold"},
-    "prompts": {"dir"},
-    "bench": {"repetitions", "parallelism"},
-}
+# Config key <section>.<key> is the CliConfig field <section>_<key>; the
+# field's default fixes the type of the key's value.
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(CliConfig)}
+_SECTIONS = {name.split("_", 1)[0] for name in _DEFAULTS}
 
 
 def load_config(path: str | None) -> CliConfig:
@@ -104,14 +102,20 @@ def load_config(path: str | None) -> CliConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{chosen}: expected a JSON object")
     for section, keys in data.items():
-        if section not in _SECTION_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(f"{chosen}: unknown section {section!r}")
         if not isinstance(keys, dict):
             raise ConfigError(f"{chosen}: section {section!r} must be an object")
         for key, value in keys.items():
-            if key not in _SECTION_KEYS[section]:
+            name = f"{section}_{key}"
+            if name not in _DEFAULTS:
                 raise ConfigError(f"{chosen}: unknown key {section}.{key}")
-            setattr(config, f"{section}_{key}", value)
+            default = _DEFAULTS[name]
+            # Only backend.script_path defaults to null; it takes a string too.
+            if type(value) is not type(default) and not (default is None and isinstance(value, str)):
+                want = "a string or null" if default is None else f"of type {type(default).__name__}"
+                raise ConfigError(f"{chosen}: {section}.{key} must be {want}, got {value!r}")
+            setattr(config, name, value)
     return config
 
 
@@ -150,12 +154,7 @@ def pipeline_config(config: CliConfig, backend: Backend) -> PipelineConfig:
 def cmd_plan(args: argparse.Namespace) -> int:
     config = apply_flags(load_config(args.config), args)
     requirements = load_requirements(args.requirements)
-    ctx = AgentContext(
-        backend=make_backend(config),
-        prompts=PromptLibrary(config.prompts_dir),
-        transcript=Transcript("plan"),
-        model=config.backend_model,
-    )
+    ctx = context(pipeline_config(config, make_backend(config)), Transcript("plan"))
     try:
         plan = manager_confirm(ctx, manager_plan(ctx, requirements), requirements)
     except PlanParseError as exc:
@@ -174,7 +173,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out or "out") / input_path.stem
     out_dir.mkdir(parents=True, exist_ok=True)
     outcome = run_once(code, spec, pconfig, "run-001", out_dir, input_path.suffix)
-    loc = outcome.final_code.loc if outcome.final_code is not None else "-"
+    loc = "-" if outcome.loc is None else outcome.loc
     print(
         f"{outcome.run_id} status={outcome.status.value} "
         f"duration={outcome.duration_seconds:.3f}s loc={loc} tasks={outcome.task_count}"
@@ -246,37 +245,39 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_FLAGS = {
+    "--config": {"help": "JSON config file (default uplift.json)"},
+    "--backend": {"choices": ["http", "script"]},
+    "--script": {"help": "scripted-backend JSON file"},
+    "--mode": {"choices": [m.value for m in PipelineMode]},
+    "--reps": {"type": int, "help": "bench repetitions"},
+    "--max-loop": {"type": int},
+    "--out": {"help": "output directory (default: out/, or the case output directory for report)"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="uplift", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", default=None, help="JSON config file (default uplift.json)")
-        p.add_argument("--backend", choices=["http", "script"], default=None)
-        p.add_argument("--script", default=None, help="scripted-backend JSON file")
-        p.add_argument("--mode", choices=[m.value for m in PipelineMode], default=None)
-        p.add_argument("--reps", type=int, default=None, help="bench repetitions")
-        p.add_argument("--max-loop", type=int, default=None, dest="max_loop")
-        p.add_argument(
-            "--out",
-            default=None,
-            help="output directory (default: out/, or the case output directory for report)",
-        )
+    def flags(p: argparse.ArgumentParser, *names: str) -> None:
+        for name in names:
+            p.add_argument(name, **_FLAGS[name])
 
     plan = sub.add_parser("plan", help="print the manager's confirmed task plan")
     plan.add_argument("requirements")
-    shared(plan)
+    flags(plan, "--config", "--backend", "--script")
     plan.set_defaults(func=cmd_plan)
 
     run = sub.add_parser("run", help="execute one run and write its artifacts")
     run.add_argument("input", help="source file to update")
     run.add_argument("spec", help="requirements file (system modes) or prompt file (baselines)")
-    shared(run)
+    flags(run, "--config", "--backend", "--script", "--mode", "--max-loop", "--out")
     run.set_defaults(func=cmd_run)
 
     bench = sub.add_parser("bench", help="repeat a case and write an index.csv")
     bench.add_argument("case_dir", help="directory with original.<ext> and requirements.txt/prompt.txt")
-    shared(bench)
+    flags(bench, *_FLAGS)
     bench.set_defaults(func=cmd_bench)
 
     report = sub.add_parser("report", help="aggregate bench artifacts against a human error ledger")
@@ -285,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--scores", default=None, help="requirement score CSV")
     report.add_argument("--rf", default=None, help="replaced-functions sidecar CSV")
     report.add_argument("--label", required=True, help="method label for the report row")
-    shared(report)
+    flags(report, "--config", "--out")
     report.set_defaults(func=cmd_report)
 
     return parser

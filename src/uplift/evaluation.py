@@ -98,22 +98,13 @@ class RequirementScoreRecord:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """The per-run facts aggregation needs; either adapted from a live
-    RunOutcome or reloaded from a bench index.csv."""
+    """The per-run facts aggregation needs, reloaded from a bench index.csv.
+    A live RunOutcome carries the same four attributes."""
 
     run_id: str
     status: RunStatus
     duration_seconds: float
     loc: int | None
-
-    @classmethod
-    def from_outcome(cls, outcome: RunOutcome) -> "RunRecord":
-        return cls(
-            run_id=outcome.run_id,
-            status=outcome.status,
-            duration_seconds=outcome.duration_seconds,
-            loc=outcome.final_code.loc if outcome.final_code is not None else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -231,12 +222,6 @@ def ingest_replaced_functions(path: str | Path) -> dict[str, int]:
         return counts
 
 
-def _as_record(outcome: RunOutcome | RunRecord) -> RunRecord:
-    if isinstance(outcome, RunRecord):
-        return outcome
-    return RunRecord.from_outcome(outcome)
-
-
 def aggregate(
     outcomes: Sequence[RunOutcome | RunRecord],
     errors: Sequence[ErrorRecord],
@@ -253,11 +238,12 @@ def aggregate(
     from the error/LOC/duration means but score 0 on every requirement and
     still count toward runs_total.
 
-    Each requirement's mean is its 0/1 score averaged over all runs.
+    Each requirement's mean is its 0/1 score averaged over all runs, for
+    every index from 1 to the highest scored one; a missing row scores 0.
     requirement_total is the sum of those means, which equals the mean
     number of requirements passed per run, failed runs counting 0.
     """
-    records = [_as_record(o) for o in outcomes]
+    records = list(outcomes)
     known = {r.run_id for r in records}
     if len(known) != len(records):
         raise ValueError("duplicate run_id among outcomes")
@@ -273,7 +259,7 @@ def aggregate(
     for err in errors:
         distinct.setdefault(err.run_id, set()).add(err.mistake_id)
 
-    def is_failed(rec: RunRecord) -> bool:
+    def is_failed(rec: RunOutcome | RunRecord) -> bool:
         return (
             rec.status is RunStatus.FAILED_GENERATION
             or len(distinct.get(rec.run_id, ())) > failed_error_threshold
@@ -284,7 +270,7 @@ def aggregate(
     error_counts = [len(distinct.get(r.run_id, ())) for r in completed]
 
     score_map = {(s.run_id, s.requirement_index): s.value for s in scores}
-    indices = sorted({s.requirement_index for s in scores})
+    indices = range(1, max((s.requirement_index for s in scores), default=0) + 1)
     requirement_means: tuple[float, ...] | None = None
     requirement_total: float | None = None
     if scores:
@@ -298,7 +284,7 @@ def aggregate(
         requirement_means = tuple(means)
         requirement_total = sum(requirement_means)
 
-    def fully_correct(rec: RunRecord) -> bool:
+    def fully_correct(rec: RunOutcome | RunRecord) -> bool:
         if distinct.get(rec.run_id):
             return False
         return all(score_map.get((rec.run_id, i), 0) == 1 for i in indices)
@@ -405,11 +391,10 @@ def run_bench(
 
 
 def write_bench_index(outcomes: Sequence[RunOutcome | RunRecord], path: str | Path) -> None:
-    records = [_as_record(o) for o in outcomes]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(INDEX_HEADER)
-        for rec in records:
+        for rec in outcomes:
             writer.writerow(
                 [
                     rec.run_id,

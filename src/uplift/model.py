@@ -10,13 +10,11 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
-
 from .errors import EmptyRequirements, MalformedMarker, NoCodeFound
 
 # Replies that skip the code fence but plainly start with source code are
-# still accepted; the tool is not PHP-specific, so the list is configurable.
-DEFAULT_CODE_SENTINELS: tuple[str, ...] = ("<?php", "<!DOCTYPE", "<html")
+# still accepted.
+_CODE_SENTINELS = ("<?php", "<!DOCTYPE", "<html")
 
 _MARKER_RE = re.compile(r"^\s*requirement\s*([0-9]+)\s*:(.*)$", re.IGNORECASE)
 _FENCE_RE = re.compile(r"^\s*```+([A-Za-z0-9_+.-]*)\s*$")
@@ -189,7 +187,7 @@ def count_loc(content: str) -> int:
     return sum(1 for line in content.splitlines() if line.strip())
 
 
-def extract_code(response: str, sentinels: Sequence[str] = DEFAULT_CODE_SENTINELS) -> str:
+def extract_code(response: str) -> str:
     """Pull source code out of a raw model reply.
 
     Prefers the longest fenced block (replies often show fragments before the
@@ -202,7 +200,7 @@ def extract_code(response: str, sentinels: Sequence[str] = DEFAULT_CODE_SENTINEL
     if blocks:
         return max(blocks, key=len)
     trimmed = response.strip()
-    if trimmed and any(trimmed.startswith(s) for s in sentinels):
+    if trimmed.startswith(_CODE_SENTINELS):
         return trimmed
     raise NoCodeFound("reply contains no fenced code block and no code sentinel")
 

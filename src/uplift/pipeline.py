@@ -86,8 +86,6 @@ class PipelineConfig:
     prompt_dir: Path = DEFAULT_PROMPT_DIR
     max_loop_iterations: int = MAX_LOOP_ITERATIONS
     model: str = DEFAULT_MODEL
-    temperature: float | None = None
-    max_output_tokens: int | None = None
 
     def __post_init__(self):
         self.mode = PipelineMode(self.mode)
@@ -110,19 +108,22 @@ class RunOutcome:
         if self.duration_seconds < 0:
             raise ValueError("duration cannot be negative")
 
+    @property
+    def loc(self) -> int | None:
+        return self.final_code.loc if self.final_code is not None else None
+
 
 def new_run_id() -> str:
     return uuid.uuid4().hex[:12]
 
 
-def _context(config: PipelineConfig, transcript: Transcript) -> AgentContext:
+def context(config: PipelineConfig, transcript: Transcript) -> AgentContext:
+    """The agent context every call of a run shares."""
     return AgentContext(
         backend=config.backend,
         prompts=PromptLibrary(config.prompt_dir),
         transcript=transcript,
         model=config.model,
-        temperature=config.temperature,
-        max_output_tokens=config.max_output_tokens,
     )
 
 
@@ -164,7 +165,7 @@ def run_pipeline(
     if config.mode not in SYSTEM_MODES:
         raise ValueError(f"run_pipeline requires a system mode, got {config.mode.value}")
     transcript = transcript if transcript is not None else Transcript(run_id or new_run_id())
-    ctx = _context(config, transcript)
+    ctx = context(config, transcript)
     start = time.perf_counter()
     status = RunStatus.COMPLETED
     final: CodeArtifact | None = None
@@ -215,7 +216,7 @@ def run_baseline(
     if not prompt_text.strip():
         raise ValueError("baseline prompt text must be non-empty")
     transcript = transcript if transcript is not None else Transcript(run_id or new_run_id())
-    ctx = _context(config, transcript)
+    ctx = context(config, transcript)
     start = time.perf_counter()
     user = f"{prompt_text}\n\n{code.content}\n\n{RETURN_ONLY_CODE}"
     messages = [ChatMessage(Role.SYSTEM, BASELINE_SYSTEM), ChatMessage(Role.USER, user)]

@@ -9,7 +9,7 @@ compare records through strip_timing().
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from hashlib import sha256
 from pathlib import Path
 from typing import Any, Iterable, TYPE_CHECKING
@@ -45,21 +45,8 @@ class TranscriptEntry:
     flags: set[str] = field(default_factory=set)
 
     def to_record(self) -> dict[str, Any]:
-        return {
-            "record": "exchange",
-            "run_id": self.run_id,
-            "step": self.step,
-            "agent": self.agent,
-            "task_ordinal": self.task_ordinal,
-            "iteration": self.iteration,
-            "request": self.request,
-            "request_digest": self.request_digest,
-            "response": self.response,
-            "response_digest": self.response_digest,
-            "latency_seconds": self.latency_seconds,
-            "error": self.error,
-            "flags": sorted(self.flags),
-        }
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"record": "exchange", **record, "flags": sorted(self.flags)}
 
 
 class Transcript:
@@ -126,7 +113,7 @@ def write_transcript(run: "RunOutcome", entries: Iterable[TranscriptEntry], path
                 "duration_seconds": run.duration_seconds,
                 "task_count": run.task_count,
                 "finalizer_invocations": run.finalizer_invocations,
-                "final_loc": run.final_code.loc if run.final_code is not None else None,
+                "final_loc": run.loc,
             }
         )
     )

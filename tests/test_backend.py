@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uplift.backend import (
     ChatMessage,
     ChatRequest,
+    ChatResponse,
     HttpBackend,
     MatchMode,
     Role,
@@ -16,6 +21,7 @@ from uplift.backend import (
     load_script,
 )
 from uplift.errors import (
+    BackendError,
     BackendExhausted,
     CredentialMissing,
     ScriptExhausted,
@@ -46,14 +52,7 @@ class TestChatTypes:
         ChatMessage(Role.ASSISTANT, "")  # assistant may be empty
 
     def test_payload_omits_unset_sampling_fields(self):
-        payload = request_with().to_payload()
-        assert "temperature" not in payload and "max_tokens" not in payload
-        full = ChatRequest(
-            messages=(ChatMessage(Role.SYSTEM, "s"), ChatMessage(Role.USER, "u")),
-            temperature=0.2,
-            max_output_tokens=64,
-        ).to_payload()
-        assert full["temperature"] == 0.2 and full["max_tokens"] == 64
+        assert set(request_with().to_payload()) == {"model", "messages"}
 
 
 class TestScriptedBackend:
@@ -142,6 +141,14 @@ def ok_body(content="fine"):
     }
 
 
+def usage_body(*usage):
+    """A 200 reply with text content and, when given, this usage value."""
+    body = {"choices": [{"message": {"content": "fine"}}]}
+    if usage:
+        body["usage"] = usage[0]
+    return 200, body
+
+
 class TestHttpBackend:
     def test_credential_missing_before_any_network(self, monkeypatch):
         monkeypatch.delenv("LLM_API_KEY", raising=False)
@@ -192,14 +199,82 @@ class TestHttpBackend:
             backend.complete(request_with())
         assert transport.calls == 1
 
+    @pytest.mark.parametrize(
+        "usage",
+        [
+            {"prompt_tokens": "12"},
+            {"prompt_tokens": -1},
+            {"completion_tokens": True},
+            {"completion_tokens": 1.5},
+            [7, 3],
+            "7",
+        ],
+        ids=repr,
+    )
+    def test_malformed_usage_is_a_backend_failure(self, monkeypatch, usage):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        transport = FakeTransport(usage_body(usage))
+        backend = HttpBackend("http://x", transport=transport, sleep=lambda _: None)
+        with pytest.raises(BackendExhausted, match="malformed completion body"):
+            backend.complete(request_with())
+        assert transport.calls == 1
+
+    @pytest.mark.parametrize(
+        "usage, counts",
+        [((), (None, None)), ((None,), (None, None)), (({"prompt_tokens": 0},), (0, None))],
+        ids=["absent", "null", "partial"],
+    )
+    def test_absent_usage_counts_are_none(self, monkeypatch, usage, counts):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        response = HttpBackend("http://x", transport=FakeTransport(usage_body(*usage))).complete(request_with())
+        assert (response.prompt_tokens, response.completion_tokens) == counts
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=8,
+)
+counts = st.none() | st.booleans() | st.integers(min_value=-3) | st.floats() | st.text(max_size=3)
+usages = json_values | st.fixed_dictionaries({}, optional={"prompt_tokens": counts, "completion_tokens": counts})
+
+
+@st.composite
+def completion_bodies(draw):
+    """Chat-completion bodies, well formed from the outside down to a drawn
+    depth and junk below it; depth 5 carries text content."""
+    depth = draw(st.integers(0, 5))
+    node = draw(st.text(max_size=20) if depth == 5 else json_values)
+    wrappers = (lambda n: {"content": n}, lambda n: {"message": n}, lambda n: [n], lambda n: {"choices": n})
+    for wrap in wrappers[4 - min(depth, 4) :]:
+        node = wrap(node)
+    if depth and draw(st.booleans()):
+        node["usage"] = draw(usages)
+    return node
+
+
+class TestCompletionBodyFuzz:
+    @given(completion_bodies())
+    def test_any_body_gives_a_response_or_a_backend_error(self, body):
+        backend = HttpBackend("http://x", transport=FakeTransport((200, body)), sleep=lambda _: None)
+        with mock.patch.dict(os.environ, {"LLM_API_KEY": "k"}):
+            try:
+                response = backend.complete(request_with())
+            except BackendError:
+                return
+        assert isinstance(response, ChatResponse) and isinstance(response.content, str)
+        for count in (response.prompt_tokens, response.completion_tokens):
+            assert count is None or type(count) is int
+
 
 class TestNullContentRun:
-    """A refusal or tool-call reply ("content": null) ends its run as a
-    recorded failed run and never aborts a bench."""
+    """A reply the backend cannot pass on ("content": null from a refusal or
+    tool call, or a malformed usage block) ends its run as a recorded failed
+    run and never aborts a bench."""
 
     @staticmethod
-    def null_executor_backend():
-        transport = FakeTransport(ok_body(SECTIONS_REPLY), ok_body(None))
+    def null_executor_backend(executor_reply=ok_body(None)):
+        transport = FakeTransport(ok_body(SECTIONS_REPLY), executor_reply)
         return HttpBackend("http://x", transport=transport, sleep=lambda _: None)
 
     def test_run_ends_failed_with_error_on_last_exchange(self, monkeypatch, original_code, two_requirements):
@@ -212,6 +287,15 @@ class TestNullContentRun:
         assert last.agent == "executor"
         assert last.response is None
         assert last.error.startswith("BackendExhausted: malformed completion body")
+
+    def test_malformed_usage_ends_run_failed(self, monkeypatch, original_code, two_requirements):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        backend = self.null_executor_backend(usage_body({"prompt_tokens": "12"}))
+        config = PipelineConfig(mode=PipelineMode.SYSTEM_SINGLE_TASK, backend=backend)
+        transcript = Transcript("r1")
+        outcome = run_pipeline(original_code, two_requirements, config, transcript=transcript)
+        assert outcome.status is RunStatus.FAILED_GENERATION
+        assert transcript.entries[-1].error.startswith("BackendExhausted: malformed completion body")
 
     def test_bench_returns_every_outcome(self, monkeypatch, fixtures_dir, tmp_path):
         monkeypatch.setenv("LLM_API_KEY", "k")

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
 from uplift.agents import DEFAULT_PROMPT_DIR as PROMPTS_DIR
-from uplift.cli import main
+from uplift.cli import CliConfig, main
 
 PLAN_SCRIPT = [
     {"match": "sequence", "response": "TASK 1: Update syntax to 4.5\nTASK 2: Fix ORM access"},
@@ -220,6 +222,12 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["run", "a.php", "b.txt", "--mode", "bogus"])
         assert info.value.code == 2
+        with pytest.raises(SystemExit) as info:
+            main(["report", "out/x", "ledger.csv", "--label", "x", "--reps", "3"])
+        assert info.value.code == 2
+        with pytest.raises(SystemExit) as info:
+            main(["plan", "requirements.txt", "--out", "x"])
+        assert info.value.code == 2
 
     def test_empty_requirements_file_maps_to_2(self, workdir):
         (workdir / "empty.txt").write_text("", encoding="utf-8")
@@ -255,6 +263,25 @@ class TestExitCodes:
         (workdir / "bad.json").write_text(json.dumps({"pipeline": {"failed_error_threshold": 0}}))
         assert main(argv + ["--config", "bad.json"]) == 2
         assert "failed_error_threshold" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("bench", "repetitions", True),
+            ("bench", "repetitions", 2.5),
+            ("bench", "parallelism", 1.5),
+            ("pipeline", "max_loop_iterations", 1.5),
+            ("pipeline", "failed_error_threshold", 2.5),
+            ("backend", "model", 5),
+        ],
+    )
+    def test_wrong_typed_config_value_exits_2_before_output(self, workdir, capsys, section, key, value):
+        (workdir / "bad.json").write_text(json.dumps({section: {key: value}}))
+        argv = ["bench", "case_view", "--script", "case_view/script.json", "--config", "bad.json"]
+        assert main(argv) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
 
@@ -437,3 +464,11 @@ class TestReport:
         )
         assert code == 0
         assert "mean_replaced_functions=3.500" in capsys.readouterr().out
+
+
+def test_readme_config_block_lists_every_key_with_its_default():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    block = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    documented = {f"{name}_{key}": value for name, keys in block.items() for key, value in keys.items()}
+    assert documented == {**dataclasses.asdict(CliConfig()), "prompts_dir": "<packaged prompts>"}

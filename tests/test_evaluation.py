@@ -204,6 +204,19 @@ class TestAggregate:
         # The invariant: the total is the sum of the per-requirement means.
         assert metrics.requirement_total == pytest.approx(sum(metrics.requirement_means))
 
+    def test_unscored_requirement_between_scored_ones_means_zero(self):
+        outcomes = [completed("run-001"), completed("run-002")]
+        scores = [
+            RequirementScoreRecord("run-001", 1, 1),
+            RequirementScoreRecord("run-002", 1, 0),
+            RequirementScoreRecord("run-001", 3, 1),
+            RequirementScoreRecord("run-002", 3, 1),
+        ]
+        metrics = aggregate(outcomes, [], scores, "x")
+        assert metrics.requirement_means == pytest.approx((0.5, 0.0, 1.0))
+        assert metrics.requirement_total == pytest.approx(1.5)
+        assert metrics.fully_correct_runs == 0
+
     def test_failed_runs_score_zero_without_rows(self):
         outcomes = [completed("run-001"), failed("run-002")]
         scores = [RequirementScoreRecord("run-001", 1, 1)]

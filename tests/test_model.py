@@ -128,11 +128,6 @@ class TestExtractCode:
     def test_unterminated_fence_runs_to_end(self):
         assert extract_code("```php\n<?php echo 2;") == "<?php echo 2;"
 
-    def test_custom_sentinels(self):
-        assert extract_code("#!/bin/sh\necho hi", sentinels=("#!",)) == "#!/bin/sh\necho hi"
-        with pytest.raises(NoCodeFound):
-            extract_code("#!/bin/sh\necho hi", sentinels=("<?php",))
-
     def test_result_never_blank(self):
         result = extract_code("```\nx\n```")
         assert count_loc(result) >= 1
