@@ -40,7 +40,6 @@ from .pipeline import (
     RunOutcome,
     RunStatus,
     Transcript,
-    run_baseline,
     run_pipeline,
     write_transcript,
 )

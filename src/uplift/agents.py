@@ -1,4 +1,5 @@
-"""The five agent roles: prompt templates plus strict response parsers.
+"""The five agent roles: prompt templates plus strict response parsers,
+and the single-call baseline op.
 
 Each operation is a thin function over the backend: render the role
 template, send at most two calls (initial plus one re-ask), parse the reply
@@ -25,10 +26,8 @@ from .errors import (
 from .model import (
     CodeArtifact,
     Decision,
-    Producer,
     RequirementSet,
     Task,
-    TaskOrigin,
     TaskPlan,
     Verdict,
     extract_code,
@@ -50,6 +49,10 @@ DEFAULT_PROMPT_DIR = Path(__file__).parent / "prompts"
 # Fixed framing shared by the system executor/finalizer calls and the bare
 # baseline modes, so baselines and pipeline run under the same output rule.
 RETURN_ONLY_CODE = "Return only the complete updated code."
+
+# Baselines run without the pipeline's prompt assets on purpose: they are the
+# control condition, so their framing stays fixed in code.
+BASELINE_SYSTEM = "You are a careful software engineer. Follow the instructions in the message exactly."
 
 _REASK_TASKS = (
     "Your previous reply contained no task lines. Reply again with one line "
@@ -190,7 +193,6 @@ def _generate(
     ctx: AgentContext,
     agent: str,
     messages: Sequence[ChatMessage],
-    producer: Producer,
     task_ordinal: int,
     iteration: int,
 ) -> CodeArtifact:
@@ -201,9 +203,7 @@ def _generate(
     except NoCodeFound as exc:
         ctx.transcript.annotate_last("no_code")
         raise FailedGeneration(f"{agent} reply for task {task_ordinal} contained no code") from exc
-    return CodeArtifact(
-        content=content, producer=producer, task_ordinal=task_ordinal, iteration=iteration
-    )
+    return CodeArtifact(content=content, iteration=iteration)
 
 
 def parse_task_lines(text: str) -> list[str]:
@@ -211,11 +211,8 @@ def parse_task_lines(text: str) -> list[str]:
     return [m.group(2).strip() for line in text.splitlines() if (m := _TASK_LINE_RE.match(line))]
 
 
-def _plan_from(descriptions: list[str], origin: TaskOrigin, confirmed: bool) -> TaskPlan:
-    tasks = tuple(
-        Task(ordinal=i, description=d, origin=origin) for i, d in enumerate(descriptions, start=1)
-    )
-    return TaskPlan(tasks=tasks, confirmed=confirmed)
+def _plan_from(descriptions: list[str]) -> TaskPlan:
+    return TaskPlan(tuple(Task(i, d) for i, d in enumerate(descriptions, start=1)))
 
 
 def render_tasks(plan: TaskPlan) -> str:
@@ -230,7 +227,7 @@ def manager_plan(ctx: AgentContext, requirements: RequirementSet) -> TaskPlan:
     if descriptions is None:
         ctx.transcript.annotate_last("plan_unparsed")
         raise PlanParseError("manager reply contained no TASK lines after a re-ask")
-    return _plan_from(descriptions, TaskOrigin.MANAGER_PLANNED, confirmed=False)
+    return _plan_from(descriptions)
 
 
 def manager_confirm(ctx: AgentContext, plan: TaskPlan, requirements: RequirementSet) -> TaskPlan:
@@ -239,16 +236,14 @@ def manager_confirm(ctx: AgentContext, plan: TaskPlan, requirements: Requirement
     An unparseable confirmation keeps the original plan rather than stalling
     the run; the exchange is flagged in the transcript.
     """
-    if plan.confirmed:
-        raise ValueError("plan is already confirmed")
     system = ctx.prompts.render("manager_confirm", tasks=render_tasks(plan))
     messages = [ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, render_requirements(requirements))]
     response = ctx.call("manager", messages)
     descriptions = parse_task_lines(response.content)
     if not descriptions:
         ctx.transcript.annotate_last("confirm_fallback")
-        return TaskPlan(tasks=plan.tasks, confirmed=True)
-    return _plan_from(descriptions, TaskOrigin.MANAGER_PLANNED, confirmed=True)
+        return plan
+    return _plan_from(descriptions)
 
 
 def _parse_sections(text: str) -> dict[str, str] | None:
@@ -306,7 +301,7 @@ def execute(ctx: AgentContext, prompt: PromptSpec, code: CodeArtifact) -> CodeAr
     )
     user = f"{code.content}\n\n{RETURN_ONLY_CODE}"
     messages = [ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, user)]
-    return _generate(ctx, "executor", messages, Producer.EXECUTOR, prompt.task_ordinal, 0)
+    return _generate(ctx, "executor", messages, prompt.task_ordinal, 0)
 
 
 def verify(
@@ -323,8 +318,6 @@ def verify(
     verdict defaults to accept (flagged), biasing toward progress over a
     hallucinating verifier.
     """
-    if after.producer not in (Producer.EXECUTOR, Producer.FINALIZER):
-        raise ValueError("verify expects machine-produced code as the after version")
     system = ctx.prompts.render("verifier", task=task.description)
     original = original if original is not None else before
     user = (
@@ -344,7 +337,7 @@ def verify(
     )
     if verdict is None:
         ctx.transcript.annotate_last("verdict_fallback")
-        return Verdict(decision=Decision.ACCEPT, parse_fallback=True)
+        return Verdict(decision=Decision.ACCEPT)
     return verdict
 
 
@@ -382,4 +375,12 @@ def finalize(ctx: AgentContext, task: Task, code: CodeArtifact, feedback: str) -
     user = f"{code.content}\n\n{RETURN_ONLY_CODE}"
     iteration = code.iteration + 1
     messages = [ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, user)]
-    return _generate(ctx, "finalizer", messages, Producer.FINALIZER, task.ordinal, iteration)
+    return _generate(ctx, "finalizer", messages, task.ordinal, iteration)
+
+
+def baseline(ctx: AgentContext, prompt_text: str, code: CodeArtifact) -> CodeArtifact:
+    """The bare ZSL/OSL call: the user-authored prompt, then the file and the
+    return-only-code directive, recorded as task 1, iteration 0."""
+    user = f"{prompt_text}\n\n{code.content}\n\n{RETURN_ONLY_CODE}"
+    messages = [ChatMessage(Role.SYSTEM, BASELINE_SYSTEM), ChatMessage(Role.USER, user)]
+    return _generate(ctx, "baseline", messages, 1, 0)

@@ -172,6 +172,9 @@ def load_script(path: str | Path) -> ScriptedBackend:
         unknown = set(item) - {"match", "pattern", "response"}
         if unknown:
             raise ScriptParseError(f"{path}: entry {i} has unknown keys {sorted(unknown)}")
+        for key in ("pattern", "response"):
+            if not isinstance(item.get(key, ""), str):
+                raise ScriptParseError(f"{path}: entry {i}: {key} must be a string")
         try:
             entries.append(
                 ScriptEntry(

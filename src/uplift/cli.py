@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .agents import DEFAULT_PROMPT_DIR, manager_confirm, manager_plan, render_tasks
+from .agents import DEFAULT_PROMPT_DIR, PromptLibrary, manager_confirm, manager_plan, render_tasks
 from .backend import Backend, DEFAULT_MODEL, HttpBackend, load_script
 from .errors import (
     DanglingReference,
@@ -142,6 +142,9 @@ def make_backend(config: CliConfig) -> Backend:
 
 
 def pipeline_config(config: CliConfig, backend: Backend) -> PipelineConfig:
+    # Each run loads its own templates; loading them once here makes a bad
+    # prompts.dir fail before any output directory exists.
+    PromptLibrary(config.prompts_dir)
     return PipelineConfig(
         mode=PipelineMode(config.pipeline_mode),
         backend=backend,

@@ -34,7 +34,6 @@ from .pipeline import (
     RunOutcome,
     RunStatus,
     Transcript,
-    run_baseline,
     run_pipeline,
     write_transcript,
 )
@@ -338,10 +337,7 @@ def run_once(
     """Execute one run and write its artifacts to out_dir: <run_id>.jsonl,
     plus <run_id>.updated<suffix> when the run completed."""
     transcript = Transcript(run_id)
-    if config.mode in BASELINE_MODES:
-        outcome = run_baseline(code, spec, config, transcript=transcript)
-    else:
-        outcome = run_pipeline(code, spec, config, transcript=transcript)
+    outcome = run_pipeline(code, spec, config, transcript=transcript)
     write_transcript(outcome, transcript.entries, out_dir / f"{run_id}.jsonl")
     if outcome.final_code is not None:
         updated = out_dir / f"{run_id}.updated{suffix}"
@@ -368,15 +364,14 @@ def run_bench(
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     case_dir = Path(case_dir)
-    out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
     original_path = _find_original(case_dir)
     code = artifact_from_file(original_path)
-    baseline = config.mode in BASELINE_MODES
-    spec_path = case_dir / ("prompt.txt" if baseline else "requirements.txt")
-    if baseline and not spec_path.is_file():
-        raise ConfigError(f"{case_dir}: baseline modes need a prompt.txt")
+    spec_path = case_dir / ("prompt.txt" if config.mode in BASELINE_MODES else "requirements.txt")
+    if not spec_path.is_file():
+        raise ConfigError(f"{case_dir}: {config.mode.value} mode needs a {spec_path.name}")
     spec = load_spec(spec_path, config.mode)
+    out_path = Path(out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
 
     def one_run(i: int) -> RunOutcome:
         backend = backend_factory(i) if backend_factory is not None else config.backend

@@ -7,7 +7,7 @@ function over immutable values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from .errors import EmptyRequirements, MalformedMarker, NoCodeFound
@@ -39,7 +39,6 @@ class RequirementSet:
     """Ordered requirements parsed from a requirements file."""
 
     requirements: tuple[Requirement, ...]
-    source_path: str = ""
 
     def __post_init__(self):
         if not self.requirements:
@@ -54,19 +53,12 @@ class RequirementSet:
         return len(self.requirements)
 
 
-class TaskOrigin(str, Enum):
-    MANAGER_PLANNED = "manager_planned"
-    PER_REQUIREMENT = "per_requirement"
-    SINGLE_TASK = "single_task"
-
-
 @dataclass(frozen=True)
 class Task:
     """One executable operation in a plan."""
 
     ordinal: int
     description: str
-    origin: TaskOrigin
 
     def __post_init__(self):
         if self.ordinal < 1:
@@ -77,11 +69,9 @@ class Task:
 
 @dataclass(frozen=True)
 class TaskPlan:
-    """Ordered tasks; confirmed only after the manager confirmation pass,
-    or by construction when the mode bypasses the manager."""
+    """Ordered tasks, numbered contiguously from 1."""
 
     tasks: tuple[Task, ...]
-    confirmed: bool = False
 
     def __post_init__(self):
         for pos, task in enumerate(self.tasks, start=1):
@@ -91,32 +81,21 @@ class TaskPlan:
                 )
 
 
-class Producer(str, Enum):
-    USER_INPUT = "user_input"
-    EXECUTOR = "executor"
-    FINALIZER = "finalizer"
-
-
 @dataclass(frozen=True)
 class CodeArtifact:
-    """A source file snapshot with provenance.
-
-    ``loc`` is always derived from ``content``; callers never supply it.
-    """
+    """A source file snapshot; ``iteration`` counts the finalizer passes
+    behind it within its task (0 for user input and executor output)."""
 
     content: str
-    producer: Producer
-    task_ordinal: int | None = None
     iteration: int = 0
-    loc: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "loc", count_loc(self.content))
         if self.iteration < 0:
             raise ValueError("iteration must be non-negative")
-        if self.producer is Producer.USER_INPUT:
-            if self.task_ordinal is not None or self.iteration != 0:
-                raise ValueError("user_input artifacts carry no task ordinal or iteration")
+
+    @property
+    def loc(self) -> int:
+        return count_loc(self.content)
 
 
 class Decision(str, Enum):
@@ -126,15 +105,10 @@ class Decision(str, Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one verification pass.
-
-    parse_fallback marks verdicts that were defaulted to accept after the
-    verifier's replies could not be parsed.
-    """
+    """Outcome of one verification pass."""
 
     decision: Decision
     feedback: str = ""
-    parse_fallback: bool = False
 
     def __post_init__(self):
         if self.decision is Decision.REVISE and not self.feedback.strip():
@@ -169,7 +143,7 @@ def parse_requirements(raw: str, source_path: str = "") -> RequirementSet:
         if not text:
             raise MalformedMarker(f"requirement {pos} has a marker but no text")
         requirements.append(Requirement(index=pos, text=text))
-    return RequirementSet(requirements=tuple(requirements), source_path=source_path)
+    return RequirementSet(requirements=tuple(requirements))
 
 
 def render_requirements(reqs: RequirementSet) -> str:
@@ -225,4 +199,4 @@ def _fenced_blocks(response: str) -> list[str]:
 
 def artifact_from_file(path: str | Path) -> CodeArtifact:
     """Read a source file as the user-supplied input artifact."""
-    return CodeArtifact(content=Path(path).read_text(encoding="utf-8"), producer=Producer.USER_INPUT)
+    return CodeArtifact(content=Path(path).read_text(encoding="utf-8"))

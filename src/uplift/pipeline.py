@@ -1,6 +1,6 @@
 """Orchestrates full runs: plan, per-task execute/verify/finalize loop with a
-cap, and the single-call baseline modes. Every backend exchange lands in the
-run's transcript."""
+cap, or the single call of a baseline mode. Every backend exchange lands in
+the run's transcript."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from .agents import (
     AgentContext,
     PromptLibrary,
     DEFAULT_PROMPT_DIR,
-    RETURN_ONLY_CODE,
+    baseline,
     execute,
     finalize,
     make_prompt,
@@ -22,18 +22,11 @@ from .agents import (
     manager_plan,
     verify,
 )
-from .backend import Backend, ChatMessage, DEFAULT_MODEL, Role
-from .errors import BackendError, FailedGeneration, NoCodeFound, PlanParseError, PromptSpecParseError
-from .model import (
-    CodeArtifact,
-    Decision,
-    Producer,
-    RequirementSet,
-    Task,
-    TaskOrigin,
-    TaskPlan,
-    extract_code,
-)
+from .backend import Backend, DEFAULT_MODEL
+from .errors import BackendError, FailedGeneration, PlanParseError, PromptSpecParseError
+from .model import CodeArtifact, Decision, RequirementSet, Task, TaskPlan
+# Unused here, but perfbench/tracing.py patches pipeline.extract_code by name.
+from .model import extract_code  # noqa: F401
 from .transcript import Transcript, TranscriptEntry, read_transcript, strip_timing, write_transcript
 
 __all__ = [
@@ -42,17 +35,12 @@ __all__ = [
     "RunStatus",
     "RunOutcome",
     "run_pipeline",
-    "run_baseline",
     "Transcript",
     "TranscriptEntry",
     "write_transcript",
     "read_transcript",
     "strip_timing",
 ]
-
-# Baselines run without the pipeline's prompt assets on purpose: they are the
-# control condition, so their framing stays fixed in code.
-BASELINE_SYSTEM = "You are a careful software engineer. Follow the instructions in the message exactly."
 
 # Finalizer passes allowed per task before the latest code advances anyway.
 MAX_LOOP_ITERATIONS = 2
@@ -66,11 +54,6 @@ class PipelineMode(str, Enum):
     BASELINE_OSL = "baseline_osl"
 
 
-SYSTEM_MODES = (
-    PipelineMode.SYSTEM_MANAGER,
-    PipelineMode.SYSTEM_PER_REQUIREMENT,
-    PipelineMode.SYSTEM_SINGLE_TASK,
-)
 BASELINE_MODES = (PipelineMode.BASELINE_ZSL, PipelineMode.BASELINE_OSL)
 
 
@@ -132,62 +115,62 @@ def _build_plan(ctx: AgentContext, requirements: RequirementSet, mode: PipelineM
         plan = manager_plan(ctx, requirements)
         return manager_confirm(ctx, plan, requirements)
     if mode is PipelineMode.SYSTEM_PER_REQUIREMENT:
-        tasks = tuple(
-            Task(ordinal=r.index, description=r.text, origin=TaskOrigin.PER_REQUIREMENT)
-            for r in requirements.requirements
-        )
-        return TaskPlan(tasks=tasks, confirmed=True)
-    if mode is PipelineMode.SYSTEM_SINGLE_TASK:
-        merged = " ".join(r.text for r in requirements.requirements)
-        task = Task(ordinal=1, description=merged, origin=TaskOrigin.SINGLE_TASK)
-        return TaskPlan(tasks=(task,), confirmed=True)
-    raise ValueError(f"not a system mode: {mode.value}")
+        return TaskPlan(tuple(Task(r.index, r.text) for r in requirements.requirements))
+    merged = " ".join(r.text for r in requirements.requirements)
+    return TaskPlan((Task(1, merged),))
 
 
 def run_pipeline(
     code: CodeArtifact,
-    requirements: RequirementSet,
+    spec: RequirementSet | str,
     config: PipelineConfig,
     *,
     transcript: Transcript | None = None,
-    run_id: str | None = None,
 ) -> RunOutcome:
-    """Execute one full system-mode run.
+    """Execute one full run.
 
-    Per task: make a one-shot prompt, execute it, verify; on a revise
-    verdict, loop finalize/verify until accept or until the finalizer has
-    been invoked max_loop_iterations times for the task, after which the
-    latest code advances to the next task unconditionally. A reply without
-    extractable code anywhere aborts the run as failed_generation; backend
-    and plan/section parse failures (already flagged in the transcript) end
-    the run the same way.
+    In a baseline mode, spec is the user-authored prompt text and the run is
+    one call carrying it, the file, and the return-only-code directive. In a
+    system mode, spec is the requirements; per task: make a one-shot prompt,
+    execute it, verify; on a revise verdict, loop finalize/verify until
+    accept or until the finalizer has been invoked max_loop_iterations times
+    for the task, after which the latest code advances to the next task
+    unconditionally. A reply without extractable code anywhere aborts the
+    run as failed_generation; backend and plan/section parse failures
+    (already flagged in the transcript) end the run the same way.
     """
-    if config.mode not in SYSTEM_MODES:
-        raise ValueError(f"run_pipeline requires a system mode, got {config.mode.value}")
-    transcript = transcript if transcript is not None else Transcript(run_id or new_run_id())
+    prompted = config.mode in BASELINE_MODES
+    if isinstance(spec, str) is not prompted:
+        raise ValueError(f"{config.mode.value} mode cannot run a {type(spec).__name__} spec")
+    if prompted and not spec.strip():
+        raise ValueError("baseline prompt text must be non-empty")
+    transcript = transcript if transcript is not None else Transcript(new_run_id())
     ctx = context(config, transcript)
     start = time.perf_counter()
     status = RunStatus.COMPLETED
     final: CodeArtifact | None = None
-    task_count = 0
+    task_count = 1 if prompted else 0
     finalizer_invocations = 0
     try:
-        plan = _build_plan(ctx, requirements, config.mode)
-        task_count = len(plan.tasks)
-        original = code
-        current = code
-        for task in plan.tasks:
-            prompt = make_prompt(ctx, task, current)
-            candidate = execute(ctx, prompt, current)
-            verdict = verify(ctx, task, current, candidate, original=original)
-            loops = 0
-            while verdict.decision is Decision.REVISE and loops < config.max_loop_iterations:
-                candidate = finalize(ctx, task, candidate, verdict.feedback)
-                loops += 1
-                finalizer_invocations += 1
+        if prompted:
+            final = baseline(ctx, spec, code)
+        else:
+            plan = _build_plan(ctx, spec, config.mode)
+            task_count = len(plan.tasks)
+            original = code
+            current = code
+            for task in plan.tasks:
+                prompt = make_prompt(ctx, task, current)
+                candidate = execute(ctx, prompt, current)
                 verdict = verify(ctx, task, current, candidate, original=original)
-            current = candidate
-        final = current
+                loops = 0
+                while verdict.decision is Decision.REVISE and loops < config.max_loop_iterations:
+                    candidate = finalize(ctx, task, candidate, verdict.feedback)
+                    loops += 1
+                    finalizer_invocations += 1
+                    verdict = verify(ctx, task, current, candidate, original=original)
+                current = candidate
+            final = current
     except (FailedGeneration, BackendError, PlanParseError, PromptSpecParseError):
         status = RunStatus.FAILED_GENERATION
         final = None
@@ -198,48 +181,4 @@ def run_pipeline(
         duration_seconds=time.perf_counter() - start,
         task_count=task_count,
         finalizer_invocations=finalizer_invocations,
-    )
-
-
-def run_baseline(
-    code: CodeArtifact,
-    prompt_text: str,
-    config: PipelineConfig,
-    *,
-    transcript: Transcript | None = None,
-    run_id: str | None = None,
-) -> RunOutcome:
-    """Execute one bare ZSL/OSL run: a single call carrying the user-authored
-    prompt, the file, and the return-only-code directive."""
-    if config.mode not in BASELINE_MODES:
-        raise ValueError(f"run_baseline requires a baseline mode, got {config.mode.value}")
-    if not prompt_text.strip():
-        raise ValueError("baseline prompt text must be non-empty")
-    transcript = transcript if transcript is not None else Transcript(run_id or new_run_id())
-    ctx = context(config, transcript)
-    start = time.perf_counter()
-    user = f"{prompt_text}\n\n{code.content}\n\n{RETURN_ONLY_CODE}"
-    messages = [ChatMessage(Role.SYSTEM, BASELINE_SYSTEM), ChatMessage(Role.USER, user)]
-    status = RunStatus.COMPLETED
-    final: CodeArtifact | None = None
-    try:
-        response = ctx.call("baseline", messages, task_ordinal=1, iteration=0)
-        final = CodeArtifact(
-            content=extract_code(response.content),
-            producer=Producer.EXECUTOR,
-            task_ordinal=1,
-            iteration=0,
-        )
-    except NoCodeFound:
-        ctx.transcript.annotate_last("no_code")
-        status = RunStatus.FAILED_GENERATION
-    except BackendError:
-        status = RunStatus.FAILED_GENERATION
-    return RunOutcome(
-        run_id=transcript.run_id,
-        final_code=final,
-        status=status,
-        duration_seconds=time.perf_counter() - start,
-        task_count=1,
-        finalizer_invocations=0,
     )

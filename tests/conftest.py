@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from uplift.backend import MatchMode, ScriptEntry, ScriptedBackend
-from uplift.model import CodeArtifact, Producer, parse_requirements
+from uplift.model import CodeArtifact, parse_requirements
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -32,10 +32,7 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture
 def original_code() -> CodeArtifact:
-    return CodeArtifact(
-        content="<?php echo $quote['quote']['text']; ?>\n<p>legacy</p>",
-        producer=Producer.USER_INPUT,
-    )
+    return CodeArtifact(content="<?php echo $quote['quote']['text']; ?>\n<p>legacy</p>")
 
 
 @pytest.fixture

@@ -36,7 +36,6 @@ from uplift.pipeline import (
     RunStatus,
     Transcript,
     read_transcript,
-    run_baseline,
     run_pipeline,
     strip_timing,
     write_transcript,
@@ -264,7 +263,7 @@ def test_criterion_10_baseline_parity(fixtures_dir):
         mode=PipelineMode.BASELINE_ZSL, backend=load_script(case / "script.json")
     )
     transcript = Transcript("base")
-    outcome = run_baseline(code, prompt_text, config, transcript=transcript)
+    outcome = run_pipeline(code, prompt_text, config, transcript=transcript)
     assert outcome.status is RunStatus.COMPLETED
     assert transcript.count() == 1
     rendered = "\n".join(
@@ -290,6 +289,6 @@ def test_criterion_11_live_smoke(fixtures_dir):
     config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=HttpBackend(endpoint))
     completed = 0
     for _ in range(10):
-        outcome = run_baseline(code, prompt_text, config)
+        outcome = run_pipeline(code, prompt_text, config)
         completed += outcome.status is RunStatus.COMPLETED
     assert completed >= 8

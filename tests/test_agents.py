@@ -19,7 +19,7 @@ from uplift.agents import (
     verify,
 )
 from uplift.errors import PlanParseError, PromptSpecParseError, FailedGeneration, TemplateError
-from uplift.model import CodeArtifact, Decision, Producer, Task, TaskOrigin, TaskPlan
+from uplift.model import CodeArtifact, Decision, Task, TaskPlan
 from uplift.pipeline import Transcript
 
 from conftest import ACCEPT_REPLY, CODE_REPLY, PLAN_REPLY, REVISE_REPLY, SECTIONS_REPLY, seq
@@ -30,11 +30,11 @@ def ctx_with(backend) -> AgentContext:
 
 
 def a_task(description="Fix ORM access", ordinal=1) -> Task:
-    return Task(ordinal=ordinal, description=description, origin=TaskOrigin.MANAGER_PLANNED)
+    return Task(ordinal=ordinal, description=description)
 
 
 def executor_artifact(content="<?php echo 1;") -> CodeArtifact:
-    return CodeArtifact(content=content, producer=Producer.EXECUTOR, task_ordinal=1)
+    return CodeArtifact(content=content)
 
 
 class TestTemplates:
@@ -62,8 +62,6 @@ class TestManagerPlan:
         plan = manager_plan(ctx, two_requirements)
         assert [t.description for t in plan.tasks] == ["Update syntax to 4.5", "Fix ORM access"]
         assert [t.ordinal for t in plan.tasks] == [1, 2]
-        assert plan.confirmed is False
-        assert all(t.origin is TaskOrigin.MANAGER_PLANNED for t in plan.tasks)
 
     def test_prose_around_tasks_is_ignored(self, two_requirements):
         ctx = ctx_with(seq("Sure! Here is the plan.\nTASK 1: x\nHope this helps."))
@@ -99,15 +97,14 @@ class TestManagerConfirm:
     def plan(self) -> TaskPlan:
         return TaskPlan(
             tasks=(
-                Task(1, "Update syntax to 4.5", TaskOrigin.MANAGER_PLANNED),
-                Task(2, "Fix ORM access", TaskOrigin.MANAGER_PLANNED),
+                Task(1, "Update syntax to 4.5"),
+                Task(2, "Fix ORM access"),
             )
         )
 
     def test_identical_confirmation_is_fixed_point(self, two_requirements):
         ctx = ctx_with(seq(PLAN_REPLY))
         confirmed = manager_confirm(ctx, self.plan(), two_requirements)
-        assert confirmed.confirmed is True
         assert [t.description for t in confirmed.tasks] == [t.description for t in self.plan().tasks]
         assert ctx.transcript.count("manager") == 1
 
@@ -120,13 +117,7 @@ class TestManagerConfirm:
         ctx = ctx_with(seq("looks good to me!"))
         confirmed = manager_confirm(ctx, self.plan(), two_requirements)
         assert [t.description for t in confirmed.tasks] == [t.description for t in self.plan().tasks]
-        assert confirmed.confirmed is True
         assert "confirm_fallback" in ctx.transcript.entries[-1].flags
-
-    def test_already_confirmed_is_rejected(self, two_requirements):
-        plan = TaskPlan(tasks=self.plan().tasks, confirmed=True)
-        with pytest.raises(ValueError):
-            manager_confirm(ctx_with(seq()), plan, two_requirements)
 
 
 class TestMakePrompt:
@@ -169,13 +160,13 @@ class TestMakePrompt:
 class TestExecute:
     def spec(self):
         ctx = ctx_with(seq(SECTIONS_REPLY))
-        return make_prompt(ctx, a_task(), CodeArtifact("<?php", producer=Producer.USER_INPUT))
+        return make_prompt(ctx, a_task(), CodeArtifact("<?php"))
 
     def test_happy_path(self, original_code):
         ctx = ctx_with(seq(CODE_REPLY))
         artifact = execute(ctx, self.spec(), original_code)
-        assert artifact.producer is Producer.EXECUTOR
-        assert artifact.task_ordinal == 1 and artifact.iteration == 0
+        assert artifact.iteration == 0
+        assert ctx.transcript.entries[-1].task_ordinal == 1
         assert artifact.content == "<?php echo $this->Html->link('x'); ?>"
         assert artifact.loc == 1
 
@@ -200,7 +191,7 @@ class TestExecute:
     def test_empty_input_rejected_before_backend(self, original_code):
         backend = seq(CODE_REPLY)
         ctx = ctx_with(backend)
-        empty = CodeArtifact("", producer=Producer.USER_INPUT)
+        empty = CodeArtifact("")
         with pytest.raises(ValueError):
             execute(ctx, self.spec(), empty)
         assert backend.remaining == 1
@@ -211,7 +202,8 @@ class TestVerify:
         ctx = ctx_with(seq(ACCEPT_REPLY))
         verdict = verify(ctx, a_task(), original_code, executor_artifact())
         assert verdict.decision is Decision.ACCEPT
-        assert verdict.feedback == "" and verdict.parse_fallback is False
+        assert verdict.feedback == ""
+        assert "verdict_fallback" not in ctx.transcript.entries[-1].flags
 
     def test_revise_with_feedback(self, original_code):
         ctx = ctx_with(seq(REVISE_REPLY))
@@ -222,14 +214,15 @@ class TestVerify:
     def test_garbage_twice_falls_back_to_accept(self, original_code):
         ctx = ctx_with(seq("hmm", "not sure"))
         verdict = verify(ctx, a_task(), original_code, executor_artifact())
-        assert verdict.decision is Decision.ACCEPT and verdict.parse_fallback is True
+        assert verdict.decision is Decision.ACCEPT
         assert ctx.transcript.count("verifier") == 2
         assert "verdict_fallback" in ctx.transcript.entries[-1].flags
 
     def test_revise_without_feedback_is_unparseable(self, original_code):
         ctx = ctx_with(seq("VERDICT: REVISE", ACCEPT_REPLY))
         verdict = verify(ctx, a_task(), original_code, executor_artifact())
-        assert verdict.decision is Decision.ACCEPT and verdict.parse_fallback is False
+        assert verdict.decision is Decision.ACCEPT
+        assert "verdict_fallback" not in ctx.transcript.entries[-1].flags
 
     def test_feedback_is_first_feedback_line_only(self, original_code):
         # single-line capture keeps the parser deaf to trailing prose
@@ -237,14 +230,10 @@ class TestVerify:
         verdict = verify(ctx_with(seq(reply)), a_task(), original_code, executor_artifact())
         assert verdict.feedback == "first problem"
 
-    def test_user_input_not_verifiable(self, original_code):
-        with pytest.raises(ValueError):
-            verify(ctx_with(seq()), a_task(), original_code, original_code)
-
     def test_prompt_shows_original_before_and_after(self, original_code):
         ctx = ctx_with(seq(ACCEPT_REPLY))
         after = executor_artifact("<?php new version ?>")
-        older = CodeArtifact("<?php ancient ?>", producer=Producer.USER_INPUT)
+        older = CodeArtifact("<?php ancient ?>")
         verify(ctx, a_task(), original_code, after, original=older)
         user = ctx.transcript.entries[0].request["messages"][1]["content"]
         assert user.index("<?php ancient ?>") < user.index(original_code.content)
@@ -255,7 +244,6 @@ class TestFinalize:
     def test_iteration_increments(self):
         ctx = ctx_with(seq(CODE_REPLY))
         artifact = finalize(ctx, a_task(), executor_artifact(), "use first()")
-        assert artifact.producer is Producer.FINALIZER
         assert artifact.iteration == 1
         again = finalize(ctx_with(seq(CODE_REPLY)), a_task(), artifact, "again")
         assert again.iteration == 2

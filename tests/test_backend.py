@@ -118,6 +118,22 @@ class TestLoadScript:
         with pytest.raises(ScriptParseError):
             load_script(path)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"match": "sequence", "response": 5},
+            {"match": "sequence", "response": ["x"]},
+            {"match": "sequence", "response": None},
+            {"match": "substring", "pattern": 5, "response": "x"},
+            {"match": "substring", "pattern": None, "response": "x"},
+        ],
+    )
+    def test_non_string_values_rejected(self, tmp_path, entry):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(ScriptParseError, match="must be a string"):
+            load_script(path)
+
 
 class FakeTransport:
     """Scripted (status, body) pairs; an Exception instance raises instead."""

@@ -200,6 +200,21 @@ class TestRun:
         assert main(["plan", "case_view/requirements.txt"]) == 0
         assert "TASK 1:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "case_view/original.php", "case_view/requirements.txt"],
+            ["run", "case_view_zsl/original.php", "case_view_zsl/prompt.txt", "--mode", "baseline_zsl"],
+            ["bench", "case_view", "--reps", "1"],
+        ],
+        ids=["run", "run-baseline", "bench"],
+    )
+    def test_bad_prompts_dir_exits_2_before_output(self, workdir, capsys, argv):
+        (workdir / "bad.json").write_text(json.dumps({"prompts": {"dir": str(workdir / "nowhere")}}))
+        assert main(argv + ["--script", "case_view/script.json", "--config", "bad.json"]) == 2
+        assert "missing prompt template" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
     def test_script_kind_requires_script_path(self, workdir):
         (workdir / "bad.json").write_text(json.dumps({"backend": {"kind": "script"}}))
         code = main(
@@ -350,6 +365,20 @@ class TestBench:
 
     def test_bad_case_dir_exits_2(self, workdir):
         assert main(["bench", "missing_case", "--script", "case_view/script.json"]) == 2
+
+    @pytest.mark.parametrize("missing", ["original.php", "requirements.txt"])
+    def test_incomplete_case_exits_2_before_output(self, workdir, capsys, missing):
+        (workdir / "case_view" / missing).unlink()
+        assert main(["bench", "case_view", "--script", "case_view/script.json", "--reps", "1"]) == 2
+        assert "case_view" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
+    def test_script_with_non_string_response_exits_2_before_output(self, workdir, capsys):
+        write_script(workdir / "s.json", [{"match": "sequence", "response": 5}])
+        assert main(["bench", "case_view", "--script", "s.json", "--reps", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "response must be a string" in err and "Traceback" not in err
+        assert not (workdir / "out").exists()
 
     def test_zero_reps_rejected(self, workdir):
         code = main(

@@ -9,11 +9,9 @@ from uplift.errors import EmptyRequirements, MalformedMarker, NoCodeFound
 from uplift.model import (
     CodeArtifact,
     Decision,
-    Producer,
     Requirement,
     RequirementSet,
     Task,
-    TaskOrigin,
     TaskPlan,
     Verdict,
     count_loc,
@@ -135,14 +133,8 @@ class TestExtractCode:
 
 class TestDomainTypes:
     def test_artifact_loc_is_derived(self):
-        artifact = CodeArtifact(content="a\n\nb", producer=Producer.EXECUTOR, task_ordinal=1)
+        artifact = CodeArtifact(content="a\n\nb")
         assert artifact.loc == 2
-
-    def test_user_input_cannot_carry_task_metadata(self):
-        with pytest.raises(ValueError):
-            CodeArtifact(content="x", producer=Producer.USER_INPUT, task_ordinal=1)
-        with pytest.raises(ValueError):
-            CodeArtifact(content="x", producer=Producer.USER_INPUT, iteration=1)
 
     def test_requirement_set_contiguity(self):
         with pytest.raises(ValueError):
@@ -152,7 +144,7 @@ class TestDomainTypes:
 
     def test_task_plan_ordinals(self):
         with pytest.raises(ValueError):
-            TaskPlan(tasks=(Task(2, "x", TaskOrigin.MANAGER_PLANNED),))
+            TaskPlan(tasks=(Task(2, "x"),))
 
     def test_revise_verdict_needs_feedback(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from uplift.backend import MatchMode, ScriptEntry, ScriptedBackend
-from uplift.model import Producer
 from uplift.pipeline import (
     PipelineConfig,
     PipelineMode,
@@ -11,7 +10,6 @@ from uplift.pipeline import (
     RunStatus,
     Transcript,
     read_transcript,
-    run_baseline,
     run_pipeline,
     strip_timing,
     write_transcript,
@@ -105,7 +103,6 @@ class TestRevisionLoop:
         assert transcript.count("finalizer") == 2
         assert transcript.count("verifier") == 3
         assert outcome.final_code is not None
-        assert outcome.final_code.producer is Producer.FINALIZER
         assert outcome.final_code.iteration == 2
 
     def test_revise_then_accept_stops_early(self, original_code, two_requirements):
@@ -140,6 +137,18 @@ class TestFailures:
         assert outcome.status is RunStatus.FAILED_GENERATION
         assert transcript.entries[-1].error is not None
 
+    def test_failed_run_keeps_finalizer_count(self, original_code, two_requirements):
+        # Task 1 loops once; task 2's executor reply has no code.
+        backend = seq(
+            SECTIONS_REPLY, CODE_REPLY, REVISE_REPLY, CODE_REPLY, ACCEPT_REPLY,
+            SECTIONS_REPLY, "I cannot update this file.",
+        )
+        outcome = run_pipeline(
+            original_code, two_requirements, config(backend, PipelineMode.SYSTEM_PER_REQUIREMENT)
+        )
+        assert outcome.status is RunStatus.FAILED_GENERATION
+        assert (outcome.task_count, outcome.finalizer_invocations) == (2, 1)
+
     def test_unplannable_manager_fails_run(self, original_code, two_requirements):
         backend = seq("nope", "still nope")
         outcome = run_pipeline(
@@ -153,7 +162,7 @@ class TestBaseline:
     def test_single_call_with_prompt_then_code(self, original_code):
         transcript = Transcript("r1")
         prompt_text = "Update CakePHP view file from version 1.2 to version 4.5."
-        outcome = run_baseline(
+        outcome = run_pipeline(
             original_code,
             prompt_text,
             config(seq(CODE_REPLY), PipelineMode.BASELINE_ZSL),
@@ -166,19 +175,20 @@ class TestBaseline:
         assert user.index(prompt_text) < user.index(original_code.content)
 
     def test_codeless_reply_fails(self, original_code):
-        outcome = run_baseline(
+        outcome = run_pipeline(
             original_code, "do it", config(seq("no code here"), PipelineMode.BASELINE_OSL)
         )
         assert outcome.status is RunStatus.FAILED_GENERATION
         assert outcome.final_code is None
+        assert outcome.task_count == 1
 
     def test_empty_prompt_rejected(self, original_code):
         with pytest.raises(ValueError):
-            run_baseline(original_code, "  ", config(seq(), PipelineMode.BASELINE_ZSL))
+            run_pipeline(original_code, "  ", config(seq(), PipelineMode.BASELINE_ZSL))
 
     def test_system_mode_rejected(self, original_code):
         with pytest.raises(ValueError):
-            run_baseline(original_code, "x", config(seq(), PipelineMode.SYSTEM_MANAGER))
+            run_pipeline(original_code, "x", config(seq(), PipelineMode.SYSTEM_MANAGER))
 
 
 class TestTranscriptInvariants:
