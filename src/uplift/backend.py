@@ -123,8 +123,8 @@ class ScriptedBackend:
     """
 
     def __init__(self, entries: Iterable[ScriptEntry]):
-        self._entries = list(entries)
-        self._consumed = [False] * len(self._entries)
+        self.entries = tuple(entries)
+        self._consumed = [False] * len(self.entries)
         self._lock = Lock()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
@@ -133,15 +133,15 @@ class ScriptedBackend:
             index = self._next_match(request)
             if index is None:
                 raise ScriptExhausted(
-                    f"no unconsumed script entry matches the request ({len(self._entries)} loaded)"
+                    f"no unconsumed script entry matches the request ({len(self.entries)} loaded)"
                 )
             self._consumed[index] = True
-            entry = self._entries[index]
+            entry = self.entries[index]
         return ChatResponse(content=entry.response, latency_seconds=time.perf_counter() - start)
 
     def _next_match(self, request: ChatRequest) -> int | None:
         last_user = request.last_user_content()
-        for i, entry in enumerate(self._entries):
+        for i, entry in enumerate(self.entries):
             if self._consumed[i]:
                 continue
             if entry.match is MatchMode.SEQUENCE:
@@ -149,11 +149,6 @@ class ScriptedBackend:
             if last_user is not None and entry.pattern in last_user:
                 return i
         return None
-
-    @property
-    def remaining(self) -> int:
-        with self._lock:
-            return self._consumed.count(False)
 
 
 def load_script(path: str | Path) -> ScriptedBackend:

@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .agents import DEFAULT_PROMPT_DIR, PromptLibrary, manager_confirm, manager_plan, render_tasks
-from .backend import Backend, DEFAULT_MODEL, HttpBackend, load_script
+from .agents import DEFAULT_PROMPT_DIR, manager_confirm, manager_plan, render_tasks
+from .backend import Backend, DEFAULT_MODEL, HttpBackend, ScriptedBackend, load_script
 from .errors import (
     DanglingReference,
     ConfigError,
@@ -142,9 +142,6 @@ def make_backend(config: CliConfig) -> Backend:
 
 
 def pipeline_config(config: CliConfig, backend: Backend) -> PipelineConfig:
-    # Each run loads its own templates; loading them once here makes a bad
-    # prompts.dir fail before any output directory exists.
-    PromptLibrary(config.prompts_dir)
     return PipelineConfig(
         mode=PipelineMode(config.pipeline_mode),
         backend=backend,
@@ -191,9 +188,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     case_dir = Path(args.case_dir)
     if not case_dir.is_dir():
         raise ConfigError(f"case directory not found: {case_dir}")
-    # Scripted backends are consumed per run, so each repetition loads its own.
-    factory = (lambda i: make_backend(config)) if config.backend_kind == "script" else None
-    pconfig = pipeline_config(config, make_backend(config))
+    backend = make_backend(config)
+    # A scripted backend is consumed as it runs, so each repetition replays
+    # the parsed entries through a backend of its own.
+    factory = (lambda i: ScriptedBackend(backend.entries)) if isinstance(backend, ScriptedBackend) else None
+    pconfig = pipeline_config(config, backend)
     out_dir = Path(args.out or "out") / case_dir.name
     outcomes = run_bench(
         case_dir,

@@ -320,9 +320,13 @@ def _find_original(case_dir: Path) -> Path:
 
 
 def load_spec(path: str | Path, mode: PipelineMode) -> RequirementSet | str:
-    """A run's spec: the prompt text in a baseline mode, else the requirements."""
+    """A run's spec: the prompt text in a baseline mode, else the requirements.
+    A blank prompt file is rejected here, before any output exists."""
     if mode in BASELINE_MODES:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
+        if not text.strip():
+            raise ConfigError(f"{path}: baseline prompt text must be non-empty")
+        return text
     return load_requirements(path)
 
 

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from .errors import EmptyRequirements, MalformedMarker, NoCodeFound
+from .errors import ConfigError, EmptyRequirements, MalformedMarker, NoCodeFound
 
 # Replies that skip the code fence but plainly start with source code are
 # still accepted.
@@ -48,9 +48,6 @@ class RequirementSet:
                 raise ValueError(
                     f"requirement indices must be contiguous from 1, got {req.index} at position {pos}"
                 )
-
-    def __len__(self) -> int:
-        return len(self.requirements)
 
 
 @dataclass(frozen=True)
@@ -198,5 +195,9 @@ def _fenced_blocks(response: str) -> list[str]:
 
 
 def artifact_from_file(path: str | Path) -> CodeArtifact:
-    """Read a source file as the user-supplied input artifact."""
-    return CodeArtifact(content=Path(path).read_text(encoding="utf-8"))
+    """Read a source file as the user-supplied input artifact. A file with no
+    non-blank line is rejected: there is nothing to update."""
+    content = Path(path).read_text(encoding="utf-8")
+    if not count_loc(content):
+        raise ConfigError(f"{path}: source file has no non-blank line")
+    return CodeArtifact(content=content)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -69,11 +69,16 @@ class PipelineConfig:
     prompt_dir: Path = DEFAULT_PROMPT_DIR
     max_loop_iterations: int = MAX_LOOP_ITERATIONS
     model: str = DEFAULT_MODEL
+    # Loaded from prompt_dir when the config is built. dataclasses.replace
+    # passes it on, so the per-run copies run_bench makes reread nothing.
+    prompts: PromptLibrary | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.mode = PipelineMode(self.mode)
         if self.max_loop_iterations < 0:
             raise ValueError("max_loop_iterations must be non-negative")
+        if self.prompts is None or self.prompts.directory != Path(self.prompt_dir):
+            self.prompts = PromptLibrary(self.prompt_dir)
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,7 @@ def context(config: PipelineConfig, transcript: Transcript) -> AgentContext:
     """The agent context every call of a run shares."""
     return AgentContext(
         backend=config.backend,
-        prompts=PromptLibrary(config.prompt_dir),
+        prompts=config.prompts,
         transcript=transcript,
         model=config.model,
     )

@@ -1,9 +1,10 @@
 """Append-only record of every backend exchange in a run.
 
 Transcripts are written as JSONL with full prompt/response bodies inline;
-the digests make it cheap to diff runs. Two runs against the same script
-produce byte-identical files except for the timing fields, so replay tests
-compare records through strip_timing().
+the digests make it cheap to diff runs. Each request is JSON-encoded once,
+at write time, and its digest and its line share that encoding. Two runs
+against the same script produce byte-identical files except for the timing
+fields, so replay tests compare records through strip_timing().
 """
 
 from __future__ import annotations
@@ -35,18 +36,29 @@ class TranscriptEntry:
     step: int
     agent: str
     request: dict[str, Any]
-    request_digest: str
     response: str | None
-    response_digest: str
     latency_seconds: float
     task_ordinal: int | None = None
     iteration: int | None = None
     error: str | None = None
     flags: set[str] = field(default_factory=set)
 
-    def to_record(self) -> dict[str, Any]:
+    def to_line(self) -> str:
+        """The exchange as one dump_record line. The request is encoded once:
+        that text is hashed for request_digest and spliced into the line, in
+        the place its key sorts to."""
+        request = dump_record(self.request)
         record = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {"record": "exchange", **record, "flags": sorted(self.flags)}
+        record.update(
+            record="exchange",
+            request=None,
+            request_digest=_digest(request),
+            response_digest=_digest(self.response) if self.response is not None else "",
+            flags=sorted(self.flags),
+        )
+        # The key is the only unescaped '"request": null' in the line: quotes
+        # inside string values are escaped.
+        return dump_record(record).replace('"request": null', f'"request": {request}', 1)
 
 
 class Transcript:
@@ -73,9 +85,7 @@ class Transcript:
             step=len(self.entries) + 1,
             agent=agent,
             request=request,
-            request_digest=_digest(dump_record(request)),
             response=response,
-            response_digest=_digest(response) if response is not None else "",
             latency_seconds=latency_seconds,
             task_ordinal=task_ordinal,
             iteration=iteration,
@@ -91,11 +101,6 @@ class Transcript:
             raise ValueError("no exchange to annotate")
         self.entries[-1].flags.update(flags)
 
-    def count(self, agent: str | None = None) -> int:
-        if agent is None:
-            return len(self.entries)
-        return sum(1 for e in self.entries if e.agent == agent)
-
 
 def write_transcript(run: "RunOutcome", entries: Iterable[TranscriptEntry], path: str | Path) -> None:
     """Write exchanges plus a trailing summary record as JSONL."""
@@ -103,7 +108,7 @@ def write_transcript(run: "RunOutcome", entries: Iterable[TranscriptEntry], path
     for entry in entries:
         if entry.run_id != run.run_id:
             raise ValueError(f"entry run_id {entry.run_id!r} does not belong to run {run.run_id!r}")
-    lines = [dump_record(e.to_record()) for e in entries]
+    lines = [e.to_line() for e in entries]
     lines.append(
         dump_record(
             {

@@ -72,7 +72,7 @@ class TestManagerPlan:
         ctx = ctx_with(seq("no tasks", "still no tasks"))
         with pytest.raises(PlanParseError):
             manager_plan(ctx, two_requirements)
-        assert ctx.transcript.count("manager") == 2
+        assert [e.agent for e in ctx.transcript.entries].count("manager") == 2
 
     def test_reask_recovers(self, two_requirements):
         ctx = ctx_with(seq("no tasks", PLAN_REPLY))
@@ -106,7 +106,7 @@ class TestManagerConfirm:
         ctx = ctx_with(seq(PLAN_REPLY))
         confirmed = manager_confirm(ctx, self.plan(), two_requirements)
         assert [t.description for t in confirmed.tasks] == [t.description for t in self.plan().tasks]
-        assert ctx.transcript.count("manager") == 1
+        assert [e.agent for e in ctx.transcript.entries].count("manager") == 1
 
     def test_reordered_confirmation_replaces_plan(self, two_requirements):
         ctx = ctx_with(seq("TASK 1: Fix ORM access\nTASK 2: Update syntax to 4.5"))
@@ -154,7 +154,7 @@ class TestMakePrompt:
         ctx = ctx_with(seq("INSTRUCTION: x\nEXAMPLE BEFORE: y", "INSTRUCTION: x\nEXAMPLE BEFORE: y"))
         with pytest.raises(PromptSpecParseError):
             make_prompt(ctx, a_task(), original_code)
-        assert ctx.transcript.count("prompt_maker") == 2
+        assert [e.agent for e in ctx.transcript.entries].count("prompt_maker") == 2
 
 
 class TestExecute:
@@ -189,12 +189,11 @@ class TestExecute:
         assert user.rstrip().endswith(RETURN_ONLY_CODE)
 
     def test_empty_input_rejected_before_backend(self, original_code):
-        backend = seq(CODE_REPLY)
-        ctx = ctx_with(backend)
+        ctx = ctx_with(seq(CODE_REPLY))
         empty = CodeArtifact("")
         with pytest.raises(ValueError):
             execute(ctx, self.spec(), empty)
-        assert backend.remaining == 1
+        assert ctx.transcript.entries == []
 
 
 class TestVerify:
@@ -215,7 +214,7 @@ class TestVerify:
         ctx = ctx_with(seq("hmm", "not sure"))
         verdict = verify(ctx, a_task(), original_code, executor_artifact())
         assert verdict.decision is Decision.ACCEPT
-        assert ctx.transcript.count("verifier") == 2
+        assert [e.agent for e in ctx.transcript.entries].count("verifier") == 2
         assert "verdict_fallback" in ctx.transcript.entries[-1].flags
 
     def test_revise_without_feedback_is_unparseable(self, original_code):
@@ -253,10 +252,10 @@ class TestFinalize:
             finalize(ctx_with(seq("cannot do")), a_task(), executor_artifact(), "fb")
 
     def test_empty_feedback_rejected_before_backend(self):
-        backend = seq(CODE_REPLY)
+        ctx = ctx_with(seq(CODE_REPLY))
         with pytest.raises(ValueError):
-            finalize(ctx_with(backend), a_task(), executor_artifact(), "   ")
-        assert backend.remaining == 1
+            finalize(ctx, a_task(), executor_artifact(), "   ")
+        assert ctx.transcript.entries == []
 
 
 class TestParserProperties:
@@ -268,12 +267,12 @@ class TestParserProperties:
         # worst case: first reply unparseable, second fine
         ctx = ctx_with(seq("??", PLAN_REPLY))
         manager_plan(ctx, two_requirements)
-        assert ctx.transcript.count() == 2
+        assert len(ctx.transcript.entries) == 2
 
         ctx = ctx_with(seq("??", SECTIONS_REPLY))
         make_prompt(ctx, a_task(), original_code)
-        assert ctx.transcript.count() == 2
+        assert len(ctx.transcript.entries) == 2
 
         ctx = ctx_with(seq("??", "??"))
         verify(ctx, a_task(), original_code, executor_artifact())
-        assert ctx.transcript.count() == 2
+        assert len(ctx.transcript.entries) == 2

@@ -84,7 +84,8 @@ class TestScriptedBackend:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda _: backend.complete(request_with()).content, range(20)))
         assert sorted(results) == sorted(f"r{i}" for i in range(20))
-        assert backend.remaining == 0
+        with pytest.raises(ScriptExhausted):
+            backend.complete(request_with())
 
 
 class TestLoadScript:

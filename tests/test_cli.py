@@ -215,6 +215,27 @@ class TestRun:
         assert "missing prompt template" in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
+    @pytest.mark.parametrize(
+        "blank, argv",
+        [
+            ("case_view/original.php", ["run", "case_view/original.php", "case_view/requirements.txt"]),
+            ("case_view/original.php", ["bench", "case_view", "--reps", "1"]),
+            (
+                "case_view_zsl/prompt.txt",
+                ["run", "case_view_zsl/original.php", "case_view_zsl/prompt.txt", "--mode", "baseline_zsl"],
+            ),
+            ("case_view_zsl/prompt.txt", ["bench", "case_view_zsl", "--mode", "baseline_zsl", "--reps", "1"]),
+        ],
+        ids=["empty-source-run", "empty-source-bench", "blank-prompt-run", "blank-prompt-bench"],
+    )
+    def test_blank_input_exits_2_before_output(self, workdir, capsys, blank, argv):
+        (workdir / blank).write_text(" \n\t\n", encoding="utf-8")
+        script = str(Path(blank).parent / "script.json")
+        assert main(argv + ["--script", script]) == 2
+        err = capsys.readouterr().err
+        assert blank in err and "Traceback" not in err
+        assert not (workdir / "out").exists()
+
     def test_script_kind_requires_script_path(self, workdir):
         (workdir / "bad.json").write_text(json.dumps({"backend": {"kind": "script"}}))
         code = main(
@@ -379,6 +400,34 @@ class TestBench:
         err = capsys.readouterr().err
         assert "response must be a string" in err and "Traceback" not in err
         assert not (workdir / "out").exists()
+
+    def test_script_and_templates_are_read_once(self, workdir, monkeypatch):
+        import uplift.agents
+        import uplift.cli
+        from uplift.pipeline import read_transcript, strip_timing
+
+        calls = {"load_script": 0, "PromptLibrary": 0}
+        load_script, init = uplift.cli.load_script, uplift.agents.PromptLibrary.__init__
+
+        def counting_load_script(path):
+            calls["load_script"] += 1
+            return load_script(path)
+
+        def counting_init(self, *args, **kwargs):
+            calls["PromptLibrary"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(uplift.cli, "load_script", counting_load_script)
+        monkeypatch.setattr(uplift.agents.PromptLibrary, "__init__", counting_init)
+        (workdir / "two.json").write_text(json.dumps({"bench": {"parallelism": 2}}))
+        argv = ["bench", "case_view", "--script", "case_view/script.json", "--reps", "5"]
+        assert main(argv + ["--config", "two.json"]) == 0
+        assert calls == {"load_script": 1, "PromptLibrary": 1}
+        out = workdir / "out/case_view"
+        runs = [strip_timing(read_transcript(out / f"run-{i:03d}.jsonl")) for i in range(1, 6)]
+        assert runs[0][-1]["status"] == "completed"
+        without_ids = [[{**r, "run_id": ""} for r in run] for run in runs]
+        assert all(run == without_ids[0] for run in without_ids)
 
     def test_zero_reps_rejected(self, workdir):
         code = main(

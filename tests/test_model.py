@@ -33,14 +33,14 @@ class TestParseRequirements:
             " letter and the second only with lowercase letters."
         )
         reqs = parse_requirements(raw)
-        assert len(reqs) == 2
+        assert len(reqs.requirements) == 2
         assert reqs.requirements[0].index == 1
         assert reqs.requirements[0].text.startswith("Update whole CakePHP view file")
         assert reqs.requirements[1].text.startswith("ORM Arrays must be accessed")
 
     def test_minimal(self):
         reqs = parse_requirements("Requirement1: a")
-        assert len(reqs) == 1
+        assert len(reqs.requirements) == 1
         assert reqs.requirements[0].text == "a"
 
     def test_no_marker_is_an_error(self):
@@ -71,7 +71,7 @@ class TestParseRequirements:
 
     def test_preamble_before_first_marker_is_ignored(self):
         reqs = parse_requirements("intro prose\nRequirement1: real")
-        assert len(reqs) == 1
+        assert len(reqs.requirements) == 1
 
     def test_render_parse_round_trip(self):
         reqs = parse_requirements("Requirement1: alpha\nRequirement2: beta\ngamma")

@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+import json
+import shutil
+from hashlib import sha256
+
 import pytest
 
+from uplift.agents import DEFAULT_PROMPT_DIR
 from uplift.backend import MatchMode, ScriptEntry, ScriptedBackend
+from uplift.model import CodeArtifact
 from uplift.pipeline import (
     PipelineConfig,
     PipelineMode,
@@ -14,6 +21,7 @@ from uplift.pipeline import (
     strip_timing,
     write_transcript,
 )
+from uplift.transcript import dump_record
 
 from conftest import ACCEPT_REPLY, CODE_REPLY, PLAN_REPLY, REVISE_REPLY, SECTIONS_REPLY, seq
 
@@ -24,6 +32,15 @@ def config(backend, mode=PipelineMode.SYSTEM_SINGLE_TASK, **kwargs) -> PipelineC
 
 def happy_single_task_backend():
     return seq(SECTIONS_REPLY, CODE_REPLY, ACCEPT_REPLY)
+
+
+class TestConfig:
+    def test_replace_keeps_templates_unless_the_directory_changes(self, tmp_path):
+        base = config(seq())
+        assert dataclasses.replace(base, backend=seq()).prompts is base.prompts
+        shutil.copytree(DEFAULT_PROMPT_DIR, tmp_path / "prompts")
+        moved = dataclasses.replace(base, prompt_dir=tmp_path / "prompts")
+        assert moved.prompts.directory == tmp_path / "prompts"
 
 
 class TestSystemModes:
@@ -44,8 +61,8 @@ class TestSystemModes:
         assert outcome.status is RunStatus.COMPLETED
         assert outcome.task_count == 2
         assert outcome.finalizer_invocations == 0
-        assert transcript.count("manager") == 2
-        assert transcript.count("executor") == 2
+        assert [e.agent for e in transcript.entries].count("manager") == 2
+        assert [e.agent for e in transcript.entries].count("executor") == 2
 
     def test_per_requirement_mode_uses_verbatim_texts(self, original_code, two_requirements):
         backend = seq(
@@ -100,8 +117,8 @@ class TestRevisionLoop:
         )
         assert outcome.status is RunStatus.COMPLETED
         assert outcome.finalizer_invocations == 2
-        assert transcript.count("finalizer") == 2
-        assert transcript.count("verifier") == 3
+        assert [e.agent for e in transcript.entries].count("finalizer") == 2
+        assert [e.agent for e in transcript.entries].count("verifier") == 3
         assert outcome.final_code is not None
         assert outcome.final_code.iteration == 2
 
@@ -170,7 +187,7 @@ class TestBaseline:
         )
         assert outcome.status is RunStatus.COMPLETED
         assert outcome.task_count == 1 and outcome.finalizer_invocations == 0
-        assert transcript.count() == 1
+        assert len(transcript.entries) == 1
         user = transcript.entries[0].request["messages"][1]["content"]
         assert user.index(prompt_text) < user.index(original_code.content)
 
@@ -218,7 +235,7 @@ class TestTranscriptInvariants:
         )
         _, transcript = self.run_with_transcript(original_code, two_requirements, backend)
         max_loop = 2
-        assert 3 <= transcript.count() <= 3 + 2 * max_loop
+        assert 3 <= len(transcript.entries) <= 3 + 2 * max_loop
 
     def test_write_read_round_trip(self, tmp_path, original_code, two_requirements):
         outcome, transcript = self.run_with_transcript(
@@ -231,10 +248,29 @@ class TestTranscriptInvariants:
         assert len(records) == len(transcript.entries) + 1
         assert records[-1]["record"] == "summary"
         assert records[-1]["status"] == "completed"
-        from uplift.transcript import dump_record
-
         rewritten = "\n".join(dump_record(r) for r in records) + "\n"
         assert rewritten == original_bytes
+
+    def test_lines_are_canonical_and_digests_hash_the_bodies(self, tmp_path, two_requirements):
+        # The bodies quote the key the request is spliced at, escape, and
+        # leave ASCII; the verifier call finds the script empty and fails.
+        code = CodeArtifact('<?php $j = \'{"request": null}\'; echo "naïve \\"q\\""; ?>')
+        backend = seq(SECTIONS_REPLY, f"```php\n{code.content}\n```")
+        transcript = Transcript("r1")
+        outcome = run_pipeline(code, two_requirements, config(backend), transcript=transcript)
+        path = tmp_path / "t.jsonl"
+        write_transcript(outcome, transcript.entries, path)
+        lines = path.read_text(encoding="utf-8").splitlines()[:-1]
+        records = [json.loads(line) for line in lines]
+        assert [r["agent"] for r in records] == ["prompt_maker", "executor", "verifier"]
+        assert records[-1]["response"] is None
+        for line, record in zip(lines, records):
+            assert line == dump_record(record)
+            request = dump_record(record["request"])
+            assert record["request_digest"] == sha256(request.encode("utf-8")).hexdigest()
+            response = record["response"]
+            digest = "" if response is None else sha256(response.encode("utf-8")).hexdigest()
+            assert record["response_digest"] == digest
 
     def test_write_rejects_foreign_entries(self, tmp_path, original_code, two_requirements):
         outcome, transcript = self.run_with_transcript(
