@@ -17,8 +17,6 @@ from pathlib import Path
 from threading import Lock
 from typing import Any, Callable, Iterable, Protocol
 
-import requests
-
 from .errors import (
     BackendExhausted,
     CredentialMissing,
@@ -187,6 +185,10 @@ Transport = Callable[[str, dict[str, Any], str, float], tuple[int, dict[str, Any
 
 
 def _requests_transport(endpoint: str, payload: dict[str, Any], api_key: str, timeout: float):
+    # Imported here so that scripted runs, reports and injected transports
+    # never load the HTTP stack.
+    import requests
+
     resp = requests.post(
         endpoint,
         json=payload,
@@ -227,23 +229,26 @@ class HttpBackend:
         if not api_key:
             raise CredentialMissing(f"environment variable {API_KEY_ENV} is not set")
         payload = request.to_payload()
-        start = time.perf_counter()
+        latency = 0.0  # transport time summed over attempts; backoff sleeps excluded
         failures: list[str] = []
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 self._sleep(self.backoff_base * 2 ** (attempt - 1))
+            start = time.perf_counter()
             try:
                 status, body = self._transport(self.endpoint, payload, api_key, TIMEOUT_S)
-            except (requests.RequestException, OSError) as exc:
+            except OSError as exc:  # every requests.RequestException is one
                 failures.append(f"attempt {attempt + 1}: {exc}")
                 log.debug("transport error on attempt %d: %s", attempt + 1, exc)
                 continue
+            finally:
+                latency += time.perf_counter() - start
             if status == 429 or 500 <= status < 600:
                 failures.append(f"attempt {attempt + 1}: HTTP {status}")
                 continue
             if status != 200:
                 raise BackendExhausted(f"non-retryable HTTP {status} from {self.endpoint}")
-            return self._parse_body(body, time.perf_counter() - start)
+            return self._parse_body(body, latency)
         raise BackendExhausted(
             f"{MAX_ATTEMPTS} attempts failed against {self.endpoint}: " + "; ".join(failures)
         )

@@ -14,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 from typing import Sequence
+from urllib.parse import urlsplit
 
 from .agents import DEFAULT_PROMPT_DIR, manager_confirm, manager_plan, render_tasks
 from .backend import Backend, DEFAULT_MODEL, HttpBackend, ScriptedBackend, load_script
@@ -70,6 +71,10 @@ class CliConfig:
             raise ConfigError("backend.kind=script requires backend.script_path")
         if self.backend_kind == "http" and self.backend_script_path:
             raise ConfigError("backend.script_path is only valid with backend.kind=script")
+        if self.backend_kind == "http" and not _is_http_url(self.backend_endpoint):
+            raise ConfigError(
+                f"backend.endpoint must be an http or https URL with a host, got {self.backend_endpoint!r}"
+            )
         if self.bench_repetitions < 1:
             raise ConfigError("bench.repetitions must be >= 1")
         if self.bench_parallelism < 1:
@@ -80,6 +85,14 @@ class CliConfig:
             PipelineMode(self.pipeline_mode)
         except ValueError:
             raise ConfigError(f"unknown pipeline.mode {self.pipeline_mode!r}") from None
+
+
+def _is_http_url(url: str) -> bool:
+    try:
+        parts = urlsplit(url)
+        return parts.scheme in ("http", "https") and bool(parts.hostname)
+    except ValueError:  # e.g. an unclosed IPv6 bracket
+        return False
 
 
 # Config key <section>.<key> is the CliConfig field <section>_<key>; the

@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import uplift
 from uplift.backend import (
     ChatMessage,
     ChatRequest,
@@ -216,6 +221,14 @@ class TestHttpBackend:
             backend.complete(request_with())
         assert transport.calls == 1
 
+    def test_latency_excludes_backoff_sleeps(self, monkeypatch):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        transport = FakeTransport((503, {}), ok_body())
+        backend = HttpBackend("http://x", transport=transport, sleep=lambda _: time.sleep(0.2))
+        response = backend.complete(request_with())
+        assert transport.calls == 2
+        assert response.latency_seconds < 0.1
+
     @pytest.mark.parametrize(
         "usage",
         [
@@ -245,6 +258,91 @@ class TestHttpBackend:
         monkeypatch.setenv("LLM_API_KEY", "k")
         response = HttpBackend("http://x", transport=FakeTransport(usage_body(*usage))).complete(request_with())
         assert (response.prompt_tokens, response.completion_tokens) == counts
+
+
+class FakeHttpResponse:
+    status_code = 200
+
+    def json(self):
+        return ok_body("over http")[1]
+
+
+class TestRequestsTransport:
+    """The default transport, with ``requests.post`` patched: no network."""
+
+    @staticmethod
+    def patch_post(monkeypatch, *outcomes):
+        import requests
+
+        calls = []
+
+        def post(url, **kwargs):
+            calls.append(url)
+            outcome = outcomes[len(calls) - 1]
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        return calls
+
+    def test_retries_requests_errors_then_succeeds(self, monkeypatch):
+        import requests
+
+        calls = self.patch_post(
+            monkeypatch, requests.ConnectionError("refused"), requests.Timeout("slow"), FakeHttpResponse()
+        )
+        sleeps = []
+        response = HttpBackend("http://x", sleep=sleeps.append).complete(request_with())
+        assert response.content == "over http"
+        assert calls == ["http://x"] * 3
+        assert sleeps == [0.5, 1.0]
+
+    def test_three_connection_errors_exhaust(self, monkeypatch):
+        import requests
+
+        self.patch_post(monkeypatch, *(requests.ConnectionError(f"refused {i}") for i in range(3)))
+        with pytest.raises(BackendExhausted) as info:
+            HttpBackend("http://x", sleep=lambda _: None).complete(request_with())
+        for i in range(3):
+            assert f"attempt {i + 1}: refused {i}" in str(info.value)
+
+
+LAZY_IMPORT_CHILD = """
+import json, sys
+preloaded = "requests" in sys.modules
+src, case = sys.argv[1:]
+sys.path.insert(0, src)
+import uplift
+from uplift.cli import main
+script = case + "/script.json"
+codes = [
+    main(["plan", case + "/requirements.txt", "--script", script]),
+    main(["run", case + "/original.php", case + "/requirements.txt", "--script", script]),
+    main(["bench", case, "--script", script, "--reps", "1"]),
+    main(["report", "out/case_view", "ledger.csv", "--label", "x"]),
+]
+print(json.dumps({"preloaded": preloaded, "codes": codes, "loaded": "requests" in sys.modules}))
+"""
+
+
+def test_offline_commands_never_import_requests(fixtures_dir, tmp_path):
+    (tmp_path / "ledger.csv").write_text("run_id,mistake_id,category,description\nrun-001,m1,fatal,x\n")
+    src = Path(uplift.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORT_CHILD, str(src), str(fixtures_dir / "case_view")],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if result["preloaded"]:
+        pytest.skip("the interpreter's site setup imports requests")
+    assert result["codes"] == [0, 0, 0, 0]
+    assert not result["loaded"]
 
 
 json_values = st.recursive(

@@ -301,6 +301,28 @@ class TestExitCodes:
         assert "failed_error_threshold" in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
+    @pytest.mark.parametrize(
+        "endpoint", ["localhost:8080/v1/chat/completions", "ftp://host/v1", "http:///v1", "http://[::1/v1"]
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "case_view/requirements.txt"],
+            ["run", "case_view/original.php", "case_view/requirements.txt"],
+            ["bench", "case_view", "--reps", "1"],
+        ],
+        ids=["plan", "run", "bench"],
+    )
+    def test_malformed_endpoint_exits_2_before_output(self, workdir, capsys, argv, endpoint):
+        (workdir / "bad.json").write_text(json.dumps({"backend": {"endpoint": endpoint}}))
+        assert main(argv + ["--config", "bad.json"]) == 2
+        assert "backend.endpoint" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
+    def test_malformed_endpoint_is_ignored_by_a_scripted_run(self, workdir):
+        (workdir / "bad.json").write_text(json.dumps({"backend": {"endpoint": "localhost:8080/v1"}}))
+        argv = ["run", "case_view/original.php", "case_view/requirements.txt", "--config", "bad.json"]
+        assert main(argv + ["--script", "case_view/script.json"]) == 0
 
     @pytest.mark.parametrize(
         "section, key, value",
