@@ -35,14 +35,18 @@ from .model import (
 )
 from .transcript import Transcript
 
-TEMPLATE_NAMES = (
-    "manager",
-    "manager_confirm",
-    "prompt_maker",
-    "executor",
-    "verifier",
-    "finalizer",
-)
+# Each template asset and the placeholders its role renders it with. A
+# template may leave a placeholder out; naming any other one is an error at
+# load, before a run sends anything.
+TEMPLATE_PLACEHOLDERS = {
+    "manager": frozenset(),
+    "manager_confirm": frozenset({"tasks"}),
+    "prompt_maker": frozenset({"task"}),
+    "executor": frozenset({"instruction", "example_before", "example_after"}),
+    "verifier": frozenset({"task"}),
+    "finalizer": frozenset({"task", "feedback"}),
+}
+TEMPLATE_NAMES = tuple(TEMPLATE_PLACEHOLDERS)
 
 DEFAULT_PROMPT_DIR = Path(__file__).parent / "prompts"
 
@@ -103,7 +107,8 @@ def render_template(template: str, values: Mapping[str, str]) -> str:
 
 
 class PromptLibrary:
-    """Loads the six fixed-name template assets from a directory."""
+    """Loads the six fixed-name template assets from a directory and checks
+    that each names only placeholders its role fills."""
 
     def __init__(self, directory: str | Path = DEFAULT_PROMPT_DIR):
         self.directory = Path(directory)
@@ -115,6 +120,10 @@ class PromptLibrary:
             text = path.read_text(encoding="utf-8")
             if not text.strip():
                 raise TemplateError(f"prompt template {path} is empty")
+            unknown = sorted(set(_PLACEHOLDER_RE.findall(text)) - TEMPLATE_PLACEHOLDERS[name])
+            if unknown:
+                names = ", ".join(f"{{{{{u}}}}}" for u in unknown)
+                raise TemplateError(f"prompt template {path} names unknown placeholder(s) {names}")
             self._templates[name] = text
 
     def render(self, name: str, **values: str) -> str:
@@ -314,17 +323,18 @@ def verify(
     """Ask the verifier whether the task is complete in the after version.
 
     The original user input is shown alongside the pre-task version so
-    cumulative drift across tasks stays visible. After a failed re-ask the
-    verdict defaults to accept (flagged), biasing toward progress over a
+    cumulative drift across tasks stays visible. When the two are the same
+    text (every first task, and no original given), the file is shown once
+    under a label naming both roles. After a failed re-ask the verdict
+    defaults to accept (flagged), biasing toward progress over a
     hallucinating verifier.
     """
     system = ctx.prompts.render("verifier", task=task.description)
-    original = original if original is not None else before
-    user = (
-        f"ORIGINAL FILE:\n{original.content}\n\n"
-        f"BEFORE THIS TASK:\n{before.content}\n\n"
-        f"AFTER THIS TASK:\n{after.content}"
-    )
+    if original is None or original.content == before.content:
+        shown = f"BEFORE THIS TASK (unchanged ORIGINAL FILE):\n{before.content}\n\n"
+    else:
+        shown = f"ORIGINAL FILE:\n{original.content}\n\nBEFORE THIS TASK:\n{before.content}\n\n"
+    user = f"{shown}AFTER THIS TASK:\n{after.content}"
     messages = [ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, user)]
     verdict = _ask(
         ctx,

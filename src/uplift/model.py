@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from .errors import ConfigError, EmptyRequirements, MalformedMarker, NoCodeFound
 
@@ -90,8 +91,9 @@ class CodeArtifact:
         if self.iteration < 0:
             raise ValueError("iteration must be non-negative")
 
-    @property
+    @cached_property
     def loc(self) -> int:
+        """Counted on first read; the content never changes."""
         return count_loc(self.content)
 
 
@@ -166,8 +168,9 @@ def extract_code(response: str) -> str:
     sentinel is accepted whole. Anything else raises NoCodeFound, which
     callers treat as a failed generation.
     """
-    blocks = _fenced_blocks(response)
-    blocks = [b for b in blocks if count_loc(b) > 0]
+    # A block has a non-blank line exactly when it has a non-whitespace
+    # character: every line break splitlines() knows is whitespace.
+    blocks = [b for b in _fenced_blocks(response) if b.strip()]
     if blocks:
         return max(blocks, key=len)
     trimmed = response.strip()

@@ -126,9 +126,13 @@ def write_transcript(run: "RunOutcome", entries: Iterable[TranscriptEntry], path
 
 
 def read_transcript(path: str | Path) -> list[dict[str, Any]]:
-    """Load a transcript back as raw records (exchanges + summary)."""
+    """Load a transcript back as raw records (exchanges + summary).
+
+    Records are split on "\\n" alone: bodies are written with
+    ensure_ascii=False, so U+2028, U+2029 and U+0085, which splitlines()
+    breaks on, may stand raw inside a record's strings."""
     records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8").split("\n"):
         if line.strip():
             records.append(json.loads(line))
     return records

@@ -9,6 +9,7 @@ from uplift.agents import (
     DEFAULT_PROMPT_DIR,
     PromptLibrary,
     RETURN_ONLY_CODE,
+    TEMPLATE_NAMES,
     execute,
     finalize,
     make_prompt,
@@ -45,6 +46,21 @@ class TestTemplates:
         (prompts / "verifier.txt").write_text(" \n\t\n", encoding="utf-8")
         with pytest.raises(TemplateError, match="verifier.txt"):
             PromptLibrary(prompts)
+
+    @pytest.mark.parametrize("name", TEMPLATE_NAMES)
+    def test_unknown_placeholder_fails_at_load(self, tmp_path, name):
+        shutil.copytree(DEFAULT_PROMPT_DIR, tmp_path / "prompts")
+        path = tmp_path / "prompts" / f"{name}.txt"
+        path.write_text(path.read_text(encoding="utf-8") + "\n{{taks}}\n", encoding="utf-8")
+        with pytest.raises(TemplateError) as raised:
+            PromptLibrary(tmp_path / "prompts")
+        assert f"{name}.txt" in str(raised.value) and "{{taks}}" in str(raised.value)
+
+    def test_a_template_may_leave_a_placeholder_out(self, tmp_path):
+        shutil.copytree(DEFAULT_PROMPT_DIR, tmp_path / "prompts")
+        (tmp_path / "prompts" / "finalizer.txt").write_text("Fix: {{task}}", encoding="utf-8")
+        library = PromptLibrary(tmp_path / "prompts")
+        assert library.render("finalizer", task="t", feedback="f") == "Fix: t"
 
     def test_unfilled_placeholder_is_an_error(self):
         with pytest.raises(TemplateError):
@@ -237,6 +253,18 @@ class TestVerify:
         user = ctx.transcript.entries[0].request["messages"][1]["content"]
         assert user.index("<?php ancient ?>") < user.index(original_code.content)
         assert user.index(original_code.content) < user.index("<?php new version ?>")
+
+
+    @pytest.mark.parametrize("same", [None, "equal copy"], ids=["omitted", "equal"])
+    def test_unchanged_file_is_shown_once(self, original_code, same):
+        ctx = ctx_with(seq(ACCEPT_REPLY))
+        original = None if same is None else CodeArtifact(original_code.content)
+        verify(ctx, a_task(), original_code, executor_artifact("<?php new version ?>"), original=original)
+        user = ctx.transcript.entries[0].request["messages"][1]["content"]
+        assert user.count(original_code.content) == 1
+        label = user.splitlines()[0]
+        assert "ORIGINAL FILE" in label and "BEFORE THIS TASK" in label
+        assert "\n\nAFTER THIS TASK:\n<?php new version ?>" in user
 
 
 class TestFinalize:

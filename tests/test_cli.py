@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from uplift.agents import DEFAULT_PROMPT_DIR as PROMPTS_DIR
+from uplift.backend import ScriptedBackend
 from uplift.cli import CliConfig, main
 
 PLAN_SCRIPT = [
@@ -213,6 +214,36 @@ class TestRun:
         (workdir / "bad.json").write_text(json.dumps({"prompts": {"dir": str(workdir / "nowhere")}}))
         assert main(argv + ["--script", "case_view/script.json", "--config", "bad.json"]) == 2
         assert "missing prompt template" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "case_view/original.php", "case_view/requirements.txt"],
+            ["bench", "case_view", "--reps", "1"],
+        ],
+        ids=["run", "bench"],
+    )
+    def test_unknown_placeholder_exits_2_before_any_call(self, workdir, capsys, monkeypatch, argv):
+        custom = workdir / "typo_prompts"
+        shutil.copytree(PROMPTS_DIR, custom)
+        verifier = custom / "verifier.txt"
+        verifier.write_text(
+            verifier.read_text(encoding="utf-8").replace("{{task}}", "{{taks}}"), encoding="utf-8"
+        )
+        (workdir / "typo.json").write_text(json.dumps({"prompts": {"dir": str(custom)}}))
+        calls = []
+        complete = ScriptedBackend.complete
+
+        def counting_complete(self, request):
+            calls.append(request)
+            return complete(self, request)
+
+        monkeypatch.setattr(ScriptedBackend, "complete", counting_complete)
+        assert main(argv + ["--script", "case_view/script.json", "--config", "typo.json"]) == 2
+        err = capsys.readouterr().err
+        assert "verifier.txt" in err and "{{taks}}" in err
+        assert calls == []
         assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize(

@@ -136,6 +136,16 @@ class TestDomainTypes:
         artifact = CodeArtifact(content="a\n\nb")
         assert artifact.loc == 2
 
+    def test_artifact_loc_is_counted_once(self, monkeypatch):
+        import uplift.model
+
+        calls = []
+        monkeypatch.setattr(uplift.model, "count_loc", lambda content: calls.append(content) or 7)
+        artifact = CodeArtifact(content="a\n\nb")
+        assert [artifact.loc, artifact.loc, artifact.loc] == [7, 7, 7]
+        assert calls == ["a\n\nb"]
+        assert artifact == CodeArtifact(content="a\n\nb")
+
     def test_requirement_set_contiguity(self):
         with pytest.raises(ValueError):
             RequirementSet(requirements=(Requirement(2, "x"),))

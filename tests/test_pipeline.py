@@ -9,7 +9,7 @@ import pytest
 
 from uplift.agents import DEFAULT_PROMPT_DIR
 from uplift.backend import MatchMode, ScriptEntry, ScriptedBackend
-from uplift.model import CodeArtifact
+from uplift.model import CodeArtifact, extract_code
 from uplift.pipeline import (
     PipelineConfig,
     PipelineMode,
@@ -251,6 +251,22 @@ class TestTranscriptInvariants:
         rewritten = "\n".join(dump_record(r) for r in records) + "\n"
         assert rewritten == original_bytes
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["LS", "PS", "NEL"])
+    def test_line_separators_in_a_reply_round_trip(
+        self, tmp_path, original_code, two_requirements, separator
+    ):
+        # Lines are written with ensure_ascii=False, so these stay raw inside
+        # the record; only "\n" ends a record.
+        reply = f"VERDICT: ACCEPT{separator}looks fine"
+        backend = seq(SECTIONS_REPLY, CODE_REPLY, reply)
+        outcome, transcript = self.run_with_transcript(original_code, two_requirements, backend)
+        path = tmp_path / "t.jsonl"
+        write_transcript(outcome, transcript.entries, path)
+        assert separator in path.read_text(encoding="utf-8")
+        records = read_transcript(path)
+        assert len(records) == len(transcript.entries) + 1
+        assert records[-2]["response"] == reply
+
     def test_lines_are_canonical_and_digests_hash_the_bodies(self, tmp_path, two_requirements):
         # The bodies quote the key the request is spliced at, escape, and
         # leave ASCII; the verifier call finds the script empty and fails.
@@ -369,3 +385,57 @@ class TestVerdictRouting:
         )
         outcome = run_pipeline(original_code, two_requirements, config(backend))
         assert outcome.status is RunStatus.COMPLETED
+
+    def test_substring_script_drives_verifier_on_every_task(self, original_code, two_requirements):
+        # Task 1's verifier sees the unchanged file once, task 2's sees
+        # ORIGINAL and BEFORE apart; both carry the AFTER THIS TASK section.
+        entries = [
+            ScriptEntry(MatchMode.SUBSTRING, ACCEPT_REPLY, pattern="AFTER THIS TASK:"),
+            ScriptEntry(MatchMode.SEQUENCE, SECTIONS_REPLY),
+            ScriptEntry(MatchMode.SEQUENCE, CODE_REPLY),
+        ]
+        transcript = Transcript("r1")
+        outcome = run_pipeline(
+            original_code,
+            two_requirements,
+            config(ScriptedBackend(entries * 2), PipelineMode.SYSTEM_PER_REQUIREMENT),
+            transcript=transcript,
+        )
+        assert outcome.status is RunStatus.COMPLETED
+        assert [e.response for e in transcript.entries if e.agent == "verifier"] == [ACCEPT_REPLY] * 2
+
+
+class TestVerifierMessage:
+    def test_first_task_shows_the_file_once_later_tasks_three_sections(
+        self, original_code, two_requirements
+    ):
+        backend = seq(
+            PLAN_REPLY,
+            PLAN_REPLY,
+            SECTIONS_REPLY, CODE_REPLY, REVISE_REPLY, CODE_REPLY, ACCEPT_REPLY,
+            SECTIONS_REPLY, CODE_REPLY, ACCEPT_REPLY,
+        )
+        transcript = Transcript("r1")
+        outcome = run_pipeline(
+            original_code,
+            two_requirements,
+            config(backend, PipelineMode.SYSTEM_MANAGER),
+            transcript=transcript,
+        )
+        assert outcome.status is RunStatus.COMPLETED
+        users = {1: [], 2: []}
+        for entry in transcript.entries:
+            if entry.agent == "verifier":
+                users[entry.task_ordinal].append(entry.request["messages"][1]["content"])
+        assert len(users[1]) == 2 and len(users[2]) == 1
+        for user in users[1]:
+            assert user.startswith("BEFORE THIS TASK (unchanged ORIGINAL FILE):\n")
+            assert user.count(original_code.content) == 1
+            assert "\n\nAFTER THIS TASK:\n" in user
+        task_one_output = CodeArtifact(extract_code(CODE_REPLY))
+        (user,) = users[2]
+        assert user == (
+            f"ORIGINAL FILE:\n{original_code.content}\n\n"
+            f"BEFORE THIS TASK:\n{task_one_output.content}\n\n"
+            f"AFTER THIS TASK:\n{task_one_output.content}"
+        )

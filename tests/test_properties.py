@@ -38,6 +38,18 @@ class TestCountLocProperties:
     def test_whitespace_only_counts_zero(self, blank):
         assert count_loc(blank) == 0
 
+    @given(
+        st.one_of(
+            st.text(max_size=200),
+            # Every separator splitlines() breaks on, other whitespace, and a
+            # little text.
+            st.text(alphabet=" \t\r\n\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029\u3000x", max_size=60),
+        )
+    )
+    def test_positive_exactly_when_strip_is_nonempty(self, text):
+        # extract_code keeps a fenced block on b.strip() in place of this count.
+        assert (count_loc(text) > 0) == bool(text.strip())
+
     @given(st.lists(req_text, min_size=1, max_size=8))
     def test_clean_concatenation_is_additive(self, lines):
         a = "\n".join(lines)
