@@ -150,32 +150,27 @@ class AgentContext:
         flags: Iterable[str] = (),
     ) -> ChatResponse:
         """Send one request and record exactly one transcript exchange,
-        whether the backend succeeds or fails."""
+        whether the backend succeeds or fails. A failed exchange keeps its
+        wall-clock latency and its error; the same BackendError is re-raised."""
         request = ChatRequest(messages=tuple(messages), model=self.model)
         start = time.perf_counter()
+        response = failure = None
         try:
             response = self.backend.complete(request)
         except BackendError as exc:
-            self.transcript.record(
-                agent=agent,
-                request=request.to_payload(),
-                response=None,
-                latency_seconds=time.perf_counter() - start,
-                task_ordinal=task_ordinal,
-                iteration=iteration,
-                error=f"{type(exc).__name__}: {exc}",
-                flags=flags,
-            )
-            raise
+            failure = exc
         self.transcript.record(
-            agent=agent,
-            request=request.to_payload(),
-            response=response.content,
-            latency_seconds=response.latency_seconds,
+            agent,
+            request.to_payload(),
+            response=None if failure else response.content,
+            latency_seconds=time.perf_counter() - start if failure else response.latency_seconds,
             task_ordinal=task_ordinal,
             iteration=iteration,
-            flags=flags,
+            error=f"{type(failure).__name__}: {failure}" if failure else None,
+            flags=set(flags),
         )
+        if failure:
+            raise failure
         return response
 
 

@@ -168,11 +168,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     config = apply_flags(load_config(args.config), args)
     requirements = load_requirements(args.requirements)
     ctx = context(pipeline_config(config, make_backend(config)), Transcript("plan"))
-    try:
-        plan = manager_confirm(ctx, manager_plan(ctx, requirements), requirements)
-    except PlanParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLAN
+    plan = manager_confirm(ctx, manager_plan(ctx, requirements), requirements)
     print(render_tasks(plan))
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .backend import Backend
 from .errors import (
@@ -42,6 +42,8 @@ LEDGER_HEADER = ["run_id", "mistake_id", "category", "description"]
 SCORES_HEADER = ["run_id", "requirement_index", "value"]
 RF_HEADER = ["run_id", "replaced_functions"]
 INDEX_HEADER = ["run_id", "status", "duration_seconds", "loc"]
+
+T = TypeVar("T")
 
 # A run with more distinct mistakes than this counts as failed.
 FAILED_ERROR_THRESHOLD = 7
@@ -141,7 +143,12 @@ def _mean(values: Sequence[float]) -> float:
     return statistics.fmean(sorted(values))
 
 
-def _read_csv(stream: TextIO, expected_header: list[str], source: str) -> Iterable[tuple[int, list[str]]]:
+def _read_csv(
+    stream: TextIO, expected_header: list[str], source: str, parse: Callable[..., T]
+) -> Iterator[tuple[int, T]]:
+    """Each non-blank row's number and parse(*stripped cells), row by row. A
+    ValueError from parse becomes a LedgerParseError naming the source and
+    the row."""
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -156,7 +163,11 @@ def _read_csv(stream: TextIO, expected_header: list[str], source: str) -> Iterab
             continue
         if len(row) != len(expected_header):
             raise LedgerParseError(f"{source}: expected {len(expected_header)} fields", row=row_number)
-        yield row_number, [cell.strip() for cell in row]
+        try:
+            parsed = parse(*(cell.strip() for cell in row))
+        except ValueError as exc:
+            raise LedgerParseError(f"{source}: {exc}", row=row_number) from None
+        yield row_number, parsed
 
 
 def read_ledger(stream: TextIO, source: str = "ledger") -> list[ErrorRecord]:
@@ -164,19 +175,12 @@ def read_ledger(stream: TextIO, source: str = "ledger") -> list[ErrorRecord]:
     (run_id, mistake_id) rows to the first occurrence."""
     records: dict[tuple[str, str], ErrorRecord] = {}
     for row_number, (run_id, mistake_id, category, description) in _read_csv(
-        stream, LEDGER_HEADER, source
+        stream, LEDGER_HEADER, source, lambda *cells: cells
     ):
         if not run_id or not mistake_id or not description:
             raise LedgerParseError(f"{source}: empty field", row=row_number)
-        key = (run_id, mistake_id)
-        if key in records:
-            continue
-        records[key] = ErrorRecord(
-            run_id=run_id,
-            mistake_id=mistake_id,
-            category=parse_category(category),
-            description=description,
-        )
+        if (run_id, mistake_id) not in records:
+            records[run_id, mistake_id] = ErrorRecord(run_id, mistake_id, parse_category(category), description)
     return list(records.values())
 
 
@@ -185,40 +189,35 @@ def ingest_ledger(path: str | Path) -> list[ErrorRecord]:
         return read_ledger(fh, source=str(path))
 
 
-def read_scores(stream: TextIO, source: str = "scores") -> list[RequirementScoreRecord]:
-    records: dict[tuple[str, int], RequirementScoreRecord] = {}
-    for row_number, (run_id, index, value) in _read_csv(stream, SCORES_HEADER, source):
-        try:
-            record = RequirementScoreRecord(
-                run_id=run_id, requirement_index=int(index), value=int(value)
-            )
-        except ValueError as exc:
-            raise LedgerParseError(f"{source}: {exc}", row=row_number) from None
-        key = (record.run_id, record.requirement_index)
-        if key in records:
-            raise LedgerParseError(f"{source}: duplicate score for {key}", row=row_number)
-        records[key] = record
-    return list(records.values())
+def _score_row(run_id: str, index: str, value: str) -> RequirementScoreRecord:
+    return RequirementScoreRecord(run_id=run_id, requirement_index=int(index), value=int(value))
 
 
 def ingest_scores(path: str | Path) -> list[RequirementScoreRecord]:
+    records: dict[tuple[str, int], RequirementScoreRecord] = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        return read_scores(fh, source=str(path))
+        for row_number, record in _read_csv(fh, SCORES_HEADER, str(path), _score_row):
+            key = (record.run_id, record.requirement_index)
+            if key in records:
+                raise LedgerParseError(f"{path}: duplicate score for {key}", row=row_number)
+            records[key] = record
+    return list(records.values())
+
+
+def _replaced_functions_row(run_id: str, count: str) -> tuple[str, int]:
+    if int(count) < 0:
+        raise ValueError(f"negative count {count}")
+    return run_id, int(count)
 
 
 def ingest_replaced_functions(path: str | Path) -> dict[str, int]:
+    counts: dict[str, int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        counts: dict[str, int] = {}
-        for row_number, (run_id, count) in _read_csv(fh, RF_HEADER, str(path)):
+        for row_number, (run_id, count) in _read_csv(fh, RF_HEADER, str(path), _replaced_functions_row):
             if run_id in counts:
                 raise LedgerParseError(f"{path}: duplicate run_id {run_id}", row=row_number)
-            try:
-                counts[run_id] = int(count)
-            except ValueError:
-                raise LedgerParseError(f"{path}: bad count {count!r}", row=row_number) from None
-            if counts[run_id] < 0:
-                raise LedgerParseError(f"{path}: negative count", row=row_number)
-        return counts
+            counts[run_id] = count
+    return counts
 
 
 def aggregate(
@@ -404,22 +403,13 @@ def write_bench_index(outcomes: Sequence[RunOutcome | RunRecord], path: str | Pa
             )
 
 
+def _index_row(run_id: str, status: str, duration: str, loc: str) -> RunRecord:
+    return RunRecord(run_id, RunStatus(status), float(duration), int(loc) if loc else None)
+
+
 def read_bench_index(path: str | Path) -> list[RunRecord]:
     with open(path, encoding="utf-8", newline="") as fh:
-        records = []
-        for row_number, (run_id, status, duration, loc) in _read_csv(fh, INDEX_HEADER, str(path)):
-            try:
-                records.append(
-                    RunRecord(
-                        run_id=run_id,
-                        status=RunStatus(status),
-                        duration_seconds=float(duration),
-                        loc=int(loc) if loc else None,
-                    )
-                )
-            except ValueError as exc:
-                raise LedgerParseError(f"{path}: {exc}", row=row_number) from None
-        return records
+        return [record for _, record in _read_csv(fh, INDEX_HEADER, str(path), _index_row)]
 
 
 def _fmt(value: float | int | None) -> str:

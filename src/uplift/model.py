@@ -180,21 +180,22 @@ def extract_code(response: str) -> str:
 
 
 def _fenced_blocks(response: str) -> list[str]:
-    blocks: list[str] = []
+    """Each non-empty fenced block as sent: its raw lines, less the break that
+    ends its last line. A fence line is found at every break splitlines()
+    knows, since _FENCE_RE's trailing \\s* absorbs the break."""
+    blocks: list[list[str]] = []
     current: list[str] | None = None
-    for line in response.splitlines():
+    for line in response.splitlines(keepends=True):
         if _FENCE_RE.match(line):
             if current is None:
                 current = []
+                blocks.append(current)
             else:
-                blocks.append("\n".join(current))
                 current = None
         elif current is not None:
             current.append(line)
-    if current:
-        # Unterminated fence: treat the rest of the reply as the block.
-        blocks.append("\n".join(current))
-    return blocks
+    # An unterminated fence runs to the end of the reply.
+    return ["".join(b[:-1]) + b[-1].splitlines()[0] for b in blocks if b]
 
 
 def artifact_from_file(path: str | Path) -> CodeArtifact:

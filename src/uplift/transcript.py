@@ -32,7 +32,8 @@ def dump_record(record: dict[str, Any]) -> str:
 
 @dataclass
 class TranscriptEntry:
-    run_id: str
+    """One backend exchange, as AgentContext.call records it."""
+
     step: int
     agent: str
     request: dict[str, Any]
@@ -43,14 +44,15 @@ class TranscriptEntry:
     error: str | None = None
     flags: set[str] = field(default_factory=set)
 
-    def to_line(self) -> str:
-        """The exchange as one dump_record line. The request is encoded once:
-        that text is hashed for request_digest and spliced into the line, in
-        the place its key sorts to."""
+    def to_line(self, run_id: str) -> str:
+        """The exchange as one dump_record line, stamped with its run's id.
+        The request is encoded once: that text is hashed for request_digest
+        and spliced into the line, in the place its key sorts to."""
         request = dump_record(self.request)
         record = {f.name: getattr(self, f.name) for f in fields(self)}
         record.update(
             record="exchange",
+            run_id=run_id,
             request=None,
             request_digest=_digest(request),
             response_digest=_digest(self.response) if self.response is not None else "",
@@ -68,30 +70,9 @@ class Transcript:
         self.run_id = run_id
         self.entries: list[TranscriptEntry] = []
 
-    def record(
-        self,
-        *,
-        agent: str,
-        request: dict[str, Any],
-        response: str | None,
-        latency_seconds: float,
-        task_ordinal: int | None = None,
-        iteration: int | None = None,
-        error: str | None = None,
-        flags: Iterable[str] = (),
-    ) -> TranscriptEntry:
-        entry = TranscriptEntry(
-            run_id=self.run_id,
-            step=len(self.entries) + 1,
-            agent=agent,
-            request=request,
-            response=response,
-            latency_seconds=latency_seconds,
-            task_ordinal=task_ordinal,
-            iteration=iteration,
-            error=error,
-            flags=set(flags),
-        )
+    def record(self, agent: str, request: dict[str, Any], **fields: Any) -> TranscriptEntry:
+        """Append an exchange as the next step; `fields` are its other TranscriptEntry fields."""
+        entry = TranscriptEntry(len(self.entries) + 1, agent, request, **fields)
         self.entries.append(entry)
         return entry
 
@@ -103,12 +84,9 @@ class Transcript:
 
 
 def write_transcript(run: "RunOutcome", entries: Iterable[TranscriptEntry], path: str | Path) -> None:
-    """Write exchanges plus a trailing summary record as JSONL."""
-    entries = list(entries)
-    for entry in entries:
-        if entry.run_id != run.run_id:
-            raise ValueError(f"entry run_id {entry.run_id!r} does not belong to run {run.run_id!r}")
-    lines = [e.to_line() for e in entries]
+    """Write exchanges plus a trailing summary record as JSONL. Every
+    exchange line carries the run's id."""
+    lines = [e.to_line(run.run_id) for e in entries]
     lines.append(
         dump_record(
             {

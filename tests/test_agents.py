@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import shutil
+import time
 
 import pytest
 
@@ -19,7 +20,8 @@ from uplift.agents import (
     render_template,
     verify,
 )
-from uplift.errors import PlanParseError, PromptSpecParseError, FailedGeneration, TemplateError
+from uplift.backend import ChatMessage, ChatResponse, Role
+from uplift.errors import BackendExhausted, PlanParseError, PromptSpecParseError, FailedGeneration, TemplateError
 from uplift.model import CodeArtifact, Decision, Task, TaskPlan
 from uplift.pipeline import Transcript
 
@@ -36,6 +38,44 @@ def a_task(description="Fix ORM access", ordinal=1) -> Task:
 
 def executor_artifact(content="<?php echo 1;") -> CodeArtifact:
     return CodeArtifact(content=content)
+
+
+class TestCall:
+    """AgentContext.call records one exchange per backend call, on success
+    and on a BackendError alike."""
+
+    MESSAGES = (ChatMessage(Role.SYSTEM, "be brief"), ChatMessage(Role.USER, "hello"))
+
+    def test_success_records_the_backend_latency(self):
+        class Instant:
+            def complete(self, request):
+                return ChatResponse(content="hi", latency_seconds=5.0)
+
+        ctx = ctx_with(Instant())
+        response = ctx.call("manager", self.MESSAGES, task_ordinal=2, iteration=1, flags=("re_ask",))
+        [entry] = ctx.transcript.entries
+        assert entry.response == response.content == "hi"
+        assert entry.latency_seconds == 5.0
+        assert (entry.step, entry.agent, entry.task_ordinal, entry.iteration) == (1, "manager", 2, 1)
+        assert entry.error is None and entry.flags == {"re_ask"}
+
+    def test_backend_error_is_recorded_then_reraised(self):
+        raised = BackendExhausted("all 3 attempts failed")
+
+        class Slow:
+            def complete(self, request):
+                time.sleep(0.05)
+                raise raised
+
+        ctx = ctx_with(Slow())
+        with pytest.raises(BackendExhausted) as info:
+            ctx.call("verifier", self.MESSAGES, task_ordinal=1)
+        assert info.value is raised
+        [entry] = ctx.transcript.entries
+        assert entry.response is None
+        assert entry.error == "BackendExhausted: all 3 attempts failed"
+        assert entry.latency_seconds >= 0.05
+        assert entry.request["messages"][1] == {"role": "user", "content": "hello"}
 
 
 class TestTemplates:

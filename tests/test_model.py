@@ -130,6 +130,16 @@ class TestExtractCode:
         result = extract_code("```\nx\n```")
         assert count_loc(result) >= 1
 
+    def test_form_feed_inside_a_fence_is_kept(self):
+        assert extract_code("```c\nint a;\x0cint b;\n```") == "int a;\x0cint b;"
+
+    def test_crlf_inside_a_fence_is_kept(self):
+        reply = "Here:\r\n```php\r\n<?php\r\necho 1;\r\n```\r\nDone."
+        assert extract_code(reply) == "<?php\r\necho 1;"
+
+    def test_line_separator_inside_a_fence_is_kept(self):
+        assert extract_code("```js\nvar s = '\u2028';\nf();\n```") == "var s = '\u2028';\nf();"
+
 
 class TestDomainTypes:
     def test_artifact_loc_is_derived(self):

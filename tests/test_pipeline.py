@@ -13,7 +13,6 @@ from uplift.model import CodeArtifact, extract_code
 from uplift.pipeline import (
     PipelineConfig,
     PipelineMode,
-    RunOutcome,
     RunStatus,
     Transcript,
     read_transcript,
@@ -288,20 +287,17 @@ class TestTranscriptInvariants:
             digest = "" if response is None else sha256(response.encode("utf-8")).hexdigest()
             assert record["response_digest"] == digest
 
-    def test_write_rejects_foreign_entries(self, tmp_path, original_code, two_requirements):
+    def test_every_line_carries_the_outcome_run_id(self, tmp_path, original_code, two_requirements):
+        # Entries hold no run id: write_transcript stamps the outcome's.
         outcome, transcript = self.run_with_transcript(
             original_code, two_requirements, happy_single_task_backend()
         )
-        stranger = RunOutcome(
-            run_id="other",
-            final_code=None,
-            status=RunStatus.FAILED_GENERATION,
-            duration_seconds=0.0,
-            task_count=0,
-            finalizer_invocations=0,
-        )
-        with pytest.raises(ValueError):
-            write_transcript(stranger, transcript.entries, tmp_path / "x.jsonl")
+        for run in (outcome, dataclasses.replace(outcome, run_id="run-007")):
+            path = tmp_path / f"{run.run_id}.jsonl"
+            write_transcript(run, transcript.entries, path)
+            records = read_transcript(path)
+            assert len(records) == len(transcript.entries) + 1
+            assert {r["run_id"] for r in records} == {run.run_id}
 
     def test_unwritable_path_surfaces_io_error(self, original_code, two_requirements):
         outcome, transcript = self.run_with_transcript(

@@ -83,6 +83,21 @@ class TestExtractCodeProperties:
         assert extract_code(reply) == code
         assert count_loc(extract_code(reply)) >= 1
 
+    # Every break str.splitlines() knows; a code line holds none of them and
+    # no fence.
+    BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+    code_line = st.text(
+        alphabet=st.characters(blacklist_characters="".join(BREAKS)), max_size=30
+    ).filter(lambda line: "```" not in line)
+
+    @given(st.lists(st.tuples(code_line, st.sampled_from(BREAKS)), max_size=6), code_line.filter(str.strip))
+    def test_fenced_code_comes_back_exactly(self, head, last):
+        # The last line is non-blank, so the code cannot end in a "\r" that
+        # would read as one CRLF break with the closing fence's "\n".
+        code = "".join(line + brk for line, brk in head) + last
+        reply = f"Updated:\n```php\n{code}\n```\nDone."
+        assert extract_code(reply) == code
+
 
 class TestSdProperties:
     values = st.lists(
