@@ -17,7 +17,7 @@ from typing import Sequence
 from urllib.parse import urlsplit
 
 from .agents import DEFAULT_PROMPT_DIR, manager_confirm, manager_plan, render_tasks
-from .backend import Backend, DEFAULT_MODEL, HttpBackend, ScriptedBackend, load_script
+from .backend import DEFAULT_MODEL, HttpBackend, ScriptedBackend, load_script
 from .errors import (
     DanglingReference,
     ConfigError,
@@ -79,6 +79,8 @@ class CliConfig:
             raise ConfigError("bench.repetitions must be >= 1")
         if self.bench_parallelism < 1:
             raise ConfigError("bench.parallelism must be >= 1")
+        if self.pipeline_max_loop_iterations < 0:
+            raise ConfigError("pipeline.max_loop_iterations must be >= 0")
         if self.pipeline_failed_error_threshold < 1:
             raise ConfigError("pipeline.failed_error_threshold must be >= 1")
         try:
@@ -132,29 +134,11 @@ def load_config(path: str | None) -> CliConfig:
     return config
 
 
-def apply_flags(config: CliConfig, args: argparse.Namespace) -> CliConfig:
-    if getattr(args, "backend", None):
-        config.backend_kind = args.backend
-    if getattr(args, "script", None):
-        config.backend_script_path = args.script
-        config.backend_kind = "script"
-    if getattr(args, "mode", None):
-        config.pipeline_mode = args.mode
-    if getattr(args, "reps", None) is not None:
-        config.bench_repetitions = args.reps
-    if getattr(args, "max_loop", None) is not None:
-        config.pipeline_max_loop_iterations = args.max_loop
-    config.validate()
-    return config
-
-
-def make_backend(config: CliConfig) -> Backend:
+def pipeline_config(config: CliConfig) -> PipelineConfig:
     if config.backend_kind == "script":
-        return load_script(config.backend_script_path)
-    return HttpBackend(config.backend_endpoint)
-
-
-def pipeline_config(config: CliConfig, backend: Backend) -> PipelineConfig:
+        backend = load_script(config.backend_script_path)
+    else:
+        backend = HttpBackend(config.backend_endpoint)
     return PipelineConfig(
         mode=PipelineMode(config.pipeline_mode),
         backend=backend,
@@ -164,18 +148,16 @@ def pipeline_config(config: CliConfig, backend: Backend) -> PipelineConfig:
     )
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
-    config = apply_flags(load_config(args.config), args)
+def cmd_plan(args: argparse.Namespace, config: CliConfig) -> int:
     requirements = load_requirements(args.requirements)
-    ctx = context(pipeline_config(config, make_backend(config)), Transcript("plan"))
+    ctx = context(pipeline_config(config), Transcript("plan"))
     plan = manager_confirm(ctx, manager_plan(ctx, requirements), requirements)
     print(render_tasks(plan))
     return EXIT_OK
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    config = apply_flags(load_config(args.config), args)
-    pconfig = pipeline_config(config, make_backend(config))
+def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
+    pconfig = pipeline_config(config)
     input_path = Path(args.input)
     code = artifact_from_file(input_path)
     spec = load_spec(args.spec, pconfig.mode)
@@ -192,16 +174,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    config = apply_flags(load_config(args.config), args)
+def cmd_bench(args: argparse.Namespace, config: CliConfig) -> int:
     case_dir = Path(args.case_dir)
     if not case_dir.is_dir():
         raise ConfigError(f"case directory not found: {case_dir}")
-    backend = make_backend(config)
+    pconfig = pipeline_config(config)
+    backend = pconfig.backend
     # A scripted backend is consumed as it runs, so each repetition replays
     # the parsed entries through a backend of its own.
     factory = (lambda i: ScriptedBackend(backend.entries)) if isinstance(backend, ScriptedBackend) else None
-    pconfig = pipeline_config(config, backend)
     out_dir = Path(args.out or "out") / case_dir.name
     outcomes = run_bench(
         case_dir,
@@ -217,14 +198,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
     case_out = Path(args.case_out_dir)
     records = read_bench_index(case_out / "index.csv")
     errors = ingest_ledger(args.ledger)
     scores = ingest_scores(args.scores) if args.scores else []
     replaced = ingest_replaced_functions(args.rf) if args.rf else None
-    config = load_config(args.config)
-    config.validate()
     metrics = aggregate(
         records,
         errors,
@@ -258,11 +237,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 _FLAGS = {
     "--config": {"help": "JSON config file (default uplift.json)"},
-    "--backend": {"choices": ["http", "script"]},
-    "--script": {"help": "scripted-backend JSON file"},
-    "--mode": {"choices": [m.value for m in PipelineMode]},
-    "--reps": {"type": int, "help": "bench repetitions"},
-    "--max-loop": {"type": int},
+    "--script": {"dest": "backend_script_path", "help": "scripted-backend JSON file"},
+    "--mode": {"dest": "pipeline_mode", "choices": [m.value for m in PipelineMode]},
+    "--reps": {"dest": "bench_repetitions", "type": int, "help": "bench repetitions"},
+    "--max-loop": {"dest": "pipeline_max_loop_iterations", "type": int},
     "--out": {"help": "output directory (default: out/, or the case output directory for report)"},
 }
 
@@ -277,13 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="print the manager's confirmed task plan")
     plan.add_argument("requirements")
-    flags(plan, "--config", "--backend", "--script")
+    flags(plan, "--config", "--script")
     plan.set_defaults(func=cmd_plan)
 
     run = sub.add_parser("run", help="execute one run and write its artifacts")
     run.add_argument("input", help="source file to update")
     run.add_argument("spec", help="requirements file (system modes) or prompt file (baselines)")
-    flags(run, "--config", "--backend", "--script", "--mode", "--max-loop", "--out")
+    flags(run, "--config", "--script", "--mode", "--max-loop", "--out")
     run.set_defaults(func=cmd_run)
 
     bench = sub.add_parser("bench", help="repeat a case and write an index.csv")
@@ -307,7 +285,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config = load_config(args.config)
+        for name, value in vars(args).items():
+            if name in _DEFAULTS and value is not None:
+                setattr(config, name, value)
+                if name == "backend_script_path":
+                    config.backend_kind = "script"
+        config.validate()
+        return args.func(args, config)
     except (DanglingReference, UnknownCategory) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFERENCE

@@ -338,12 +338,15 @@ def run_once(
     suffix: str,
 ) -> RunOutcome:
     """Execute one run and write its artifacts to out_dir: <run_id>.jsonl,
-    plus <run_id>.updated<suffix> when the run completed."""
+    plus <run_id>.updated<suffix> when the run completed. A failed run
+    deletes the .updated file an earlier run of the same id left there."""
     transcript = Transcript(run_id)
     outcome = run_pipeline(code, spec, config, transcript=transcript)
     write_transcript(outcome, transcript.entries, out_dir / f"{run_id}.jsonl")
-    if outcome.final_code is not None:
-        updated = out_dir / f"{run_id}.updated{suffix}"
+    updated = out_dir / f"{run_id}.updated{suffix}"
+    if outcome.final_code is None:
+        updated.unlink(missing_ok=True)
+    else:
         updated.write_text(outcome.final_code.content + "\n", encoding="utf-8")
     return outcome
 

@@ -27,7 +27,7 @@ from .errors import BackendError, FailedGeneration, PlanParseError, PromptSpecPa
 from .model import CodeArtifact, Decision, RequirementSet, Task, TaskPlan
 # Unused here, but perfbench/tracing.py patches pipeline.extract_code by name.
 from .model import extract_code  # noqa: F401
-from .transcript import Transcript, TranscriptEntry, read_transcript, strip_timing, write_transcript
+from .transcript import Transcript, read_transcript, strip_timing, write_transcript
 
 __all__ = [
     "PipelineMode",
@@ -36,7 +36,6 @@ __all__ = [
     "RunOutcome",
     "run_pipeline",
     "Transcript",
-    "TranscriptEntry",
     "write_transcript",
     "read_transcript",
     "strip_timing",

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 
 from uplift.agents import DEFAULT_PROMPT_DIR as PROMPTS_DIR
 from uplift.backend import ScriptedBackend
-from uplift.cli import CliConfig, main
+from uplift.cli import CliConfig, build_parser, main
 
 PLAN_SCRIPT = [
     {"match": "sequence", "response": "TASK 1: Update syntax to 4.5\nTASK 2: Fix ORM access"},
@@ -102,6 +104,11 @@ class TestRun:
         assert "status=completed" in capsys.readouterr().out
 
     def test_codeless_reply_exits_4_without_output_file(self, workdir, capsys):
+        argv = ["run", "case_view/original.php", "case_view/requirements.txt", "--mode", "system_single_task"]
+        # A completed run first writes run-001.updated.php into the same directory.
+        assert main(argv + ["--script", write_script(workdir / "ok.json", SINGLE_TASK_RUN_SCRIPT)]) == 0
+        assert (workdir / "out/original/run-001.updated.php").is_file()
+        capsys.readouterr()
         script = write_script(
             workdir / "s.json",
             [
@@ -112,17 +119,7 @@ class TestRun:
                 {"match": "sequence", "response": "I cannot update this file."},
             ],
         )
-        code = main(
-            [
-                "run",
-                "case_view/original.php",
-                "case_view/requirements.txt",
-                "--script",
-                script,
-                "--mode",
-                "system_single_task",
-            ]
-        )
+        code = main(argv + ["--script", script])
         assert code == 4
         assert "status=failed_generation" in capsys.readouterr().out
         assert not (workdir / "out/original/run-001.updated.php").exists()
@@ -140,6 +137,36 @@ class TestRun:
         )
         code = main(["run", "case_view/original.php", "case_view/requirements.txt"])
         assert code == 0
+
+    def test_flags_override_the_config_file(self, workdir, capsys):
+        from uplift.pipeline import read_transcript
+
+        revise = {"match": "sequence", "response": "VERDICT: REVISE\nFEEDBACK: again"}
+        code = {"match": "sequence", "response": "```php\n<?php echo 'revised'; ?>\n```"}
+        # Enough replies for three finalizer passes; --max-loop 1 consumes the first five.
+        write_script(workdir / "revise.json", SINGLE_TASK_RUN_SCRIPT[:2] + [revise, code, revise] * 3)
+        write_script(workdir / "accept.json", SINGLE_TASK_RUN_SCRIPT)
+        (workdir / "uplift.json").write_text(
+            json.dumps(
+                {
+                    "backend": {"kind": "script", "script_path": "accept.json"},
+                    "pipeline": {"mode": "system_manager", "max_loop_iterations": 3},
+                    "bench": {"repetitions": 5},
+                }
+            )
+        )
+        flags = ["--script", "revise.json", "--mode", "system_single_task", "--reps", "2", "--max-loop", "1"]
+        assert main(["bench", "case_view", *flags]) == 0
+        assert capsys.readouterr().out.startswith("2 runs (0 failed)")
+        index = (workdir / "out/case_view/index.csv").read_text().strip().splitlines()
+        assert len(index) == 1 + 2
+        for run_id in ("run-001", "run-002"):
+            records = read_transcript(workdir / f"out/case_view/{run_id}.jsonl")
+            calls, summary = records[:-1], records[-1]
+            assert [r["agent"] for r in calls] == ["prompt_maker", "executor", "verifier", "finalizer", "verifier"]
+            assert (summary["status"], summary["task_count"], summary["finalizer_invocations"]) == ("completed", 1, 1)
+        updated = (workdir / "out/case_view/run-001.updated.php").read_text()
+        assert updated == "<?php echo 'revised'; ?>\n"
 
     def test_unknown_config_key_rejected(self, workdir, capsys):
         (workdir / "bad.json").write_text(json.dumps({"backend": {"kindd": "script"}}))
@@ -282,7 +309,7 @@ class TestRun:
 
 
 class TestExitCodes:
-    def test_usage_errors_exit_2(self, workdir):
+    def test_usage_errors_exit_2(self, workdir, capsys):
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
@@ -295,6 +322,12 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["plan", "requirements.txt", "--out", "x"])
         assert info.value.code == 2
+        capsys.readouterr()
+        for argv in (["plan", "r"], ["run", "a.php", "b"], ["bench", "case"], ["report", "o", "l", "--label", "x"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv + ["--backend", "http"])
+            assert info.value.code == 2
+            assert "unrecognized arguments: --backend http" in capsys.readouterr().err
 
     def test_empty_requirements_file_maps_to_2(self, workdir):
         (workdir / "empty.txt").write_text("", encoding="utf-8")
@@ -312,24 +345,22 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, key, value",
         [
-            ["plan", "case_view/requirements.txt", "--script", "case_view/script.json"],
-            [
-                "run",
-                "case_view/original.php",
-                "case_view/requirements.txt",
-                "--script",
-                "case_view/script.json",
-            ],
-            ["bench", "case_view", "--script", "case_view/script.json", "--reps", "1"],
+            (argv, key, value)
+            for key, value in [("failed_error_threshold", 0), ("max_loop_iterations", -1)]
+            for argv in [
+                ["plan", "case_view/requirements.txt", "--script", "case_view/script.json"],
+                ["run", "case_view/original.php", "case_view/requirements.txt", "--script", "case_view/script.json"],
+                ["bench", "case_view", "--script", "case_view/script.json", "--reps", "1"],
+            ]
         ],
-        ids=["plan", "run", "bench"],
+        ids=["plan", "run", "bench", "plan-max_loop", "run-max_loop", "bench-max_loop"],
     )
-    def test_threshold_below_one_exits_2(self, workdir, capsys, argv):
-        (workdir / "bad.json").write_text(json.dumps({"pipeline": {"failed_error_threshold": 0}}))
+    def test_threshold_below_one_exits_2(self, workdir, capsys, argv, key, value):
+        (workdir / "bad.json").write_text(json.dumps({"pipeline": {key: value}}))
         assert main(argv + ["--config", "bad.json"]) == 2
-        assert "failed_error_threshold" in capsys.readouterr().err
+        assert f"pipeline.{key}" in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize(
@@ -572,16 +603,20 @@ class TestReport:
         )
         assert main(["report", str(out_dir), str(ledger), "--label", "x"]) == 5
 
-    @pytest.mark.parametrize("threshold", [0, -3])
-    def test_threshold_below_one_exits_2(self, workdir, capsys, threshold):
+    @pytest.mark.parametrize(
+        "key, value",
+        [("failed_error_threshold", 0), ("failed_error_threshold", -3), ("max_loop_iterations", -1)],
+        ids=["0", "-3", "max_loop"],
+    )
+    def test_threshold_below_one_exits_2(self, workdir, capsys, key, value):
         out_dir = self.bench(workdir, reps=2)
         ledger = workdir / "ledger.csv"
         ledger.write_text("run_id,mistake_id,category,description\n", encoding="utf-8")
         config = workdir / "bad.json"
-        config.write_text(json.dumps({"pipeline": {"failed_error_threshold": threshold}}))
+        config.write_text(json.dumps({"pipeline": {key: value}}))
         argv = ["report", str(out_dir), str(ledger), "--label", "x", "--config", str(config)]
         assert main(argv) == 2
-        assert "failed_error_threshold" in capsys.readouterr().err
+        assert f"pipeline.{key}" in capsys.readouterr().err
         assert not (out_dir / "report.csv").exists()
 
     def test_rf_sidecar(self, workdir, capsys):
@@ -603,3 +638,19 @@ def test_readme_config_block_lists_every_key_with_its_default():
     block = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
     documented = {f"{name}_{key}": value for name, keys in block.items() for key, value in keys.items()}
     assert documented == {**dataclasses.asdict(CliConfig()), "prompts_dir": "<packaged prompts>"}
+
+
+def test_readme_cli_table_lists_each_subcommand_flag():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = next(block for block in readme.split("\n\n") if block.startswith("| subcommand | flags |"))
+    documented = {}
+    for name, cell in re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.MULTILINE):
+        inherited = re.match(r"those of `(\w+)`", cell)
+        flags = set(re.findall(r"--[a-z-]+", cell))
+        documented[name] = flags | documented[inherited.group(1)] if inherited else flags
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == parsed
