@@ -6,7 +6,6 @@ from .backend import (
     ChatRequest,
     ChatResponse,
     HttpBackend,
-    ScriptEntry,
     ScriptedBackend,
     load_script,
 )
@@ -39,9 +38,8 @@ from .pipeline import (
     PipelineMode,
     RunOutcome,
     RunStatus,
-    Transcript,
     run_pipeline,
-    write_transcript,
 )
+from .transcript import Transcript, write_transcript
 
 __version__ = "0.1.0"

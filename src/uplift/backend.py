@@ -59,12 +59,6 @@ class ChatRequest:
         if self.messages[0].role is not Role.SYSTEM:
             raise ValueError("the first message must have the system role")
 
-    def last_user_content(self) -> str | None:
-        for message in reversed(self.messages):
-            if message.role is Role.USER:
-                return message.content
-        return None
-
     def to_payload(self) -> dict[str, Any]:
         return {
             "model": self.model,
@@ -92,65 +86,33 @@ class Backend(Protocol):
     def complete(self, request: ChatRequest) -> ChatResponse: ...
 
 
-class MatchMode(str, Enum):
-    SEQUENCE = "sequence"
-    SUBSTRING = "substring"
-
-
-@dataclass(frozen=True)
-class ScriptEntry:
-    """One canned response: consumed in load order, or routed by a substring
-    of the request's last user message."""
-
-    match: MatchMode
-    response: str
-    pattern: str = ""
-
-    def __post_init__(self):
-        if not self.response:
-            raise ValueError("script entry response must be non-empty")
-        if self.match is MatchMode.SUBSTRING and not self.pattern:
-            raise ValueError("substring entries require a pattern")
-
-
 class ScriptedBackend:
-    """Deterministic backend replaying a fixed script.
-
-    Each entry is consumed at most once. Consumption is serialized behind a
-    lock so entry order stays well-defined under concurrent callers.
+    """Deterministic backend replaying a fixed script: the replies are served
+    in load order, each at most once. The index advances behind a lock so
+    the order stays well-defined under concurrent callers.
     """
 
-    def __init__(self, entries: Iterable[ScriptEntry]):
-        self.entries = tuple(entries)
-        self._consumed = [False] * len(self.entries)
+    def __init__(self, replies: Iterable[str]):
+        self.replies = tuple(replies)
+        self._next = 0
         self._lock = Lock()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         start = time.perf_counter()
         with self._lock:
-            index = self._next_match(request)
-            if index is None:
+            index = self._next
+            if index == len(self.replies):
                 raise ScriptExhausted(
-                    f"no unconsumed script entry matches the request ({len(self.entries)} loaded)"
+                    f"no unconsumed script entry matches the request ({len(self.replies)} loaded)"
                 )
-            self._consumed[index] = True
-            entry = self.entries[index]
-        return ChatResponse(content=entry.response, latency_seconds=time.perf_counter() - start)
-
-    def _next_match(self, request: ChatRequest) -> int | None:
-        last_user = request.last_user_content()
-        for i, entry in enumerate(self.entries):
-            if self._consumed[i]:
-                continue
-            if entry.match is MatchMode.SEQUENCE:
-                return i
-            if last_user is not None and entry.pattern in last_user:
-                return i
-        return None
+            self._next += 1
+        return ChatResponse(content=self.replies[index], latency_seconds=time.perf_counter() - start)
 
 
 def load_script(path: str | Path) -> ScriptedBackend:
-    """Load a JSON array of script entries into a fresh scripted backend."""
+    """Load a JSON array of script entries into a fresh scripted backend.
+    Each entry is an object with a non-empty string "response" and an
+    optional "match", which must be "sequence"."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
@@ -158,27 +120,22 @@ def load_script(path: str | Path) -> ScriptedBackend:
         raise ScriptParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(data, list):
         raise ScriptParseError(f"{path}: expected a JSON array of entries")
-    entries = []
+    replies = []
     for i, item in enumerate(data):
         if not isinstance(item, dict):
             raise ScriptParseError(f"{path}: entry {i} is not an object")
-        unknown = set(item) - {"match", "pattern", "response"}
+        unknown = set(item) - {"match", "response"}
         if unknown:
             raise ScriptParseError(f"{path}: entry {i} has unknown keys {sorted(unknown)}")
-        for key in ("pattern", "response"):
-            if not isinstance(item.get(key, ""), str):
-                raise ScriptParseError(f"{path}: entry {i}: {key} must be a string")
-        try:
-            entries.append(
-                ScriptEntry(
-                    match=MatchMode(item.get("match", "sequence")),
-                    pattern=item.get("pattern", ""),
-                    response=item.get("response", ""),
-                )
-            )
-        except ValueError as exc:
-            raise ScriptParseError(f"{path}: entry {i}: {exc}") from exc
-    return ScriptedBackend(entries)
+        if item.get("match", "sequence") != "sequence":
+            raise ScriptParseError(f"{path}: entry {i}: match must be \"sequence\", got {item['match']!r}")
+        response = item.get("response", "")
+        if not isinstance(response, str):
+            raise ScriptParseError(f"{path}: entry {i}: response must be a string")
+        if not response:
+            raise ScriptParseError(f"{path}: entry {i}: script entry response must be non-empty")
+        replies.append(response)
+    return ScriptedBackend(replies)
 
 
 Transport = Callable[[str, dict[str, Any], str, float], tuple[int, dict[str, Any]]]

@@ -39,7 +39,8 @@ from .evaluation import (
     write_bench_index,
 )
 from .model import artifact_from_file, load_requirements
-from .pipeline import MAX_LOOP_ITERATIONS, PipelineConfig, PipelineMode, RunStatus, Transcript, context
+from .pipeline import MAX_LOOP_ITERATIONS, PipelineConfig, PipelineMode, RunStatus, context
+from .transcript import Transcript
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -181,8 +182,8 @@ def cmd_bench(args: argparse.Namespace, config: CliConfig) -> int:
     pconfig = pipeline_config(config)
     backend = pconfig.backend
     # A scripted backend is consumed as it runs, so each repetition replays
-    # the parsed entries through a backend of its own.
-    factory = (lambda i: ScriptedBackend(backend.entries)) if isinstance(backend, ScriptedBackend) else None
+    # the parsed replies through a backend of its own.
+    factory = (lambda i: ScriptedBackend(backend.replies)) if isinstance(backend, ScriptedBackend) else None
     out_dir = Path(args.out or "out") / case_dir.name
     outcomes = run_bench(
         case_dir,

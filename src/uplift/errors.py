@@ -44,7 +44,7 @@ class BackendExhausted(BackendError):
 
 
 class ScriptExhausted(BackendError):
-    """The scripted backend has no unconsumed entry for the request."""
+    """The scripted backend has served every reply it loaded."""
 
 
 class ScriptParseError(UpliftError):

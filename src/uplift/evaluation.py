@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import re
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -33,15 +35,16 @@ from .pipeline import (
     PipelineMode,
     RunOutcome,
     RunStatus,
-    Transcript,
     run_pipeline,
-    write_transcript,
 )
+from .transcript import Transcript, write_transcript
 
 LEDGER_HEADER = ["run_id", "mistake_id", "category", "description"]
 SCORES_HEADER = ["run_id", "requirement_index", "value"]
 RF_HEADER = ["run_id", "replaced_functions"]
 INDEX_HEADER = ["run_id", "status", "duration_seconds", "loc"]
+# The files run_bench writes per run: run-NNN.jsonl and run-NNN.updated.<ext>.
+RUN_FILE = re.compile(r"run-(\d{3}|[1-9]\d{3,})\.(?:jsonl|updated\.[^.]+)")
 
 T = TypeVar("T")
 
@@ -361,7 +364,8 @@ def run_bench(
     parallelism: int = 1,
 ) -> list[RunOutcome]:
     """Repeat a case `repetitions` times, persisting one transcript and (for
-    completed runs) one updated file per run.
+    completed runs) one updated file per run. The run files of an earlier
+    bench into out_dir beyond `repetitions` are deleted.
 
     backend_factory(i) supplies a fresh backend per 1-based repetition so
     scripted runs never share consumption state. Per-run failures become
@@ -378,6 +382,10 @@ def run_bench(
     spec = load_spec(spec_path, config.mode)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
+    for path in out_path.iterdir():
+        match = RUN_FILE.fullmatch(path.name)
+        if match and int(match.group(1)) > repetitions:
+            path.unlink()
 
     def one_run(i: int) -> RunOutcome:
         backend = backend_factory(i) if backend_factory is not None else config.backend
@@ -407,7 +415,12 @@ def write_bench_index(outcomes: Sequence[RunOutcome | RunRecord], path: str | Pa
 
 
 def _index_row(run_id: str, status: str, duration: str, loc: str) -> RunRecord:
-    return RunRecord(run_id, RunStatus(status), float(duration), int(loc) if loc else None)
+    seconds = float(duration)
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ValueError(f"duration {duration} is not a finite non-negative number")
+    if loc and int(loc) < 0:
+        raise ValueError(f"negative loc {loc}")
+    return RunRecord(run_id, RunStatus(status), seconds, int(loc) if loc else None)
 
 
 def read_bench_index(path: str | Path) -> list[RunRecord]:

@@ -27,7 +27,9 @@ from .errors import BackendError, FailedGeneration, PlanParseError, PromptSpecPa
 from .model import CodeArtifact, Decision, RequirementSet, Task, TaskPlan
 # Unused here, but perfbench/tracing.py patches pipeline.extract_code by name.
 from .model import extract_code  # noqa: F401
-from .transcript import Transcript, read_transcript, strip_timing, write_transcript
+from .transcript import Transcript
+# Unused here, but perfbench reads uplift.pipeline.write_transcript and strip_timing.
+from .transcript import strip_timing, write_transcript  # noqa: F401
 
 __all__ = [
     "PipelineMode",
@@ -35,10 +37,6 @@ __all__ = [
     "RunStatus",
     "RunOutcome",
     "run_pipeline",
-    "Transcript",
-    "write_transcript",
-    "read_transcript",
-    "strip_timing",
 ]
 
 # Finalizer passes allowed per task before the latest code advances anyway.

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from uplift.backend import MatchMode, ScriptEntry, ScriptedBackend
+from uplift.backend import ScriptedBackend
 from uplift.model import CodeArtifact, parse_requirements
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -22,7 +22,7 @@ REVISE_REPLY = "VERDICT: REVISE\nFEEDBACK: first() not used on the ORM object"
 
 def seq(*responses: str) -> ScriptedBackend:
     """Backend replaying the given responses in order."""
-    return ScriptedBackend([ScriptEntry(MatchMode.SEQUENCE, r) for r in responses])
+    return ScriptedBackend(responses)
 
 
 @pytest.fixture

@@ -30,16 +30,8 @@ from uplift.evaluation import (
     read_ledger,
 )
 from uplift.model import artifact_from_file, load_requirements, parse_requirements
-from uplift.pipeline import (
-    PipelineConfig,
-    PipelineMode,
-    RunStatus,
-    Transcript,
-    read_transcript,
-    run_pipeline,
-    strip_timing,
-    write_transcript,
-)
+from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, run_pipeline
+from uplift.transcript import Transcript, read_transcript, strip_timing, write_transcript
 
 from conftest import CODE_REPLY, PLAN_REPLY, REVISE_REPLY, SECTIONS_REPLY, ACCEPT_REPLY, seq
 

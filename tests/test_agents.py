@@ -23,7 +23,7 @@ from uplift.agents import (
 from uplift.backend import ChatMessage, ChatResponse, Role
 from uplift.errors import BackendExhausted, PlanParseError, PromptSpecParseError, FailedGeneration, TemplateError
 from uplift.model import CodeArtifact, Decision, Task, TaskPlan
-from uplift.pipeline import Transcript
+from uplift.transcript import Transcript
 
 from conftest import ACCEPT_REPLY, CODE_REPLY, PLAN_REPLY, REVISE_REPLY, SECTIONS_REPLY, seq
 

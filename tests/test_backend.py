@@ -19,10 +19,7 @@ from uplift.backend import (
     ChatRequest,
     ChatResponse,
     HttpBackend,
-    MatchMode,
     Role,
-    ScriptEntry,
-    ScriptedBackend,
     load_script,
 )
 from uplift.errors import (
@@ -33,7 +30,8 @@ from uplift.errors import (
     ScriptParseError,
 )
 from uplift.evaluation import run_bench
-from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, Transcript, run_pipeline
+from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, run_pipeline
+from uplift.transcript import Transcript
 
 from conftest import SECTIONS_REPLY, seq
 
@@ -65,24 +63,10 @@ class TestScriptedBackend:
         backend = seq("one", "two", "three")
         got = [backend.complete(request_with()).content for _ in range(3)]
         assert got == ["one", "two", "three"]
-        with pytest.raises(ScriptExhausted):
+        with pytest.raises(ScriptExhausted) as exc:
             backend.complete(request_with())
-
-    def test_substring_routes_on_last_user_message(self):
-        backend = ScriptedBackend(
-            [
-                ScriptEntry(MatchMode.SUBSTRING, "VERDICT: ACCEPT", pattern="VERDICT"),
-                ScriptEntry(MatchMode.SEQUENCE, "fallthrough"),
-            ]
-        )
-        assert backend.complete(request_with("please give a VERDICT")).content == "VERDICT: ACCEPT"
-        assert backend.complete(request_with("anything")).content == "fallthrough"
-
-    def test_substring_entry_consumed_once(self):
-        backend = ScriptedBackend([ScriptEntry(MatchMode.SUBSTRING, "yes", pattern="ping")])
-        assert backend.complete(request_with("ping")).content == "yes"
-        with pytest.raises(ScriptExhausted):
-            backend.complete(request_with("ping"))
+        # Transcripts record this message, so replays depend on its exact text.
+        assert str(exc.value) == "no unconsumed script entry matches the request (3 loaded)"
 
     def test_concurrent_consumption_is_exactly_once(self):
         backend = seq(*[f"r{i}" for i in range(20)])
@@ -117,12 +101,36 @@ class TestLoadScript:
 
     def test_bad_entry_shapes(self, tmp_path):
         path = tmp_path / "s.json"
-        path.write_text(json.dumps([{"match": "substring", "response": "x"}]))
-        with pytest.raises(ScriptParseError):
-            load_script(path)
         path.write_text(json.dumps([{"match": "sequence", "response": "x", "bogus": 1}]))
         with pytest.raises(ScriptParseError):
             load_script(path)
+
+    @pytest.mark.parametrize(
+        "entry, reason",
+        [
+            ({"match": "substring", "response": "x"}, """entry 1: match must be "sequence", got 'substring'"""),
+            ({"match": "sequence", "pattern": "AFTER", "response": "x"}, "entry 1 has unknown keys ['pattern']"),
+            ({"match": None, "response": "x"}, """entry 1: match must be "sequence", got None"""),
+            ({"response": ""}, "entry 1: script entry response must be non-empty"),
+        ],
+    )
+    def test_entry_other_than_an_in_order_reply_rejected(self, tmp_path, entry, reason):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps([{"response": "first"}, entry]))
+        with pytest.raises(ScriptParseError) as exc:
+            load_script(path)
+        assert str(exc.value) == f"{path}: {reason}"
+
+    def test_readme_example_replays_in_order(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n### Scripted backend\n", 1)[1]
+        path = tmp_path / "s.json"
+        path.write_text(section.split("```json\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+        documented = [entry["response"] for entry in json.loads(path.read_text(encoding="utf-8"))]
+        backend = load_script(path)
+        assert [backend.complete(request_with()).content for _ in documented] == documented
+        with pytest.raises(ScriptExhausted):
+            backend.complete(request_with())
 
     @pytest.mark.parametrize(
         "entry",
@@ -130,8 +138,6 @@ class TestLoadScript:
             {"match": "sequence", "response": 5},
             {"match": "sequence", "response": ["x"]},
             {"match": "sequence", "response": None},
-            {"match": "substring", "pattern": 5, "response": "x"},
-            {"match": "substring", "pattern": None, "response": "x"},
         ],
     )
     def test_non_string_values_rejected(self, tmp_path, entry):

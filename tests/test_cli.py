@@ -139,7 +139,7 @@ class TestRun:
         assert code == 0
 
     def test_flags_override_the_config_file(self, workdir, capsys):
-        from uplift.pipeline import read_transcript
+        from uplift.transcript import read_transcript
 
         revise = {"match": "sequence", "response": "VERDICT: REVISE\nFEEDBACK: again"}
         code = {"match": "sequence", "response": "```php\n<?php echo 'revised'; ?>\n```"}
@@ -407,7 +407,7 @@ class TestExitCodes:
 
 class TestDeterminism:
     def test_rerun_reproduces_transcript_modulo_timing(self, workdir):
-        from uplift.pipeline import read_transcript, strip_timing
+        from uplift.transcript import read_transcript, strip_timing
 
         write_script(workdir / "s.json", SINGLE_TASK_RUN_SCRIPT)
         args = [
@@ -436,7 +436,7 @@ class TestDeterminism:
         ],
     )
     def test_run_writes_what_a_one_rep_bench_writes(self, workdir, case, spec, mode):
-        from uplift.pipeline import read_transcript, strip_timing
+        from uplift.transcript import read_transcript, strip_timing
 
         shared = ["--script", f"{case}/script.json", "--mode", mode]
         assert main(["run", f"{case}/original.php", f"{case}/{spec}", *shared, "--out", "ran"]) == 0
@@ -485,10 +485,29 @@ class TestBench:
         assert "response must be a string" in err and "Traceback" not in err
         assert not (workdir / "out").exists()
 
+    def test_substring_script_exits_2_before_output(self, workdir, capsys):
+        script = [{"match": "sequence", "response": "x"}, {"match": "substring", "response": "y"}]
+        write_script(workdir / "s.json", script)
+        assert main(["bench", "case_view", "--script", "s.json", "--reps", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "entry 1: match must be" in err and "Traceback" not in err
+        assert not (workdir / "out/case_view").exists()
+
+    def test_smaller_bench_removes_surplus_run_files(self, workdir):
+        argv = ["bench", "case_view", "--script", "case_view/script.json", "--reps"]
+        out = workdir / "out/case_view"
+        assert main(argv + ["3"]) == 0
+        kept = ["run-3.jsonl", "run-003.updated.php.bak", "run-0003.jsonl", "notes.txt"]
+        for name in kept:
+            (out / name).write_text("kept", encoding="utf-8")
+        assert main(argv + ["2"]) == 0
+        run_files = {f"run-{i:03d}{ext}" for i in (1, 2) for ext in (".jsonl", ".updated.php")}
+        assert {p.name for p in out.iterdir()} == run_files | {"index.csv", *kept}
+
     def test_script_and_templates_are_read_once(self, workdir, monkeypatch):
         import uplift.agents
         import uplift.cli
-        from uplift.pipeline import read_transcript, strip_timing
+        from uplift.transcript import read_transcript, strip_timing
 
         calls = {"load_script": 0, "PromptLibrary": 0}
         load_script, init = uplift.cli.load_script, uplift.agents.PromptLibrary.__init__
@@ -587,6 +606,18 @@ class TestReport:
         out = capsys.readouterr().out
         assert "requirement_means=[0.500,0.300,0.200]" in out
 
+    def test_non_finite_index_duration_exits_2(self, workdir, capsys):
+        out_dir = workdir / "out"
+        out_dir.mkdir()
+        (out_dir / "index.csv").write_text(
+            "run_id,status,duration_seconds,loc\nrun-001,completed,nan,-3\n", encoding="utf-8"
+        )
+        ledger = workdir / "ledger.csv"
+        ledger.write_text("run_id,mistake_id,category,description\n", encoding="utf-8")
+        assert main(["report", str(out_dir), str(ledger), "--label", "x"]) == 2
+        assert "row 2: " in capsys.readouterr().err
+        assert not (out_dir / "report.csv").exists()
+
     def test_unknown_run_id_exits_5(self, workdir, capsys):
         out_dir = self.bench(workdir, reps=3)
         ledger = workdir / "ledger.csv"
@@ -654,3 +685,4 @@ def test_readme_cli_table_lists_each_subcommand_flag():
         for name, sub in subparsers.choices.items()
     }
     assert documented == parsed
+

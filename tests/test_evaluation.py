@@ -323,11 +323,11 @@ class TestRunBench:
         case = fixtures_dir / "case_view_zsl"
         good = case / "script.json"
 
-        from uplift.backend import MatchMode, ScriptEntry, ScriptedBackend
+        from uplift.backend import ScriptedBackend
 
         def factory(i):
             if i == 4:
-                return ScriptedBackend([ScriptEntry(MatchMode.SEQUENCE, "no code, sorry")])
+                return ScriptedBackend(["no code, sorry"])
             return load_script(good)
 
         config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=load_script(good))
@@ -382,6 +382,24 @@ class TestBenchIndex:
             "run_id,status,duration_seconds,loc\nrun-001,exploded,1.0,5\n", encoding="utf-8"
         )
         with pytest.raises(LedgerParseError):
+            read_bench_index(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "run-001,completed,nan,3",
+            "run-001,completed,inf,3",
+            "run-001,completed,-inf,3",
+            "run-001,completed,-0.5,3",
+            "run-001,completed,1.0,-3",
+            "run-001,completed,nan,-3",
+        ],
+    )
+    def test_negative_or_non_finite_values_rejected(self, tmp_path, row):
+        path = tmp_path / "index.csv"
+        header = "run_id,status,duration_seconds,loc\nrun-002,completed,0.0,0\n"
+        path.write_text(f"{header}{row}\n", encoding="utf-8")
+        with pytest.raises(LedgerParseError, match=r"^row 3: .*index\.csv: "):
             read_bench_index(path)
 
 

@@ -8,19 +8,9 @@ from hashlib import sha256
 import pytest
 
 from uplift.agents import DEFAULT_PROMPT_DIR
-from uplift.backend import MatchMode, ScriptEntry, ScriptedBackend
 from uplift.model import CodeArtifact, extract_code
-from uplift.pipeline import (
-    PipelineConfig,
-    PipelineMode,
-    RunStatus,
-    Transcript,
-    read_transcript,
-    run_pipeline,
-    strip_timing,
-    write_transcript,
-)
-from uplift.transcript import dump_record
+from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, run_pipeline
+from uplift.transcript import Transcript, dump_record, read_transcript, strip_timing, write_transcript
 
 from conftest import ACCEPT_REPLY, CODE_REPLY, PLAN_REPLY, REVISE_REPLY, SECTIONS_REPLY, seq
 
@@ -366,39 +356,6 @@ class TestRandomizedLoopCap:
                 if entry.agent == "finalizer":
                     per_task[entry.task_ordinal] = per_task.get(entry.task_ordinal, 0) + 1
             assert all(count <= cap for count in per_task.values())
-
-
-class TestVerdictRouting:
-    def test_substring_script_drives_verifier(self, original_code, two_requirements):
-        # Route by payload markers instead of call order: the verifier's user
-        # message is the only one carrying the AFTER THIS TASK section.
-        backend = ScriptedBackend(
-            [
-                ScriptEntry(MatchMode.SUBSTRING, ACCEPT_REPLY, pattern="AFTER THIS TASK:"),
-                ScriptEntry(MatchMode.SEQUENCE, SECTIONS_REPLY),
-                ScriptEntry(MatchMode.SEQUENCE, CODE_REPLY),
-            ]
-        )
-        outcome = run_pipeline(original_code, two_requirements, config(backend))
-        assert outcome.status is RunStatus.COMPLETED
-
-    def test_substring_script_drives_verifier_on_every_task(self, original_code, two_requirements):
-        # Task 1's verifier sees the unchanged file once, task 2's sees
-        # ORIGINAL and BEFORE apart; both carry the AFTER THIS TASK section.
-        entries = [
-            ScriptEntry(MatchMode.SUBSTRING, ACCEPT_REPLY, pattern="AFTER THIS TASK:"),
-            ScriptEntry(MatchMode.SEQUENCE, SECTIONS_REPLY),
-            ScriptEntry(MatchMode.SEQUENCE, CODE_REPLY),
-        ]
-        transcript = Transcript("r1")
-        outcome = run_pipeline(
-            original_code,
-            two_requirements,
-            config(ScriptedBackend(entries * 2), PipelineMode.SYSTEM_PER_REQUIREMENT),
-            transcript=transcript,
-        )
-        assert outcome.status is RunStatus.COMPLETED
-        assert [e.response for e in transcript.entries if e.agent == "verifier"] == [ACCEPT_REPLY] * 2
 
 
 class TestVerifierMessage:
