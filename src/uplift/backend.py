@@ -154,7 +154,7 @@ def _requests_transport(endpoint: str, payload: dict[str, Any], api_key: str, ti
     )
     try:
         body = resp.json()
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: a deeply nested body
         body = {}
     return resp.status_code, body
 

@@ -34,6 +34,7 @@ from .evaluation import (
     ingest_scores,
     load_spec,
     read_bench_index,
+    report_rows,
     run_bench,
     run_once,
     write_bench_index,
@@ -216,23 +217,8 @@ def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
     out_dir = Path(args.out) if args.out else case_out
     out_dir.mkdir(parents=True, exist_ok=True)
     emit_report([metrics], out_dir / "report.csv")
-    parts = [
-        f"label={metrics.method_label}",
-        f"runs={metrics.runs_total}",
-        f"failed={metrics.runs_failed}",
-        f"mean_errors={metrics.mean_errors:.3f}",
-        f"sd_errors={metrics.sd_errors:.3f}",
-        f"mean_loc={metrics.mean_loc:.3f}",
-        f"mean_duration={metrics.mean_duration_seconds:.3f}s",
-        f"fully_correct={metrics.fully_correct_runs}",
-    ]
-    if metrics.requirement_means is not None:
-        means = ",".join(f"{m:.3f}" for m in metrics.requirement_means)
-        parts.append(f"requirement_means=[{means}]")
-        parts.append(f"requirement_total={metrics.requirement_total:.3f}")
-    if metrics.mean_replaced_functions is not None:
-        parts.append(f"mean_replaced_functions={metrics.mean_replaced_functions:.3f}")
-    print(" ".join(parts))
+    (row,) = report_rows([metrics])
+    print(" ".join(f"{name}={cell}" for name, cell in row.items() if cell))
     return EXIT_OK
 
 

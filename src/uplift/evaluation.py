@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence, TextIO, TypeVar
+from typing import Callable, Hashable, Mapping, Sequence, TextIO, TypeVar
 
 from .backend import Backend
 from .errors import (
@@ -147,43 +147,53 @@ def _mean(values: Sequence[float]) -> float:
 
 
 def _read_csv(
-    stream: TextIO, expected_header: list[str], source: str, parse: Callable[..., T]
-) -> Iterator[tuple[int, T]]:
-    """Each non-blank row's number and parse(*stripped cells), row by row. A
-    ValueError from parse becomes a LedgerParseError naming the source and
-    the row."""
+    stream: TextIO,
+    expected_header: list[str],
+    source: str,
+    parse: Callable[..., T],
+    key: Callable[[T], Hashable] | None = None,
+) -> list[T]:
+    """parse(*stripped cells) of each non-blank row, in order. A ValueError
+    from parse, or a key(record) that repeats an earlier row's, becomes a
+    LedgerParseError naming the source and the row."""
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
+    header = next(reader, None)
+    if header is None:
         raise LedgerParseError(f"{source}: empty file, expected header {','.join(expected_header)}")
+    if header:  # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        header[0] = header[0].removeprefix("\ufeff")
     if [h.strip() for h in header] != expected_header:
         raise LedgerParseError(
             f"{source}: bad header {','.join(header)!r}, expected {','.join(expected_header)}"
         )
+    records: list[T] = []
+    first_rows: dict[Hashable, int] = {}
     for row_number, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(expected_header):
             raise LedgerParseError(f"{source}: expected {len(expected_header)} fields", row=row_number)
         try:
-            parsed = parse(*(cell.strip() for cell in row))
+            record = parse(*(cell.strip() for cell in row))
         except ValueError as exc:
             raise LedgerParseError(f"{source}: {exc}", row=row_number) from None
-        yield row_number, parsed
+        first = first_rows.setdefault(key(record), row_number) if key else row_number
+        if first != row_number:
+            raise LedgerParseError(f"{source}: repeats row {first}'s key {key(record)!r}", row=row_number)
+        records.append(record)
+    return records
+
+
+def _ledger_row(run_id: str, mistake_id: str, category: str, description: str) -> ErrorRecord:
+    return ErrorRecord(run_id, mistake_id, parse_category(category), description)
 
 
 def read_ledger(stream: TextIO, source: str = "ledger") -> list[ErrorRecord]:
-    """Parse error records from CSV text, collapsing duplicate
-    (run_id, mistake_id) rows to the first occurrence."""
+    """Parse error records from CSV text. Every row is checked, and rows that
+    repeat a (run_id, mistake_id) collapse to the first."""
     records: dict[tuple[str, str], ErrorRecord] = {}
-    for row_number, (run_id, mistake_id, category, description) in _read_csv(
-        stream, LEDGER_HEADER, source, lambda *cells: cells
-    ):
-        if not run_id or not mistake_id or not description:
-            raise LedgerParseError(f"{source}: empty field", row=row_number)
-        if (run_id, mistake_id) not in records:
-            records[run_id, mistake_id] = ErrorRecord(run_id, mistake_id, parse_category(category), description)
+    for record in _read_csv(stream, LEDGER_HEADER, source, _ledger_row):
+        records.setdefault((record.run_id, record.mistake_id), record)
     return list(records.values())
 
 
@@ -197,14 +207,10 @@ def _score_row(run_id: str, index: str, value: str) -> RequirementScoreRecord:
 
 
 def ingest_scores(path: str | Path) -> list[RequirementScoreRecord]:
-    records: dict[tuple[str, int], RequirementScoreRecord] = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        for row_number, record in _read_csv(fh, SCORES_HEADER, str(path), _score_row):
-            key = (record.run_id, record.requirement_index)
-            if key in records:
-                raise LedgerParseError(f"{path}: duplicate score for {key}", row=row_number)
-            records[key] = record
-    return list(records.values())
+        return _read_csv(
+            fh, SCORES_HEADER, str(path), _score_row, key=lambda r: (r.run_id, r.requirement_index)
+        )
 
 
 def _replaced_functions_row(run_id: str, count: str) -> tuple[str, int]:
@@ -214,13 +220,8 @@ def _replaced_functions_row(run_id: str, count: str) -> tuple[str, int]:
 
 
 def ingest_replaced_functions(path: str | Path) -> dict[str, int]:
-    counts: dict[str, int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        for row_number, (run_id, count) in _read_csv(fh, RF_HEADER, str(path), _replaced_functions_row):
-            if run_id in counts:
-                raise LedgerParseError(f"{path}: duplicate run_id {run_id}", row=row_number)
-            counts[run_id] = count
-    return counts
+        return dict(_read_csv(fh, RF_HEADER, str(path), _replaced_functions_row, key=lambda r: r[0]))
 
 
 def aggregate(
@@ -368,8 +369,9 @@ def run_bench(
     bench into out_dir beyond `repetitions` are deleted.
 
     backend_factory(i) supplies a fresh backend per 1-based repetition so
-    scripted runs never share consumption state. Per-run failures become
-    failed outcomes; they never abort the batch.
+    scripted runs never share consumption state. A run whose backend call
+    fails, or whose reply holds no code or no parseable plan or prompt, is
+    recorded as a failed outcome. Any other exception aborts the batch.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -425,7 +427,7 @@ def _index_row(run_id: str, status: str, duration: str, loc: str) -> RunRecord:
 
 def read_bench_index(path: str | Path) -> list[RunRecord]:
     with open(path, encoding="utf-8", newline="") as fh:
-        return [record for _, record in _read_csv(fh, INDEX_HEADER, str(path), _index_row)]
+        return _read_csv(fh, INDEX_HEADER, str(path), _index_row, key=lambda r: r.run_id)
 
 
 def _fmt(value: float | int | None) -> str:
@@ -436,49 +438,46 @@ def _fmt(value: float | int | None) -> str:
     return f"{value:.3f}"
 
 
+def report_rows(metrics: Sequence[AggregateMetrics]) -> list[dict[str, str]]:
+    """Each aggregate's report row: column name to cell, in column order. Every
+    row has the widest aggregate's requirement columns, blank where it has none."""
+    width = max((len(m.requirement_means or ()) for m in metrics), default=0)
+    rows = []
+    for m in metrics:
+        means = list(m.requirement_means or ())
+        means += [None] * (width - len(means))
+        rows.append(
+            {
+                "method_label": m.method_label,
+                "mean_errors": _fmt(m.mean_errors),
+                "sd_errors": _fmt(m.sd_errors),
+                "mean_loc": _fmt(m.mean_loc),
+                "mean_duration_seconds": _fmt(m.mean_duration_seconds),
+                "runs_total": _fmt(m.runs_total),
+                "runs_failed": _fmt(m.runs_failed),
+                "fully_correct_runs": _fmt(m.fully_correct_runs),
+                **{f"requirement_mean_{i}": _fmt(v) for i, v in enumerate(means, start=1)},
+                "requirement_total": _fmt(m.requirement_total),
+                "mean_replaced_functions": _fmt(m.mean_replaced_functions),
+            }
+        )
+    return rows
+
+
 def emit_report(metrics: Sequence[AggregateMetrics], path: str | Path) -> None:
-    """Write report.csv plus the category-count JSON sidecar.
+    """Write report.csv, one report_rows row per aggregate, plus the
+    category-count JSON sidecar.
 
     Deterministic: identical metrics re-emit byte-identical files.
     """
     if not metrics:
         raise ValueError("emit_report needs at least one aggregate")
     path = Path(path)
-    req_width = max((len(m.requirement_means or ()) for m in metrics), default=0)
-    header = [
-        "method_label",
-        "mean_errors",
-        "sd_errors",
-        "mean_loc",
-        "mean_duration_seconds",
-        "runs_total",
-        "runs_failed",
-        "fully_correct_runs",
-        *[f"requirement_mean_{i}" for i in range(1, req_width + 1)],
-        "requirement_total",
-        "mean_replaced_functions",
-    ]
+    rows = report_rows(metrics)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for m in metrics:
-            means = list(m.requirement_means or ())
-            means += [None] * (req_width - len(means))
-            writer.writerow(
-                [
-                    m.method_label,
-                    _fmt(m.mean_errors),
-                    _fmt(m.sd_errors),
-                    _fmt(m.mean_loc),
-                    _fmt(m.mean_duration_seconds),
-                    m.runs_total,
-                    m.runs_failed,
-                    m.fully_correct_runs,
-                    *[_fmt(v) for v in means],
-                    _fmt(m.requirement_total),
-                    _fmt(m.mean_replaced_functions),
-                ]
-            )
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
     sidecar = path.with_name(path.stem + ".categories.json")
     payload = {
         m.method_label: {category.value: m.category_counts.get(category, 0) for category in ErrorCategory}

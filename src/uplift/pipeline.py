@@ -165,10 +165,8 @@ def run_pipeline(
                 prompt = make_prompt(ctx, task, current)
                 candidate = execute(ctx, prompt, current)
                 verdict = verify(ctx, task, current, candidate, original=original)
-                loops = 0
-                while verdict.decision is Decision.REVISE and loops < config.max_loop_iterations:
+                while verdict.decision is Decision.REVISE and candidate.iteration < config.max_loop_iterations:
                     candidate = finalize(ctx, task, candidate, verdict.feedback)
-                    loops += 1
                     finalizer_invocations += 1
                     verdict = verify(ctx, task, current, candidate, original=original)
                 current = candidate

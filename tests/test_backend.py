@@ -314,6 +314,16 @@ class TestRequestsTransport:
         for i in range(3):
             assert f"attempt {i + 1}: refused {i}" in str(info.value)
 
+    def test_deeply_nested_body_is_a_backend_failure(self, monkeypatch):
+        import requests
+
+        response = requests.Response()
+        response.status_code = 200
+        response._content = b"[" * 2000 + b"]" * 2000
+        self.patch_post(monkeypatch, response)
+        with pytest.raises(BackendExhausted, match="malformed completion body"):
+            HttpBackend("http://x", sleep=lambda _: None).complete(request_with())
+
 
 LAZY_IMPORT_CHILD = """
 import json, sys

@@ -532,6 +532,27 @@ class TestBench:
         without_ids = [[{**r, "run_id": ""} for r in run] for run in runs]
         assert all(run == without_ids[0] for run in without_ids)
 
+    def test_deeply_nested_reply_fails_its_runs_not_the_bench(self, workdir, monkeypatch):
+        import requests
+
+        def post(url, **kwargs):
+            response = requests.Response()
+            response.status_code = 200
+            response._content = b"[" * 2000 + b"]" * 2000
+            return response
+
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        config = workdir / "local.json"
+        config.write_text(json.dumps({"backend": {"endpoint": "http://127.0.0.1:9/v1/chat/completions"}}))
+        argv = ["bench", "case_view_zsl", "--mode", "baseline_zsl", "--reps", "2", "--config", str(config)]
+        assert main(argv) == 0
+        out_dir = workdir / "out/case_view_zsl"
+        rows = (out_dir / "index.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["run-001", "failed_generation"], ["run-002", "failed_generation"]]
+        last = json.loads((out_dir / "run-002.jsonl").read_text().splitlines()[-2])
+        assert last["error"].startswith("BackendExhausted: malformed completion body")
+
     def test_zero_reps_rejected(self, workdir):
         code = main(
             ["bench", "case_view", "--script", "case_view/script.json", "--reps", "0"]
@@ -604,7 +625,7 @@ class TestReport:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "requirement_means=[0.500,0.300,0.200]" in out
+        assert "requirement_mean_1=0.500 requirement_mean_2=0.300 requirement_mean_3=0.200" in out
 
     def test_non_finite_index_duration_exits_2(self, workdir, capsys):
         out_dir = workdir / "out"
@@ -648,6 +669,43 @@ class TestReport:
         argv = ["report", str(out_dir), str(ledger), "--label", "x", "--config", str(config)]
         assert main(argv) == 2
         assert f"pipeline.{key}" in capsys.readouterr().err
+        assert not (out_dir / "report.csv").exists()
+
+    def write_inputs(self, workdir, out_dir):
+        """A ledger, scores and --rf file for a 2-run bench, and the report argv."""
+        ledger, scores, rf = workdir / "ledger.csv", workdir / "scores.csv", workdir / "rf.csv"
+        ledger.write_text("run_id,mistake_id,category,description\nrun-001,m1,fatal,bad\n", encoding="utf-8")
+        scores.write_text("run_id,requirement_index,value\nrun-001,1,1\nrun-002,1,0\n", encoding="utf-8")
+        rf.write_text("run_id,replaced_functions\nrun-001,2\nrun-002,1\n", encoding="utf-8")
+        paths = {"ledger": ledger, "scores": scores, "rf": rf, "index": out_dir / "index.csv"}
+        argv = ["report", str(out_dir), str(ledger), "--scores", str(scores), "--rf", str(rf), "--label", "x"]
+        return paths, argv
+
+    @pytest.mark.parametrize("name", ["ledger", "scores", "rf", "index"])
+    def test_byte_order_mark_accepted(self, workdir, name):
+        out_dir = self.bench(workdir, reps=2)
+        paths, argv = self.write_inputs(workdir, out_dir)
+        assert main(argv) == 0
+        plain = (out_dir / "report.csv").read_bytes()
+        paths[name].write_bytes("\ufeff".encode() + paths[name].read_bytes())
+        assert main(argv) == 0
+        assert (out_dir / "report.csv").read_bytes() == plain
+
+    @pytest.mark.parametrize(
+        "name, repeat, message",
+        [
+            ("scores", "run-002,1,1", "repeats row 3's key ('run-002', 1)"),
+            ("rf", "run-001,5", "repeats row 2's key 'run-001'"),
+            ("index", "run-001,completed,1.000,3", "repeats row 2's key 'run-001'"),
+        ],
+    )
+    def test_repeated_key_exits_2_naming_its_row(self, workdir, capsys, name, repeat, message):
+        out_dir = self.bench(workdir, reps=2)
+        paths, argv = self.write_inputs(workdir, out_dir)
+        with open(paths[name], "a", encoding="utf-8") as fh:
+            fh.write(repeat + "\n")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: row 4: {paths[name]}: {message}\n"
         assert not (out_dir / "report.csv").exists()
 
     def test_rf_sidecar(self, workdir, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +120,13 @@ class TestIngestLedger:
         with pytest.raises(LedgerParseError) as info:
             read_ledger(io.StringIO(text))
         assert info.value.row == 3
+
+    @pytest.mark.parametrize(
+        "repeat, error", [("run-001,m1,bogus,y", UnknownCategory), ("run-001,m1,fatal,", LedgerParseError)]
+    )
+    def test_repeated_rows_are_checked_too(self, repeat, error):
+        with pytest.raises(error):
+            read_ledger(io.StringIO(self.HEADER + "run-001,m1,fatal,x\n" + repeat + "\n"))
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "ledger.csv"
@@ -448,6 +456,13 @@ class TestEmitReport:
         assert sidecar["ZSL"]["fatal"] == 1
         assert sidecar["ZSL"]["runtime"] == 1
         assert sidecar["ZSL"]["content"] == 0
+
+    def test_readme_shows_the_two_requirement_header(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        documented = readme.split("\n**Report**", 1)[1].split("```csv\n", 1)[1].split("\n", 1)[0]
+        scores = [RequirementScoreRecord("run-1", 2, 1)]
+        emit_report([aggregate([completed("run-1")], [], scores, "A")], tmp_path / "report.csv")
+        assert (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()[0] == documented
 
     def test_empty_metrics_rejected(self, tmp_path):
         with pytest.raises(ValueError):
