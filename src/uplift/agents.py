@@ -1,9 +1,9 @@
 """The five agent roles: prompt templates plus strict response parsers,
 and the single-call baseline op.
 
-Each operation is a thin function over the backend: render the role
-template, send at most two calls (initial plus one re-ask), parse the reply
-with a marker-based parser that ignores surrounding prose.
+Each operation renders its role template and hands it to ``_ask``: one call,
+a marker-based parse that ignores surrounding prose, at most one re-ask, and
+a flag on the last exchange when no reply parsed.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ _TASK_LINE_RE = re.compile(r"^[^A-Za-z]*TASK\s+([0-9]+)\s*:\s*(\S.*)$", re.IGNOR
 _VERDICT_RE = re.compile(r"^[^A-Za-z]*VERDICT\s*:\s*(ACCEPT|REVISE)\b", re.IGNORECASE)
 _FEEDBACK_RE = re.compile(r"^[^A-Za-z]*FEEDBACK\s*:\s*(.*)$", re.IGNORECASE)
 _SECTION_LABELS = ("INSTRUCTION", "EXAMPLE BEFORE", "EXAMPLE AFTER")
+_SECTION_RE = re.compile(r"^[^A-Za-z]*(" + "|".join(_SECTION_LABELS) + r")\s*:\s*(.*)$", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -177,37 +178,33 @@ class AgentContext:
 def _ask(
     ctx: AgentContext,
     agent: str,
-    messages: Sequence[ChatMessage],
+    system: str,
+    user: str,
     parse: Callable[[str], T | None],
-    correction: str,
+    flag: str,
+    correction: str | None = None,
     **where: int | None,
 ) -> T | None:
-    """Call, parse, and on a parse failure re-ask once with the reply and the
-    correction appended. Returns None when the re-asked reply fails to parse
-    too; the caller flags the last exchange and raises or falls back."""
+    """Send [system, user] and parse the reply; given a correction, re-ask once
+    with the reply and the correction appended. When no reply parses, flag the
+    last exchange and return None, for the caller to raise or fall back on."""
+    messages = [ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, user)]
     reply = ctx.call(agent, messages, **where).content
     parsed = parse(reply)
-    if parsed is None:
+    if parsed is None and correction is not None:
         reask = [*messages, ChatMessage(Role.ASSISTANT, reply), ChatMessage(Role.USER, correction)]
         parsed = parse(ctx.call(agent, reask, **where, flags=("re_ask",)).content)
+    if parsed is None:
+        ctx.transcript.annotate_last(flag)
     return parsed
 
 
-def _generate(
-    ctx: AgentContext,
-    agent: str,
-    messages: Sequence[ChatMessage],
-    task_ordinal: int,
-    iteration: int,
-) -> CodeArtifact:
-    """One code-producing call; a reply without code fails the generation."""
-    response = ctx.call(agent, messages, task_ordinal=task_ordinal, iteration=iteration)
+def _code(reply: str) -> str | None:
+    """The code in a reply, or None when it holds none."""
     try:
-        content = extract_code(response.content)
-    except NoCodeFound as exc:
-        ctx.transcript.annotate_last("no_code")
-        raise FailedGeneration(f"{agent} reply for task {task_ordinal} contained no code") from exc
-    return CodeArtifact(content=content, iteration=iteration)
+        return extract_code(reply)
+    except NoCodeFound:
+        return None
 
 
 def parse_task_lines(text: str) -> list[str]:
@@ -215,8 +212,9 @@ def parse_task_lines(text: str) -> list[str]:
     return [m.group(2).strip() for line in text.splitlines() if (m := _TASK_LINE_RE.match(line))]
 
 
-def _plan_from(descriptions: list[str]) -> TaskPlan:
-    return TaskPlan(tuple(Task(i, d) for i, d in enumerate(descriptions, start=1)))
+def _parse_plan(text: str) -> TaskPlan | None:
+    descriptions = parse_task_lines(text)
+    return TaskPlan(tuple(Task(i, d) for i, d in enumerate(descriptions, start=1))) if descriptions else None
 
 
 def render_tasks(plan: TaskPlan) -> str:
@@ -226,12 +224,11 @@ def render_tasks(plan: TaskPlan) -> str:
 def manager_plan(ctx: AgentContext, requirements: RequirementSet) -> TaskPlan:
     """Ask the manager to decompose the requirements into ordered tasks."""
     system = ctx.prompts.render("manager")
-    messages = [ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, render_requirements(requirements))]
-    descriptions = _ask(ctx, "manager", messages, lambda text: parse_task_lines(text) or None, _REASK_TASKS)
-    if descriptions is None:
-        ctx.transcript.annotate_last("plan_unparsed")
+    user = render_requirements(requirements)
+    plan = _ask(ctx, "manager", system, user, _parse_plan, "plan_unparsed", _REASK_TASKS)
+    if plan is None:
         raise PlanParseError("manager reply contained no TASK lines after a re-ask")
-    return _plan_from(descriptions)
+    return plan
 
 
 def manager_confirm(ctx: AgentContext, plan: TaskPlan, requirements: RequirementSet) -> TaskPlan:
@@ -241,26 +238,18 @@ def manager_confirm(ctx: AgentContext, plan: TaskPlan, requirements: Requirement
     the run; the exchange is flagged in the transcript.
     """
     system = ctx.prompts.render("manager_confirm", tasks=render_tasks(plan))
-    messages = [ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, render_requirements(requirements))]
-    response = ctx.call("manager", messages)
-    descriptions = parse_task_lines(response.content)
-    if not descriptions:
-        ctx.transcript.annotate_last("confirm_fallback")
-        return plan
-    return _plan_from(descriptions)
+    user = render_requirements(requirements)
+    return _ask(ctx, "manager", system, user, _parse_plan, "confirm_fallback") or plan
 
 
 def _parse_sections(text: str) -> dict[str, str] | None:
     """Split a reply on INSTRUCTION / EXAMPLE BEFORE / EXAMPLE AFTER labels,
     order-insensitively. Returns None unless all three are present and
     non-empty."""
-    label_re = re.compile(
-        r"^[^A-Za-z]*(" + "|".join(_SECTION_LABELS) + r")\s*:\s*(.*)$", re.IGNORECASE
-    )
     sections: dict[str, list[str]] = {}
     current: list[str] | None = None
     for line in text.splitlines():
-        match = label_re.match(line)
+        match = _SECTION_RE.match(line)
         if match:
             label = match.group(1).upper()
             current = sections.setdefault(label, [])
@@ -276,12 +265,11 @@ def _parse_sections(text: str) -> dict[str, str] | None:
 def make_prompt(ctx: AgentContext, task: Task, code: CodeArtifact) -> PromptSpec:
     """Have the prompt-maker turn one task into a one-shot prompt."""
     system = ctx.prompts.render("prompt_maker", task=task.description)
-    messages = [ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, code.content)]
     sections = _ask(
-        ctx, "prompt_maker", messages, _parse_sections, _REASK_SECTIONS, task_ordinal=task.ordinal
+        ctx, "prompt_maker", system, code.content, _parse_sections, "sections_unparsed", _REASK_SECTIONS,
+        task_ordinal=task.ordinal,
     )
     if sections is None:
-        ctx.transcript.annotate_last("sections_unparsed")
         raise PromptSpecParseError(
             f"prompt-maker reply for task {task.ordinal} was missing sections after a re-ask"
         )
@@ -304,8 +292,12 @@ def execute(ctx: AgentContext, prompt: PromptSpec, code: CodeArtifact) -> CodeAr
         example_after=prompt.example_after,
     )
     user = f"{code.content}\n\n{RETURN_ONLY_CODE}"
-    messages = [ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, user)]
-    return _generate(ctx, "executor", messages, prompt.task_ordinal, 0)
+    content = _ask(
+        ctx, "executor", system, user, _code, "no_code", task_ordinal=prompt.task_ordinal, iteration=0
+    )
+    if content is None:
+        raise FailedGeneration(f"executor reply for task {prompt.task_ordinal} contained no code")
+    return CodeArtifact(content=content, iteration=0)
 
 
 def verify(
@@ -330,20 +322,11 @@ def verify(
     else:
         shown = f"ORIGINAL FILE:\n{original.content}\n\nBEFORE THIS TASK:\n{before.content}\n\n"
     user = f"{shown}AFTER THIS TASK:\n{after.content}"
-    messages = [ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, user)]
     verdict = _ask(
-        ctx,
-        "verifier",
-        messages,
-        _parse_verdict,
-        _REASK_VERDICT,
-        task_ordinal=task.ordinal,
-        iteration=after.iteration,
+        ctx, "verifier", system, user, _parse_verdict, "verdict_fallback", _REASK_VERDICT,
+        task_ordinal=task.ordinal, iteration=after.iteration,
     )
-    if verdict is None:
-        ctx.transcript.annotate_last("verdict_fallback")
-        return Verdict(decision=Decision.ACCEPT)
-    return verdict
+    return verdict or Verdict(decision=Decision.ACCEPT)
 
 
 def _parse_verdict(text: str) -> Verdict | None:
@@ -379,13 +362,19 @@ def finalize(ctx: AgentContext, task: Task, code: CodeArtifact, feedback: str) -
     system = ctx.prompts.render("finalizer", task=task.description, feedback=feedback)
     user = f"{code.content}\n\n{RETURN_ONLY_CODE}"
     iteration = code.iteration + 1
-    messages = [ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, user)]
-    return _generate(ctx, "finalizer", messages, task.ordinal, iteration)
+    content = _ask(
+        ctx, "finalizer", system, user, _code, "no_code", task_ordinal=task.ordinal, iteration=iteration
+    )
+    if content is None:
+        raise FailedGeneration(f"finalizer reply for task {task.ordinal} contained no code")
+    return CodeArtifact(content=content, iteration=iteration)
 
 
 def baseline(ctx: AgentContext, prompt_text: str, code: CodeArtifact) -> CodeArtifact:
     """The bare ZSL/OSL call: the user-authored prompt, then the file and the
     return-only-code directive, recorded as task 1, iteration 0."""
     user = f"{prompt_text}\n\n{code.content}\n\n{RETURN_ONLY_CODE}"
-    messages = [ChatMessage(Role.SYSTEM, BASELINE_SYSTEM), ChatMessage(Role.USER, user)]
-    return _generate(ctx, "baseline", messages, 1, 0)
+    content = _ask(ctx, "baseline", BASELINE_SYSTEM, user, _code, "no_code", task_ordinal=1, iteration=0)
+    if content is None:
+        raise FailedGeneration("baseline reply for task 1 contained no code")
+    return CodeArtifact(content=content, iteration=0)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 from urllib.parse import urlsplit
 
-from .agents import DEFAULT_PROMPT_DIR, manager_confirm, manager_plan, render_tasks
+from .agents import DEFAULT_PROMPT_DIR, render_tasks
 from .backend import DEFAULT_MODEL, HttpBackend, ScriptedBackend, load_script
 from .errors import (
     DanglingReference,
@@ -40,7 +40,7 @@ from .evaluation import (
     write_bench_index,
 )
 from .model import artifact_from_file, load_requirements
-from .pipeline import MAX_LOOP_ITERATIONS, PipelineConfig, PipelineMode, RunStatus, context
+from .pipeline import MAX_LOOP_ITERATIONS, PipelineConfig, PipelineMode, RunStatus, build_plan, context
 from .transcript import Transcript
 
 EXIT_OK = 0
@@ -153,7 +153,7 @@ def pipeline_config(config: CliConfig) -> PipelineConfig:
 def cmd_plan(args: argparse.Namespace, config: CliConfig) -> int:
     requirements = load_requirements(args.requirements)
     ctx = context(pipeline_config(config), Transcript("plan"))
-    plan = manager_confirm(ctx, manager_plan(ctx, requirements), requirements)
+    plan = build_plan(ctx, requirements, PipelineMode.SYSTEM_MANAGER)
     print(render_tasks(plan))
     return EXIT_OK
 
@@ -218,8 +218,13 @@ def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     emit_report([metrics], out_dir / "report.csv")
     (row,) = report_rows([metrics])
-    print(" ".join(f"{name}={cell}" for name, cell in row.items() if cell))
+    print(" ".join(f"{name}={_line_cell(cell)}" for name, cell in row.items() if cell))
     return EXIT_OK
+
+
+def _line_cell(cell: str) -> str:
+    """The cell, or an ASCII JSON string if it holds a space, =, ", \\ or a non-printing character."""
+    return cell if cell.isprintable() and not any(c in cell for c in ' ="\\') else json.dumps(cell)
 
 
 _FLAGS = {

@@ -112,7 +112,8 @@ def context(config: PipelineConfig, transcript: Transcript) -> AgentContext:
     )
 
 
-def _build_plan(ctx: AgentContext, requirements: RequirementSet, mode: PipelineMode) -> TaskPlan:
+def build_plan(ctx: AgentContext, requirements: RequirementSet, mode: PipelineMode) -> TaskPlan:
+    """The run's tasks, in the way the system mode makes them."""
     if mode is PipelineMode.SYSTEM_MANAGER:
         plan = manager_plan(ctx, requirements)
         return manager_confirm(ctx, plan, requirements)
@@ -157,7 +158,7 @@ def run_pipeline(
         if prompted:
             final = baseline(ctx, spec, code)
         else:
-            plan = _build_plan(ctx, spec, config.mode)
+            plan = build_plan(ctx, spec, config.mode)
             task_count = len(plan.tasks)
             original = code
             current = code

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import re
 import shutil
 import time
+from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +12,10 @@ from uplift.agents import (
     AgentContext,
     DEFAULT_PROMPT_DIR,
     PromptLibrary,
+    PromptSpec,
     RETURN_ONLY_CODE,
     TEMPLATE_NAMES,
+    baseline,
     execute,
     finalize,
     make_prompt,
@@ -22,7 +27,7 @@ from uplift.agents import (
 )
 from uplift.backend import ChatMessage, ChatResponse, Role
 from uplift.errors import BackendExhausted, PlanParseError, PromptSpecParseError, FailedGeneration, TemplateError
-from uplift.model import CodeArtifact, Decision, Task, TaskPlan
+from uplift.model import CodeArtifact, Decision, Task, TaskPlan, Verdict
 from uplift.transcript import Transcript
 
 from conftest import ACCEPT_REPLY, CODE_REPLY, PLAN_REPLY, REVISE_REPLY, SECTIONS_REPLY, seq
@@ -344,3 +349,75 @@ class TestParserProperties:
         ctx = ctx_with(seq("??", "??"))
         verify(ctx, a_task(), original_code, executor_artifact())
         assert len(ctx.transcript.entries) == 2
+
+
+PLANNED = TaskPlan((Task(1, "Update syntax to 4.5"), Task(2, "Fix ORM access")))
+PROMPT = PromptSpec("Update helpers.", "echo $html->link('x');", "echo $this->Html->link('x');", 1)
+
+# Each role fed nothing but unparseable replies: the op, the agent it records,
+# how many exchanges it makes (a second one is the re-ask), the flag on its
+# last exchange, and the error it raises or the value it falls back to. The
+# README's flag table is kept in step with this list.
+UNPARSEABLE = [
+    pytest.param(
+        lambda ctx, reqs, code: manager_plan(ctx, reqs), "manager", 2, "plan_unparsed", PlanParseError,
+        id="manager_plan",
+    ),
+    pytest.param(
+        lambda ctx, reqs, code: manager_confirm(ctx, PLANNED, reqs), "manager", 1, "confirm_fallback", PLANNED,
+        id="manager_confirm",
+    ),
+    pytest.param(
+        lambda ctx, reqs, code: make_prompt(ctx, a_task(), code), "prompt_maker", 2, "sections_unparsed",
+        PromptSpecParseError, id="make_prompt",
+    ),
+    pytest.param(
+        lambda ctx, reqs, code: verify(ctx, a_task(), code, executor_artifact()), "verifier", 2,
+        "verdict_fallback", Verdict(Decision.ACCEPT), id="verify",
+    ),
+    pytest.param(
+        lambda ctx, reqs, code: execute(ctx, PROMPT, code), "executor", 1, "no_code", FailedGeneration,
+        id="execute",
+    ),
+    pytest.param(
+        lambda ctx, reqs, code: finalize(ctx, a_task(), code, "use first()"), "finalizer", 1, "no_code",
+        FailedGeneration, id="finalize",
+    ),
+    pytest.param(
+        lambda ctx, reqs, code: baseline(ctx, "Update this view.", code), "baseline", 1, "no_code",
+        FailedGeneration, id="baseline",
+    ),
+]
+
+
+@pytest.mark.parametrize("op, agent, exchanges, flag, outcome", UNPARSEABLE)
+def test_unparseable_replies_flag_the_last_exchange(
+    op, agent, exchanges, flag, outcome, two_requirements, original_code
+):
+    # More replies than any role asks for, so a surplus call shows in the count.
+    ctx = ctx_with(seq("Sorry.", "Still no markers.", "Nothing."))
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            op(ctx, two_requirements, original_code)
+    else:
+        assert op(ctx, two_requirements, original_code) == outcome
+    expected = [{"re_ask"} if i else set() for i in range(exchanges)]
+    expected[-1].add(flag)
+    assert [e.agent for e in ctx.transcript.entries] == [agent] * exchanges
+    assert [e.flags for e in ctx.transcript.entries] == expected
+
+
+def test_readme_flag_table_names_each_flag_and_its_agents():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = next(block for block in readme.split("\n\n") if block.startswith("| transcript flag |"))
+    documented = {
+        flag: set(re.findall(r"`(\w+)`", agents))
+        for flag, agents in re.findall(r"^\| `(\w+)` \| ([^|]*) \|", table, re.MULTILINE)
+    }
+    pinned = defaultdict(set)
+    for param in UNPARSEABLE:
+        _, agent, exchanges, flag, _ = param.values
+        pinned[flag].add(agent)
+        if exchanges == 2:
+            pinned["re_ask"].add(agent)
+    assert documented == pinned

@@ -627,6 +627,29 @@ class TestReport:
         out = capsys.readouterr().out
         assert "requirement_mean_1=0.500 requirement_mean_2=0.300 requirement_mean_3=0.200" in out
 
+    # A name, then a JSON string or a cell with no space or quote in it.
+    PAIR_RE = re.compile(r'(\w+)=("(?:[^"\\]|\\.)*"|[^\s"]\S*)')
+
+    @pytest.mark.parametrize(
+        "label",
+        ["ZSL", "Système", "Syst. (2 tasks)", "a=b", 'say "hi"', "back\\slash", "two\nlines", "para\u2028sep", "Système B"],
+    )
+    def test_printed_line_splits_back_into_its_pairs(self, workdir, capsys, label):
+        out_dir = self.bench(workdir, reps=2)
+        ledger = workdir / "ledger.csv"
+        ledger.write_text("run_id,mistake_id,category,description\nrun-001,m1,fatal,x\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(out_dir), str(ledger), "--label", label]) == 0
+        line, rest = capsys.readouterr().out.split("\n", 1)
+        assert rest == ""
+        pairs = self.PAIR_RE.findall(line)
+        assert " ".join(f"{name}={cell}" for name, cell in pairs) == line
+        cells = {name: json.loads(cell) if cell.startswith('"') else cell for name, cell in pairs}
+        assert (cells["method_label"], cells["runs_total"], cells["mean_errors"]) == (label, "2", "0.500")
+        assert all(cell.isascii() for _, cell in pairs if cell.startswith('"'))
+        # A label with none of the quoted characters prints as it is.
+        assert line.startswith(f"method_label={label} ") is (label in ("ZSL", "Système"))
+
     def test_non_finite_index_duration_exits_2(self, workdir, capsys):
         out_dir = workdir / "out"
         out_dir.mkdir()
