@@ -15,14 +15,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .backend import Backend, ChatMessage, ChatRequest, ChatResponse, DEFAULT_MODEL, Role
-from .errors import (
-    BackendError,
-    PlanParseError,
-    PromptSpecParseError,
-    FailedGeneration,
-    NoCodeFound,
-    TemplateError,
-)
+from .errors import FailedGeneration, NoCodeFound, PlanParseError, PromptSpecParseError, TemplateError
 from .model import (
     CodeArtifact,
     Decision,
@@ -33,7 +26,7 @@ from .model import (
     extract_code,
     render_requirements,
 )
-from .transcript import Transcript
+from .transcript import Transcript, error_text
 
 # Each template asset and the placeholders its role renders it with. A
 # template may leave a placeholder out; naming any other one is an error at
@@ -152,25 +145,25 @@ class AgentContext:
     ) -> ChatResponse:
         """Send one request and record exactly one transcript exchange,
         whether the backend succeeds or fails. A failed exchange keeps its
-        wall-clock latency and its error; the same BackendError is re-raised."""
+        wall-clock latency and its error; the same exception is re-raised."""
         request = ChatRequest(messages=tuple(messages), model=self.model)
         start = time.perf_counter()
         response = failure = None
         try:
             response = self.backend.complete(request)
-        except BackendError as exc:
+        except Exception as exc:
             failure = exc
         self.transcript.record(
             agent,
             request.to_payload(),
-            response=None if failure else response.content,
-            latency_seconds=time.perf_counter() - start if failure else response.latency_seconds,
+            response=None if failure is not None else response.content,
+            latency_seconds=time.perf_counter() - start if failure is not None else response.latency_seconds,
             task_ordinal=task_ordinal,
             iteration=iteration,
-            error=f"{type(failure).__name__}: {failure}" if failure else None,
+            error=error_text(failure) if failure is not None else None,
             flags=set(flags),
         )
-        if failure:
+        if failure is not None:
             raise failure
         return response
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -17,12 +18,7 @@ from pathlib import Path
 from threading import Lock
 from typing import Any, Callable, Iterable, Protocol
 
-from .errors import (
-    BackendExhausted,
-    CredentialMissing,
-    ScriptExhausted,
-    ScriptParseError,
-)
+from .errors import BackendExhausted, CredentialMissing, ScriptExhausted, ScriptParseError
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +26,12 @@ DEFAULT_MODEL = "gpt-4o-mini"
 API_KEY_ENV = "LLM_API_KEY"
 MAX_ATTEMPTS = 3
 TIMEOUT_S = 120.0
+
+
+def utf8_encodable(text: str) -> bool:
+    """False when text holds a lone surrogate, as a JSON "\\ud800" escape
+    without its pair decodes to: no UTF-8 file can hold one."""
+    return re.search("[\ud800-\udfff]", text) is None
 
 
 class Role(str, Enum):
@@ -134,6 +136,8 @@ def load_script(path: str | Path) -> ScriptedBackend:
             raise ScriptParseError(f"{path}: entry {i}: response must be a string")
         if not response:
             raise ScriptParseError(f"{path}: entry {i}: script entry response must be non-empty")
+        if not utf8_encodable(response):
+            raise ScriptParseError(f"{path}: entry {i}: response holds a lone surrogate escape")
         replies.append(response)
     return ScriptedBackend(replies)
 
@@ -165,7 +169,7 @@ class HttpBackend:
     Retries transport errors and HTTP 429/5xx with exponential backoff, up
     to ``MAX_ATTEMPTS`` tries total. The API key is read from the
     environment on every call so a missing credential fails before any
-    network activity.
+    network activity, and so does one that no HTTP header can carry.
     """
 
     def __init__(
@@ -182,9 +186,10 @@ class HttpBackend:
         self._sleep = sleep
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        api_key = os.environ.get(API_KEY_ENV)
-        if not api_key:
-            raise CredentialMissing(f"environment variable {API_KEY_ENV} is not set")
+        api_key = os.environ.get(API_KEY_ENV, "")
+        if not re.fullmatch("[!-~]+", api_key):  # an HTTP header carries visible ASCII only
+            problem = "holds a character other than visible ASCII" if api_key else "is not set"
+            raise CredentialMissing(f"environment variable {API_KEY_ENV} {problem}")
         payload = request.to_payload()
         latency = 0.0  # transport time summed over attempts; backoff sleeps excluded
         failures: list[str] = []
@@ -216,9 +221,10 @@ class HttpBackend:
             content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
             content = None
-        # Refusals and tool-call replies carry "content": null; only text
-        # can reach the parsers, and only counts can reach ChatResponse.
-        counts = _token_counts(body.get("usage")) if isinstance(content, str) else None
+        # Refusals and tool-call replies carry "content": null. Only text a UTF-8
+        # transcript can hold reaches the parsers; only valid counts reach ChatResponse.
+        text = isinstance(content, str) and utf8_encodable(content)
+        counts = _token_counts(body.get("usage")) if text else None
         if counts is None:
             raise BackendExhausted(f"malformed completion body: {json.dumps(body)[:200]}")
         return ChatResponse(content=content, latency_seconds=latency, **counts)

@@ -17,7 +17,7 @@ from typing import Sequence
 from urllib.parse import urlsplit
 
 from .agents import DEFAULT_PROMPT_DIR, render_tasks
-from .backend import DEFAULT_MODEL, HttpBackend, ScriptedBackend, load_script
+from .backend import DEFAULT_MODEL, HttpBackend, ScriptedBackend, load_script, utf8_encodable
 from .errors import (
     DanglingReference,
     ConfigError,
@@ -132,6 +132,8 @@ def load_config(path: str | None) -> CliConfig:
             if type(value) is not type(default) and not (default is None and isinstance(value, str)):
                 want = "a string or null" if default is None else f"of type {type(default).__name__}"
                 raise ConfigError(f"{chosen}: {section}.{key} must be {want}, got {value!r}")
+            if isinstance(value, str) and not utf8_encodable(value):
+                raise ConfigError(f"{chosen}: {section}.{key} holds a lone surrogate escape")
             setattr(config, name, value)
     return config
 
@@ -171,9 +173,7 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
         f"{outcome.run_id} status={outcome.status.value} "
         f"duration={outcome.duration_seconds:.3f}s loc={loc} tasks={outcome.task_count}"
     )
-    if outcome.status is RunStatus.FAILED_GENERATION:
-        return EXIT_FAILED_GENERATION
-    return EXIT_OK
+    return EXIT_OK if outcome.failure is None else EXIT_FAILED_GENERATION
 
 
 def cmd_bench(args: argparse.Namespace, config: CliConfig) -> int:

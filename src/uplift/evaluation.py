@@ -369,9 +369,9 @@ def run_bench(
     bench into out_dir beyond `repetitions` are deleted.
 
     backend_factory(i) supplies a fresh backend per 1-based repetition so
-    scripted runs never share consumption state. A run whose backend call
-    fails, or whose reply holds no code or no parseable plan or prompt, is
-    recorded as a failed outcome. Any other exception aborts the batch.
+    scripted runs never share consumption state. Whatever fails inside a
+    run ends it as a failed outcome, with the reason in its summary; only a
+    failure to write a run's files (or an interrupt) aborts the batch.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")

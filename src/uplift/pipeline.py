@@ -23,11 +23,10 @@ from .agents import (
     verify,
 )
 from .backend import Backend, DEFAULT_MODEL
-from .errors import BackendError, FailedGeneration, PlanParseError, PromptSpecParseError
 from .model import CodeArtifact, Decision, RequirementSet, Task, TaskPlan
 # Unused here, but perfbench/tracing.py patches pipeline.extract_code by name.
 from .model import extract_code  # noqa: F401
-from .transcript import Transcript
+from .transcript import Transcript, error_text
 # Unused here, but perfbench reads uplift.pipeline.write_transcript and strip_timing.
 from .transcript import strip_timing, write_transcript  # noqa: F401
 
@@ -86,9 +85,13 @@ class RunOutcome:
     duration_seconds: float
     task_count: int
     finalizer_invocations: int
+    # "<Type>: <message>" of the exception that ended a failed run; None on a completed one.
+    failure: str | None = None
 
     def __post_init__(self):
-        if self.status is RunStatus.FAILED_GENERATION and self.final_code is not None:
+        if (self.status is RunStatus.FAILED_GENERATION) is (self.failure is None):
+            raise ValueError("a run carries a failure exactly when it failed")
+        if self.failure is not None and self.final_code is not None:
             raise ValueError("a failed run cannot carry final code")
         if self.duration_seconds < 0:
             raise ValueError("duration cannot be negative")
@@ -138,9 +141,10 @@ def run_pipeline(
     execute it, verify; on a revise verdict, loop finalize/verify until
     accept or until the finalizer has been invoked max_loop_iterations times
     for the task, after which the latest code advances to the next task
-    unconditionally. A reply without extractable code anywhere aborts the
-    run as failed_generation; backend and plan/section parse failures
-    (already flagged in the transcript) end the run the same way.
+    unconditionally. Once the spec is checked, any exception inside the run
+    (a reply without code, an unparseable plan or prompt, a backend error, a
+    fault in this package) ends it as failed_generation, with failure set to
+    "<Type>: <message>". KeyboardInterrupt and SystemExit still propagate.
     """
     prompted = config.mode in BASELINE_MODES
     if isinstance(spec, str) is not prompted:
@@ -150,8 +154,8 @@ def run_pipeline(
     transcript = transcript if transcript is not None else Transcript(new_run_id())
     ctx = context(config, transcript)
     start = time.perf_counter()
-    status = RunStatus.COMPLETED
     final: CodeArtifact | None = None
+    failure: str | None = None
     task_count = 1 if prompted else 0
     finalizer_invocations = 0
     try:
@@ -172,14 +176,14 @@ def run_pipeline(
                     verdict = verify(ctx, task, current, candidate, original=original)
                 current = candidate
             final = current
-    except (FailedGeneration, BackendError, PlanParseError, PromptSpecParseError):
-        status = RunStatus.FAILED_GENERATION
-        final = None
+    except Exception as exc:
+        failure = error_text(exc)
     return RunOutcome(
         run_id=transcript.run_id,
         final_code=final,
-        status=status,
+        status=RunStatus.COMPLETED if failure is None else RunStatus.FAILED_GENERATION,
         duration_seconds=time.perf_counter() - start,
         task_count=task_count,
         finalizer_invocations=finalizer_invocations,
+        failure=failure,
     )

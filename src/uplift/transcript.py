@@ -25,6 +25,11 @@ def _digest(text: str) -> str:
     return sha256(text.encode("utf-8")).hexdigest()
 
 
+def error_text(exc: BaseException) -> str:
+    """How an exception is recorded: an exchange's error, a run's failure."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def dump_record(record: dict[str, Any]) -> str:
     """Canonical one-line JSON used for every transcript record."""
     return json.dumps(record, sort_keys=True, ensure_ascii=False)
@@ -85,21 +90,12 @@ class Transcript:
 
 def write_transcript(run: "RunOutcome", entries: Iterable[TranscriptEntry], path: str | Path) -> None:
     """Write exchanges plus a trailing summary record as JSONL. Every
-    exchange line carries the run's id."""
+    exchange line carries the run's id. The summary holds each RunOutcome
+    field but final_code, which it gives as final_loc."""
     lines = [e.to_line(run.run_id) for e in entries]
-    lines.append(
-        dump_record(
-            {
-                "record": "summary",
-                "run_id": run.run_id,
-                "status": run.status.value,
-                "duration_seconds": run.duration_seconds,
-                "task_count": run.task_count,
-                "finalizer_invocations": run.finalizer_invocations,
-                "final_loc": run.loc,
-            }
-        )
-    )
+    summary = {f.name: getattr(run, f.name) for f in fields(run) if f.name != "final_code"}
+    summary.update(record="summary", status=run.status.value, final_loc=run.loc)
+    lines.append(dump_record(summary))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

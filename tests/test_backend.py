@@ -29,9 +29,9 @@ from uplift.errors import (
     ScriptExhausted,
     ScriptParseError,
 )
-from uplift.evaluation import run_bench
+from uplift.evaluation import run_bench, run_once
 from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, run_pipeline
-from uplift.transcript import Transcript
+from uplift.transcript import Transcript, read_transcript
 
 from conftest import SECTIONS_REPLY, seq
 
@@ -121,6 +121,15 @@ class TestLoadScript:
             load_script(path)
         assert str(exc.value) == f"{path}: {reason}"
 
+    def test_lone_surrogate_response_rejected(self, tmp_path):
+        # json.dumps writes the lone surrogate as the escape "\ud800".
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps([{"response": "```php\n<?php echo 1; // \ud800\n```"}]))
+        assert "\\ud800" in path.read_text()
+        with pytest.raises(ScriptParseError) as exc:
+            load_script(path)
+        assert str(exc.value) == f"{path}: entry 0: response holds a lone surrogate escape"
+
     def test_readme_example_replays_in_order(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("\n### Scripted backend\n", 1)[1]
@@ -186,6 +195,16 @@ class TestHttpBackend:
             backend.complete(request_with())
         assert transport.calls == 0
 
+    @pytest.mark.parametrize("key", ["sk-abc\u2026", "sk-abc\n", "sk-abc\r", "sk abc", "\t"], ids=repr)
+    def test_malformed_key_fails_before_any_network(self, monkeypatch, key):
+        monkeypatch.setenv("LLM_API_KEY", key)
+        transport = FakeTransport(ok_body())
+        backend = HttpBackend("http://x/v1/chat/completions", transport=transport)
+        with pytest.raises(CredentialMissing) as exc:
+            backend.complete(request_with())
+        assert str(exc.value) == "environment variable LLM_API_KEY holds a character other than visible ASCII"
+        assert transport.calls == 0
+
     def test_success_parses_content_and_usage(self, monkeypatch):
         monkeypatch.setenv("LLM_API_KEY", "k")
         backend = HttpBackend("http://x", transport=FakeTransport(ok_body("hello")))
@@ -225,6 +244,16 @@ class TestHttpBackend:
         backend = HttpBackend("http://x", transport=transport, sleep=lambda _: None)
         with pytest.raises(BackendExhausted, match="malformed completion body"):
             backend.complete(request_with())
+        assert transport.calls == 1
+
+    @pytest.mark.parametrize("content", ["\ud800", "```php\n<?php echo 1; // \udfff\n```"], ids=repr)
+    def test_lone_surrogate_content_is_a_backend_failure(self, monkeypatch, content):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        transport = FakeTransport(ok_body(content))
+        backend = HttpBackend("http://x", transport=transport, sleep=lambda _: None)
+        with pytest.raises(BackendExhausted, match="malformed completion body") as exc:
+            backend.complete(request_with())
+        str(exc.value).encode("utf-8")  # the message a transcript records is writable
         assert transport.calls == 1
 
     def test_latency_excludes_backoff_sleeps(self, monkeypatch):
@@ -418,6 +447,7 @@ class TestNullContentRun:
         assert last.agent == "executor"
         assert last.response is None
         assert last.error.startswith("BackendExhausted: malformed completion body")
+        assert outcome.failure == last.error
 
     def test_malformed_usage_ends_run_failed(self, monkeypatch, original_code, two_requirements):
         monkeypatch.setenv("LLM_API_KEY", "k")
@@ -427,6 +457,20 @@ class TestNullContentRun:
         outcome = run_pipeline(original_code, two_requirements, config, transcript=transcript)
         assert outcome.status is RunStatus.FAILED_GENERATION
         assert transcript.entries[-1].error.startswith("BackendExhausted: malformed completion body")
+        assert outcome.failure == transcript.entries[-1].error
+
+    def test_lone_surrogate_reply_is_a_recorded_failed_run(
+        self, monkeypatch, original_code, two_requirements, tmp_path
+    ):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        backend = self.null_executor_backend(ok_body("```php\n<?php echo 1; // \ud800\n```"))
+        config = PipelineConfig(mode=PipelineMode.SYSTEM_SINGLE_TASK, backend=backend)
+        outcome = run_once(original_code, two_requirements, config, "run-001", tmp_path, ".php")
+        assert outcome.failure.startswith("BackendExhausted: malformed completion body")
+        *exchanges, summary = read_transcript(tmp_path / "run-001.jsonl")
+        assert [e["agent"] for e in exchanges] == ["prompt_maker", "executor"]
+        assert exchanges[-1]["error"] == summary["failure"] == outcome.failure
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run-001.jsonl"]
 
     def test_bench_returns_every_outcome(self, monkeypatch, fixtures_dir, tmp_path):
         monkeypatch.setenv("LLM_API_KEY", "k")
@@ -441,4 +485,5 @@ class TestNullContentRun:
         )
         assert [o.run_id for o in outcomes] == ["run-001", "run-002", "run-003", "run-004"]
         assert all(o.status is RunStatus.FAILED_GENERATION for o in outcomes)
+        assert all(o.failure.startswith("BackendExhausted: malformed completion body") for o in outcomes)
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"run-00{i}.jsonl" for i in range(1, 5)]

@@ -493,6 +493,42 @@ class TestBench:
         assert "entry 1: match must be" in err and "Traceback" not in err
         assert not (workdir / "out/case_view").exists()
 
+    def test_lone_surrogate_script_reply_exits_2_before_output(self, workdir, capsys):
+        write_script(workdir / "s.json", [{"response": "```php\n<?php echo 1; // \ud800\n```"}])
+        assert main(["bench", "case_view_zsl", "--mode", "baseline_zsl", "--script", "s.json"]) == 2
+        err = capsys.readouterr().err
+        assert "entry 0: response holds a lone surrogate escape" in err and "Traceback" not in err
+        assert not (workdir / "out").exists()
+
+    def test_lone_surrogate_config_value_exits_2_before_output(self, workdir, capsys):
+        (workdir / "bad.json").write_text(json.dumps({"backend": {"model": "gpt-\ud800"}}))
+        argv = ["bench", "case_view", "--script", "case_view/script.json", "--config", "bad.json"]
+        assert main(argv) == 2
+        assert "backend.model holds a lone surrogate escape" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("key", ["sk-abc\u2026", "sk-abc\n"], ids=repr)
+    def test_malformed_api_key_fails_every_run_recorded(self, workdir, monkeypatch, key):
+        import requests
+
+        posts = []
+        monkeypatch.setattr(requests, "post", lambda url, **kwargs: posts.append(url))
+        monkeypatch.setenv("LLM_API_KEY", key)
+        config = workdir / "local.json"
+        config.write_text(json.dumps({"backend": {"endpoint": "http://127.0.0.1:9/v1/chat/completions"}}))
+        argv = ["bench", "case_view_zsl", "--mode", "baseline_zsl", "--reps", "2", "--config", str(config)]
+        assert main(argv) == 0
+        assert posts == []
+        out_dir = workdir / "out/case_view_zsl"
+        rows = (out_dir / "index.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [[f"run-00{i}", "failed_generation"] for i in (1, 2)]
+        failure = "CredentialMissing: environment variable LLM_API_KEY holds a character other than visible ASCII"
+        for i in (1, 2):
+            lines = (out_dir / f"run-00{i}.jsonl").read_text(encoding="utf-8").splitlines()
+            exchange, summary = [json.loads(line) for line in lines]
+            assert exchange["agent"] == "baseline"
+            assert exchange["error"] == summary["failure"] == failure
+
     def test_smaller_bench_removes_surplus_run_files(self, workdir):
         argv = ["bench", "case_view", "--script", "case_view/script.json", "--reps"]
         out = workdir / "out/case_view"

@@ -344,6 +344,8 @@ class TestRunBench:
         assert statuses.count(RunStatus.COMPLETED) == 9
         assert statuses.count(RunStatus.FAILED_GENERATION) == 1
         assert outcomes[3].status is RunStatus.FAILED_GENERATION
+        assert outcomes[3].failure == "FailedGeneration: baseline reply for task 1 contained no code"
+        assert [o.failure for i, o in enumerate(outcomes) if i != 3] == [None] * 9
         assert not (tmp_path / "run-004.updated.php").exists()
 
     def test_zero_repetitions_rejected(self, fixtures_dir, tmp_path):

@@ -4,10 +4,12 @@ import dataclasses
 import json
 import shutil
 from hashlib import sha256
+from pathlib import Path
 
 import pytest
 
 from uplift.agents import DEFAULT_PROMPT_DIR
+from uplift.evaluation import run_bench
 from uplift.model import CodeArtifact, extract_code
 from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, run_pipeline
 from uplift.transcript import Transcript, dump_record, read_transcript, strip_timing, write_transcript
@@ -131,6 +133,7 @@ class TestFailures:
         backend = seq(SECTIONS_REPLY, "I cannot update this file.")
         outcome = run_pipeline(original_code, two_requirements, config(backend))
         assert outcome.status is RunStatus.FAILED_GENERATION
+        assert outcome.failure == "FailedGeneration: executor reply for task 1 contained no code"
         assert outcome.final_code is None
 
     def test_script_exhaustion_fails_run_with_transcript_error(
@@ -141,7 +144,8 @@ class TestFailures:
             original_code, two_requirements, config(seq(SECTIONS_REPLY)), transcript=transcript
         )
         assert outcome.status is RunStatus.FAILED_GENERATION
-        assert transcript.entries[-1].error is not None
+        assert outcome.failure == "ScriptExhausted: no unconsumed script entry matches the request (1 loaded)"
+        assert transcript.entries[-1].error == outcome.failure
 
     def test_failed_run_keeps_finalizer_count(self, original_code, two_requirements):
         # Task 1 loops once; task 2's executor reply has no code.
@@ -153,6 +157,7 @@ class TestFailures:
             original_code, two_requirements, config(backend, PipelineMode.SYSTEM_PER_REQUIREMENT)
         )
         assert outcome.status is RunStatus.FAILED_GENERATION
+        assert outcome.failure == "FailedGeneration: executor reply for task 2 contained no code"
         assert (outcome.task_count, outcome.finalizer_invocations) == (2, 1)
 
     def test_unplannable_manager_fails_run(self, original_code, two_requirements):
@@ -161,6 +166,7 @@ class TestFailures:
             original_code, two_requirements, config(backend, PipelineMode.SYSTEM_MANAGER)
         )
         assert outcome.status is RunStatus.FAILED_GENERATION
+        assert outcome.failure == "PlanParseError: manager reply contained no TASK lines after a re-ask"
         assert outcome.task_count == 0
 
 
@@ -185,6 +191,7 @@ class TestBaseline:
             original_code, "do it", config(seq("no code here"), PipelineMode.BASELINE_OSL)
         )
         assert outcome.status is RunStatus.FAILED_GENERATION
+        assert outcome.failure == "FailedGeneration: baseline reply for task 1 contained no code"
         assert outcome.final_code is None
         assert outcome.task_count == 1
 
@@ -392,3 +399,94 @@ class TestVerifierMessage:
             f"BEFORE THIS TASK:\n{task_one_output.content}\n\n"
             f"AFTER THIS TASK:\n{task_one_output.content}"
         )
+
+
+class FaultAt:
+    """Replays a script, but the k-th call (1-based) raises a new fault() instead."""
+
+    def __init__(self, replies, k, fault):
+        self.script, self.k, self.fault, self.calls = seq(*replies), k, fault, 0
+
+    def complete(self, request):
+        self.calls += 1
+        if self.calls == self.k:
+            raise self.fault()
+        return self.script.complete(request)
+
+
+# Each mode's replies for a completed run over case_view (two requirements) or
+# case_view_zsl; the per-requirement and single-task runs take a finalizer pass.
+FAULT_SCRIPTS = {
+    PipelineMode.SYSTEM_MANAGER: (PLAN_REPLY, PLAN_REPLY) + (SECTIONS_REPLY, CODE_REPLY, ACCEPT_REPLY) * 2,
+    PipelineMode.SYSTEM_PER_REQUIREMENT: (
+        SECTIONS_REPLY, CODE_REPLY, REVISE_REPLY, CODE_REPLY, ACCEPT_REPLY,
+        SECTIONS_REPLY, CODE_REPLY, ACCEPT_REPLY,
+    ),
+    PipelineMode.SYSTEM_SINGLE_TASK: (SECTIONS_REPLY, CODE_REPLY, REVISE_REPLY, CODE_REPLY, ACCEPT_REPLY),
+    PipelineMode.BASELINE_ZSL: (CODE_REPLY,),
+}
+# Faults no agent raises on purpose: each stands for a bug or an unforeseen input.
+FAULTS = (
+    lambda: RuntimeError("boom"),
+    lambda: TypeError("unsupported operand type(s) for +: 'int' and 'str'"),
+    lambda: KeyError("choices"),
+    lambda: RecursionError("maximum recursion depth exceeded"),
+    lambda: UnicodeEncodeError("utf-8", "\ud800", 0, 1, "surrogates not allowed"),
+)
+
+
+class TestFaultInjection:
+    @pytest.mark.parametrize("mode", list(FAULT_SCRIPTS), ids=lambda m: m.value)
+    def test_a_fault_at_any_exchange_ends_the_run_recorded(self, fixtures_dir, tmp_path, mode):
+        script = FAULT_SCRIPTS[mode]
+        case = fixtures_dir / ("case_view_zsl" if mode is PipelineMode.BASELINE_ZSL else "case_view")
+        clean = run_bench(case, config(seq(*script), mode), 1, out_dir=tmp_path / "clean")
+        assert clean[0].status is RunStatus.COMPLETED and clean[0].failure is None
+        assert len(read_transcript(tmp_path / "clean/run-001.jsonl")) == len(script) + 1
+        for k in range(1, len(script) + 1):
+            out = tmp_path / f"k{k}"
+            outcomes = run_bench(
+                case,
+                config(seq(), mode),
+                len(FAULTS),
+                out_dir=out,
+                backend_factory=lambda i: FaultAt(script, k, FAULTS[i - 1]),
+                parallelism=2,
+            )
+            assert [o.run_id for o in outcomes] == [f"run-00{i}" for i in range(1, len(FAULTS) + 1)]
+            for outcome, fault in zip(outcomes, FAULTS):
+                assert outcome.status is RunStatus.FAILED_GENERATION
+                assert outcome.failure == f"{type(fault()).__name__}: {fault()}"
+                *exchanges, summary = read_transcript(out / f"{outcome.run_id}.jsonl")
+                assert len(exchanges) == k
+                assert exchanges[-1]["error"] == summary["failure"] == outcome.failure
+                assert summary["status"] == "failed_generation" and summary["final_loc"] is None
+                assert not (out / f"{outcome.run_id}.updated.php").exists()
+
+    @pytest.mark.parametrize("stop", [KeyboardInterrupt, SystemExit])
+    @pytest.mark.parametrize("mode", list(FAULT_SCRIPTS), ids=lambda m: m.value)
+    def test_interrupts_still_stop_the_run_and_the_bench(self, fixtures_dir, tmp_path, mode, stop):
+        script = FAULT_SCRIPTS[mode]
+        case = fixtures_dir / ("case_view_zsl" if mode is PipelineMode.BASELINE_ZSL else "case_view")
+        with pytest.raises(stop):
+            run_bench(
+                case,
+                config(seq(), mode),
+                2,
+                out_dir=tmp_path,
+                backend_factory=lambda i: FaultAt(script, len(script), stop),
+                parallelism=2,
+            )
+
+
+def test_readme_lists_the_summary_keys_write_transcript_writes(tmp_path, original_code, two_requirements):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\nThe summary record is the last line.", 1)[1].split("\n\n", 2)[1]
+    documented = [line.split("`")[1] for line in section.splitlines() if line.startswith("- `")]
+    for backend in (happy_single_task_backend(), seq()):
+        transcript = Transcript("r1")
+        outcome = run_pipeline(original_code, two_requirements, config(backend), transcript=transcript)
+        write_transcript(outcome, transcript.entries, tmp_path / "t.jsonl")
+        summary = read_transcript(tmp_path / "t.jsonl")[-1]
+        assert sorted(summary) == sorted(documented)
+        assert (summary["failure"] is None) is (outcome.status is RunStatus.COMPLETED)
