@@ -14,7 +14,6 @@ from .evaluation import (
     ErrorCategory,
     ErrorRecord,
     RequirementScoreRecord,
-    RunRecord,
     aggregate,
     emit_report,
     ingest_ledger,
@@ -37,6 +36,7 @@ from .pipeline import (
     PipelineConfig,
     PipelineMode,
     RunOutcome,
+    RunRecord,
     RunStatus,
     run_pipeline,
 )

@@ -3,7 +3,8 @@ and the single-call baseline op.
 
 Each operation renders its role template and hands it to ``_ask``: one call,
 a marker-based parse that ignores surrounding prose, at most one re-ask, and
-a flag on the last exchange when no reply parsed.
+a flag on the last exchange when no reply parsed. The three roles that return
+a file ask through ``_ask_code``.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .backend import Backend, ChatMessage, ChatRequest, ChatResponse, DEFAULT_MODEL, Role
-from .errors import FailedGeneration, NoCodeFound, PlanParseError, PromptSpecParseError, TemplateError
+from .errors import FailedGeneration, PlanParseError, PromptSpecParseError, TemplateError
 from .model import (
     CodeArtifact,
     Decision,
@@ -39,7 +40,6 @@ TEMPLATE_PLACEHOLDERS = {
     "verifier": frozenset({"task"}),
     "finalizer": frozenset({"task", "feedback"}),
 }
-TEMPLATE_NAMES = tuple(TEMPLATE_PLACEHOLDERS)
 
 DEFAULT_PROMPT_DIR = Path(__file__).parent / "prompts"
 
@@ -90,16 +90,6 @@ class PromptSpec:
                 raise ValueError(f"{name} must be non-empty")
 
 
-def render_template(template: str, values: Mapping[str, str]) -> str:
-    def substitute(match: re.Match) -> str:
-        name = match.group(1)
-        if name not in values:
-            raise TemplateError(f"no value for placeholder {{{{{name}}}}}")
-        return values[name]
-
-    return _PLACEHOLDER_RE.sub(substitute, template)
-
-
 class PromptLibrary:
     """Loads the six fixed-name template assets from a directory and checks
     that each names only placeholders its role fills."""
@@ -107,21 +97,26 @@ class PromptLibrary:
     def __init__(self, directory: str | Path = DEFAULT_PROMPT_DIR):
         self.directory = Path(directory)
         self._templates: dict[str, str] = {}
-        for name in TEMPLATE_NAMES:
+        for name, placeholders in TEMPLATE_PLACEHOLDERS.items():
             path = self.directory / f"{name}.txt"
             if not path.is_file():
                 raise TemplateError(f"missing prompt template {path}")
             text = path.read_text(encoding="utf-8")
             if not text.strip():
                 raise TemplateError(f"prompt template {path} is empty")
-            unknown = sorted(set(_PLACEHOLDER_RE.findall(text)) - TEMPLATE_PLACEHOLDERS[name])
+            unknown = sorted(set(_PLACEHOLDER_RE.findall(text)) - placeholders)
             if unknown:
                 names = ", ".join(f"{{{{{u}}}}}" for u in unknown)
                 raise TemplateError(f"prompt template {path} names unknown placeholder(s) {names}")
             self._templates[name] = text
 
     def render(self, name: str, **values: str) -> str:
-        return render_template(self._templates[name], values)
+        def substitute(match: re.Match) -> str:
+            if match.group(1) not in values:
+                raise TemplateError(f"no value for placeholder {match.group(0)}")
+            return values[match.group(1)]
+
+        return _PLACEHOLDER_RE.sub(substitute, self._templates[name])
 
 
 @dataclass
@@ -192,12 +187,19 @@ def _ask(
     return parsed
 
 
-def _code(reply: str) -> str | None:
-    """The code in a reply, or None when it holds none."""
-    try:
-        return extract_code(reply)
-    except NoCodeFound:
-        return None
+def _ask_code(
+    ctx: AgentContext, agent: str, system: str, body: str, task_ordinal: int, iteration: int
+) -> CodeArtifact:
+    """Ask for a whole file: body, then the return-only-code directive. A reply
+    without code is flagged no_code and fails the generation; no re-ask."""
+    user = f"{body}\n\n{RETURN_ONLY_CODE}"
+    # extract_code is looked up here at call time, so a tracer may wrap it.
+    content = _ask(
+        ctx, agent, system, user, extract_code, "no_code", task_ordinal=task_ordinal, iteration=iteration
+    )
+    if content is None:
+        raise FailedGeneration(f"{agent} reply for task {task_ordinal} contained no code")
+    return CodeArtifact(content=content, iteration=iteration)
 
 
 def parse_task_lines(text: str) -> list[str]:
@@ -284,13 +286,7 @@ def execute(ctx: AgentContext, prompt: PromptSpec, code: CodeArtifact) -> CodeAr
         example_before=prompt.example_before,
         example_after=prompt.example_after,
     )
-    user = f"{code.content}\n\n{RETURN_ONLY_CODE}"
-    content = _ask(
-        ctx, "executor", system, user, _code, "no_code", task_ordinal=prompt.task_ordinal, iteration=0
-    )
-    if content is None:
-        raise FailedGeneration(f"executor reply for task {prompt.task_ordinal} contained no code")
-    return CodeArtifact(content=content, iteration=0)
+    return _ask_code(ctx, "executor", system, code.content, prompt.task_ordinal, 0)
 
 
 def verify(
@@ -298,19 +294,18 @@ def verify(
     task: Task,
     before: CodeArtifact,
     after: CodeArtifact,
-    original: CodeArtifact | None = None,
+    original: CodeArtifact,
 ) -> Verdict:
     """Ask the verifier whether the task is complete in the after version.
 
     The original user input is shown alongside the pre-task version so
     cumulative drift across tasks stays visible. When the two are the same
-    text (every first task, and no original given), the file is shown once
-    under a label naming both roles. After a failed re-ask the verdict
-    defaults to accept (flagged), biasing toward progress over a
-    hallucinating verifier.
+    text (every first task), the file is shown once under a label naming
+    both roles. After a failed re-ask the verdict defaults to accept
+    (flagged), biasing toward progress over a hallucinating verifier.
     """
     system = ctx.prompts.render("verifier", task=task.description)
-    if original is None or original.content == before.content:
+    if original.content == before.content:
         shown = f"BEFORE THIS TASK (unchanged ORIGINAL FILE):\n{before.content}\n\n"
     else:
         shown = f"ORIGINAL FILE:\n{original.content}\n\nBEFORE THIS TASK:\n{before.content}\n\n"
@@ -353,21 +348,10 @@ def finalize(ctx: AgentContext, task: Task, code: CodeArtifact, feedback: str) -
     if not feedback.strip():
         raise ValueError("finalize requires non-empty feedback")
     system = ctx.prompts.render("finalizer", task=task.description, feedback=feedback)
-    user = f"{code.content}\n\n{RETURN_ONLY_CODE}"
-    iteration = code.iteration + 1
-    content = _ask(
-        ctx, "finalizer", system, user, _code, "no_code", task_ordinal=task.ordinal, iteration=iteration
-    )
-    if content is None:
-        raise FailedGeneration(f"finalizer reply for task {task.ordinal} contained no code")
-    return CodeArtifact(content=content, iteration=iteration)
+    return _ask_code(ctx, "finalizer", system, code.content, task.ordinal, code.iteration + 1)
 
 
 def baseline(ctx: AgentContext, prompt_text: str, code: CodeArtifact) -> CodeArtifact:
     """The bare ZSL/OSL call: the user-authored prompt, then the file and the
     return-only-code directive, recorded as task 1, iteration 0."""
-    user = f"{prompt_text}\n\n{code.content}\n\n{RETURN_ONLY_CODE}"
-    content = _ask(ctx, "baseline", BASELINE_SYSTEM, user, _code, "no_code", task_ordinal=1, iteration=0)
-    if content is None:
-        raise FailedGeneration("baseline reply for task 1 contained no code")
-    return CodeArtifact(content=content, iteration=0)
+    return _ask_code(ctx, "baseline", BASELINE_SYSTEM, f"{prompt_text}\n\n{code.content}", 1, 0)

@@ -201,6 +201,9 @@ def cmd_bench(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
+    # Checked before any input is read, so a bad label leaves no output touched.
+    if not utf8_encodable(args.label):
+        raise ConfigError("--label is not valid UTF-8")
     case_out = Path(args.case_out_dir)
     records = read_bench_index(case_out / "index.csv")
     errors = ingest_ledger(args.ledger)

@@ -15,7 +15,7 @@ class ConfigError(UpliftError):
     """Invalid or inconsistent configuration."""
 
 
-# --- requirement / code parsing -------------------------------------------
+# --- requirement parsing ---------------------------------------------------
 
 class EmptyRequirements(UpliftError):
     """No requirement marker line found in the input."""
@@ -23,10 +23,6 @@ class EmptyRequirements(UpliftError):
 
 class MalformedMarker(UpliftError):
     """A requirement marker with no text and no continuation lines."""
-
-
-class NoCodeFound(UpliftError):
-    """A model reply contained neither a fenced block nor a code sentinel."""
 
 
 # --- backend ---------------------------------------------------------------
@@ -66,7 +62,7 @@ class PromptSpecParseError(UpliftError):
 
 
 class FailedGeneration(UpliftError):
-    """An executor or finalizer reply contained no extractable code."""
+    """An executor, finalizer or baseline reply contained no extractable code."""
 
 
 # --- evaluation harness ------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import re
 import statistics
 from concurrent.futures import ThreadPoolExecutor
@@ -34,6 +33,7 @@ from .pipeline import (
     PipelineConfig,
     PipelineMode,
     RunOutcome,
+    RunRecord,
     RunStatus,
     run_pipeline,
 )
@@ -98,17 +98,6 @@ class RequirementScoreRecord:
             raise ValueError("requirement_index must be positive")
         if self.value not in (0, 1):
             raise ValueError("value must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """The per-run facts aggregation needs, reloaded from a bench index.csv.
-    A live RunOutcome carries the same four attributes."""
-
-    run_id: str
-    status: RunStatus
-    duration_seconds: float
-    loc: int | None
 
 
 @dataclass(frozen=True)
@@ -225,7 +214,7 @@ def ingest_replaced_functions(path: str | Path) -> dict[str, int]:
 
 
 def aggregate(
-    outcomes: Sequence[RunOutcome | RunRecord],
+    outcomes: Sequence[RunRecord],
     errors: Sequence[ErrorRecord],
     scores: Sequence[RequirementScoreRecord],
     label: str,
@@ -261,7 +250,7 @@ def aggregate(
     for err in errors:
         distinct.setdefault(err.run_id, set()).add(err.mistake_id)
 
-    def is_failed(rec: RunOutcome | RunRecord) -> bool:
+    def is_failed(rec: RunRecord) -> bool:
         return (
             rec.status is RunStatus.FAILED_GENERATION
             or len(distinct.get(rec.run_id, ())) > failed_error_threshold
@@ -286,7 +275,7 @@ def aggregate(
         requirement_means = tuple(means)
         requirement_total = sum(requirement_means)
 
-    def fully_correct(rec: RunOutcome | RunRecord) -> bool:
+    def fully_correct(rec: RunRecord) -> bool:
         if distinct.get(rec.run_id):
             return False
         return all(score_map.get((rec.run_id, i), 0) == 1 for i in indices)
@@ -401,7 +390,7 @@ def run_bench(
     return [one_run(i) for i in indexes]
 
 
-def write_bench_index(outcomes: Sequence[RunOutcome | RunRecord], path: str | Path) -> None:
+def write_bench_index(outcomes: Sequence[RunRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(INDEX_HEADER)
@@ -417,12 +406,7 @@ def write_bench_index(outcomes: Sequence[RunOutcome | RunRecord], path: str | Pa
 
 
 def _index_row(run_id: str, status: str, duration: str, loc: str) -> RunRecord:
-    seconds = float(duration)
-    if not (math.isfinite(seconds) and seconds >= 0):
-        raise ValueError(f"duration {duration} is not a finite non-negative number")
-    if loc and int(loc) < 0:
-        raise ValueError(f"negative loc {loc}")
-    return RunRecord(run_id, RunStatus(status), seconds, int(loc) if loc else None)
+    return RunRecord(run_id, RunStatus(status), float(duration), int(loc) if loc else None)
 
 
 def read_bench_index(path: str | Path) -> list[RunRecord]:

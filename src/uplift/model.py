@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from .errors import ConfigError, EmptyRequirements, MalformedMarker, NoCodeFound
+from .errors import ConfigError, EmptyRequirements, MalformedMarker
 
 # Replies that skip the code fence but plainly start with source code are
 # still accepted.
@@ -160,13 +160,12 @@ def count_loc(content: str) -> int:
     return sum(1 for line in content.splitlines() if line.strip())
 
 
-def extract_code(response: str) -> str:
+def extract_code(response: str) -> str | None:
     """Pull source code out of a raw model reply.
 
     Prefers the longest fenced block (replies often show fragments before the
     full file). Without a fence, a reply that starts with a known code
-    sentinel is accepted whole. Anything else raises NoCodeFound, which
-    callers treat as a failed generation.
+    sentinel is accepted whole. Any other reply holds no code: None.
     """
     # A block has a non-blank line exactly when it has a non-whitespace
     # character: every line break splitlines() knows is whitespace.
@@ -174,9 +173,7 @@ def extract_code(response: str) -> str:
     if blocks:
         return max(blocks, key=len)
     trimmed = response.strip()
-    if trimmed.startswith(_CODE_SENTINELS):
-        return trimmed
-    raise NoCodeFound("reply contains no fenced code block and no code sentinel")
+    return trimmed if trimmed.startswith(_CODE_SENTINELS) else None
 
 
 def _fenced_blocks(response: str) -> list[str]:

@@ -4,6 +4,7 @@ the run's transcript."""
 
 from __future__ import annotations
 
+import math
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ __all__ = [
     "PipelineMode",
     "PipelineConfig",
     "RunStatus",
+    "RunRecord",
     "RunOutcome",
     "run_pipeline",
 ]
@@ -78,27 +80,40 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class RunOutcome:
+class RunRecord:
+    """The four facts of a run that a bench index.csv row holds and that
+    aggregation reads; loc is None for a run without code."""
+
     run_id: str
-    final_code: CodeArtifact | None
     status: RunStatus
     duration_seconds: float
+    loc: int | None
+
+    def __post_init__(self):
+        if not self.run_id:
+            raise ValueError("run_id must be non-empty")
+        if not (math.isfinite(self.duration_seconds) and self.duration_seconds >= 0):
+            raise ValueError(f"duration {self.duration_seconds} is not a finite non-negative number")
+        if self.loc is not None and self.loc < 0:
+            raise ValueError(f"negative loc {self.loc}")
+
+
+@dataclass(frozen=True)
+class RunOutcome(RunRecord):
+    """A live run: its record, plus the code and counts its transcript summary holds."""
+
+    final_code: CodeArtifact | None
     task_count: int
     finalizer_invocations: int
     # "<Type>: <message>" of the exception that ended a failed run; None on a completed one.
     failure: str | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if (self.status is RunStatus.FAILED_GENERATION) is (self.failure is None):
             raise ValueError("a run carries a failure exactly when it failed")
         if self.failure is not None and self.final_code is not None:
             raise ValueError("a failed run cannot carry final code")
-        if self.duration_seconds < 0:
-            raise ValueError("duration cannot be negative")
-
-    @property
-    def loc(self) -> int | None:
-        return self.final_code.loc if self.final_code is not None else None
 
 
 def new_run_id() -> str:
@@ -178,11 +193,13 @@ def run_pipeline(
             final = current
     except Exception as exc:
         failure = error_text(exc)
+    # Arguments are evaluated in order: loc is counted after the duration is taken.
     return RunOutcome(
         run_id=transcript.run_id,
-        final_code=final,
         status=RunStatus.COMPLETED if failure is None else RunStatus.FAILED_GENERATION,
         duration_seconds=time.perf_counter() - start,
+        loc=final.loc if final is not None else None,
+        final_code=final,
         task_count=task_count,
         finalizer_invocations=finalizer_invocations,
         failure=failure,

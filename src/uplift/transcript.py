@@ -72,6 +72,8 @@ class Transcript:
     """Collects exchange entries for one run, in call order."""
 
     def __init__(self, run_id: str):
+        if not run_id:
+            raise ValueError("run_id must be non-empty")
         self.run_id = run_id
         self.entries: list[TranscriptEntry] = []
 
@@ -91,9 +93,9 @@ class Transcript:
 def write_transcript(run: "RunOutcome", entries: Iterable[TranscriptEntry], path: str | Path) -> None:
     """Write exchanges plus a trailing summary record as JSONL. Every
     exchange line carries the run's id. The summary holds each RunOutcome
-    field but final_code, which it gives as final_loc."""
+    field but final_code and loc, which it gives as final_loc."""
     lines = [e.to_line(run.run_id) for e in entries]
-    summary = {f.name: getattr(run, f.name) for f in fields(run) if f.name != "final_code"}
+    summary = {f.name: getattr(run, f.name) for f in fields(run) if f.name not in ("final_code", "loc")}
     summary.update(record="summary", status=run.status.value, final_loc=run.loc)
     lines.append(dump_record(summary))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -14,7 +14,7 @@ from uplift.agents import (
     PromptLibrary,
     PromptSpec,
     RETURN_ONLY_CODE,
-    TEMPLATE_NAMES,
+    TEMPLATE_PLACEHOLDERS,
     baseline,
     execute,
     finalize,
@@ -22,7 +22,6 @@ from uplift.agents import (
     manager_confirm,
     manager_plan,
     parse_task_lines,
-    render_template,
     verify,
 )
 from uplift.backend import ChatMessage, ChatResponse, Role
@@ -92,7 +91,7 @@ class TestTemplates:
         with pytest.raises(TemplateError, match="verifier.txt"):
             PromptLibrary(prompts)
 
-    @pytest.mark.parametrize("name", TEMPLATE_NAMES)
+    @pytest.mark.parametrize("name", TEMPLATE_PLACEHOLDERS)
     def test_unknown_placeholder_fails_at_load(self, tmp_path, name):
         shutil.copytree(DEFAULT_PROMPT_DIR, tmp_path / "prompts")
         path = tmp_path / "prompts" / f"{name}.txt"
@@ -107,10 +106,13 @@ class TestTemplates:
         library = PromptLibrary(tmp_path / "prompts")
         assert library.render("finalizer", task="t", feedback="f") == "Fix: t"
 
-    def test_unfilled_placeholder_is_an_error(self):
-        with pytest.raises(TemplateError):
-            render_template("hello {{name}}", {})
-        assert render_template("hello {{name}}", {"name": "world"}) == "hello world"
+    def test_unfilled_placeholder_is_an_error(self, tmp_path):
+        shutil.copytree(DEFAULT_PROMPT_DIR, tmp_path / "prompts")
+        (tmp_path / "prompts" / "finalizer.txt").write_text("hello {{task}}", encoding="utf-8")
+        library = PromptLibrary(tmp_path / "prompts")
+        with pytest.raises(TemplateError, match=r"^no value for placeholder \{\{task\}\}$"):
+            library.render("finalizer")
+        assert library.render("finalizer", task="world") == "hello world"
 
     def test_missing_template_dir(self, tmp_path):
         with pytest.raises(TemplateError):
@@ -260,34 +262,36 @@ class TestExecute:
 class TestVerify:
     def test_accept(self, original_code):
         ctx = ctx_with(seq(ACCEPT_REPLY))
-        verdict = verify(ctx, a_task(), original_code, executor_artifact())
+        verdict = verify(ctx, a_task(), original_code, executor_artifact(), original=original_code)
         assert verdict.decision is Decision.ACCEPT
         assert verdict.feedback == ""
         assert "verdict_fallback" not in ctx.transcript.entries[-1].flags
 
     def test_revise_with_feedback(self, original_code):
         ctx = ctx_with(seq(REVISE_REPLY))
-        verdict = verify(ctx, a_task(), original_code, executor_artifact())
+        verdict = verify(ctx, a_task(), original_code, executor_artifact(), original=original_code)
         assert verdict.decision is Decision.REVISE
         assert verdict.feedback == "first() not used on the ORM object"
 
     def test_garbage_twice_falls_back_to_accept(self, original_code):
         ctx = ctx_with(seq("hmm", "not sure"))
-        verdict = verify(ctx, a_task(), original_code, executor_artifact())
+        verdict = verify(ctx, a_task(), original_code, executor_artifact(), original=original_code)
         assert verdict.decision is Decision.ACCEPT
         assert [e.agent for e in ctx.transcript.entries].count("verifier") == 2
         assert "verdict_fallback" in ctx.transcript.entries[-1].flags
 
     def test_revise_without_feedback_is_unparseable(self, original_code):
         ctx = ctx_with(seq("VERDICT: REVISE", ACCEPT_REPLY))
-        verdict = verify(ctx, a_task(), original_code, executor_artifact())
+        verdict = verify(ctx, a_task(), original_code, executor_artifact(), original=original_code)
         assert verdict.decision is Decision.ACCEPT
         assert "verdict_fallback" not in ctx.transcript.entries[-1].flags
 
     def test_feedback_is_first_feedback_line_only(self, original_code):
         # single-line capture keeps the parser deaf to trailing prose
         reply = "VERDICT: REVISE\nFEEDBACK: first problem\ntrailing commentary"
-        verdict = verify(ctx_with(seq(reply)), a_task(), original_code, executor_artifact())
+        verdict = verify(
+            ctx_with(seq(reply)), a_task(), original_code, executor_artifact(), original=original_code
+        )
         assert verdict.feedback == "first problem"
 
     def test_prompt_shows_original_before_and_after(self, original_code):
@@ -300,10 +304,10 @@ class TestVerify:
         assert user.index(original_code.content) < user.index("<?php new version ?>")
 
 
-    @pytest.mark.parametrize("same", [None, "equal copy"], ids=["omitted", "equal"])
-    def test_unchanged_file_is_shown_once(self, original_code, same):
+    @pytest.mark.parametrize("copy", [True, False], ids=["equal", "same"])
+    def test_unchanged_file_is_shown_once(self, original_code, copy):
         ctx = ctx_with(seq(ACCEPT_REPLY))
-        original = None if same is None else CodeArtifact(original_code.content)
+        original = CodeArtifact(original_code.content) if copy else original_code
         verify(ctx, a_task(), original_code, executor_artifact("<?php new version ?>"), original=original)
         user = ctx.transcript.entries[0].request["messages"][1]["content"]
         assert user.count(original_code.content) == 1
@@ -347,7 +351,7 @@ class TestParserProperties:
         assert len(ctx.transcript.entries) == 2
 
         ctx = ctx_with(seq("??", "??"))
-        verify(ctx, a_task(), original_code, executor_artifact())
+        verify(ctx, a_task(), original_code, executor_artifact(), original=original_code)
         assert len(ctx.transcript.entries) == 2
 
 
@@ -356,11 +360,12 @@ PROMPT = PromptSpec("Update helpers.", "echo $html->link('x');", "echo $this->Ht
 
 # Each role fed nothing but unparseable replies: the op, the agent it records,
 # how many exchanges it makes (a second one is the re-ask), the flag on its
-# last exchange, and the error it raises or the value it falls back to. The
-# README's flag table is kept in step with this list.
+# last exchange, and the error it raises (type and message) or the value it
+# falls back to. The README's flag table is kept in step with this list.
 UNPARSEABLE = [
     pytest.param(
-        lambda ctx, reqs, code: manager_plan(ctx, reqs), "manager", 2, "plan_unparsed", PlanParseError,
+        lambda ctx, reqs, code: manager_plan(ctx, reqs), "manager", 2, "plan_unparsed",
+        PlanParseError("manager reply contained no TASK lines after a re-ask"),
         id="manager_plan",
     ),
     pytest.param(
@@ -369,23 +374,24 @@ UNPARSEABLE = [
     ),
     pytest.param(
         lambda ctx, reqs, code: make_prompt(ctx, a_task(), code), "prompt_maker", 2, "sections_unparsed",
-        PromptSpecParseError, id="make_prompt",
+        PromptSpecParseError("prompt-maker reply for task 1 was missing sections after a re-ask"),
+        id="make_prompt",
     ),
     pytest.param(
-        lambda ctx, reqs, code: verify(ctx, a_task(), code, executor_artifact()), "verifier", 2,
+        lambda ctx, reqs, code: verify(ctx, a_task(), code, executor_artifact(), original=code), "verifier", 2,
         "verdict_fallback", Verdict(Decision.ACCEPT), id="verify",
     ),
     pytest.param(
-        lambda ctx, reqs, code: execute(ctx, PROMPT, code), "executor", 1, "no_code", FailedGeneration,
-        id="execute",
+        lambda ctx, reqs, code: execute(ctx, PROMPT, code), "executor", 1, "no_code",
+        FailedGeneration("executor reply for task 1 contained no code"), id="execute",
     ),
     pytest.param(
-        lambda ctx, reqs, code: finalize(ctx, a_task(), code, "use first()"), "finalizer", 1, "no_code",
-        FailedGeneration, id="finalize",
+        lambda ctx, reqs, code: finalize(ctx, a_task(ordinal=2), code, "use first()"), "finalizer", 1,
+        "no_code", FailedGeneration("finalizer reply for task 2 contained no code"), id="finalize",
     ),
     pytest.param(
         lambda ctx, reqs, code: baseline(ctx, "Update this view.", code), "baseline", 1, "no_code",
-        FailedGeneration, id="baseline",
+        FailedGeneration("baseline reply for task 1 contained no code"), id="baseline",
     ),
 ]
 
@@ -396,15 +402,35 @@ def test_unparseable_replies_flag_the_last_exchange(
 ):
     # More replies than any role asks for, so a surplus call shows in the count.
     ctx = ctx_with(seq("Sorry.", "Still no markers.", "Nothing."))
-    if isinstance(outcome, type):
-        with pytest.raises(outcome):
+    if isinstance(outcome, Exception):
+        with pytest.raises(type(outcome)) as raised:
             op(ctx, two_requirements, original_code)
+        assert str(raised.value) == str(outcome)
     else:
         assert op(ctx, two_requirements, original_code) == outcome
     expected = [{"re_ask"} if i else set() for i in range(exchanges)]
     expected[-1].add(flag)
     assert [e.agent for e in ctx.transcript.entries] == [agent] * exchanges
     assert [e.flags for e in ctx.transcript.entries] == expected
+
+
+@pytest.mark.parametrize(
+    "op, prefix",
+    [
+        pytest.param(lambda ctx, code: execute(ctx, PROMPT, code), "", id="execute"),
+        pytest.param(lambda ctx, code: finalize(ctx, a_task(), code, "use first()"), "", id="finalize"),
+        pytest.param(
+            lambda ctx, code: baseline(ctx, "Update this view.", code), "Update this view.\n\n", id="baseline"
+        ),
+    ],
+)
+def test_code_roles_end_the_user_message_in_one_directive(op, prefix, original_code):
+    ctx = ctx_with(seq(CODE_REPLY))
+    op(ctx, original_code)
+    [entry] = ctx.transcript.entries
+    user = entry.request["messages"][-1]["content"]
+    assert user == f"{prefix}{original_code.content}\n\n{RETURN_ONLY_CODE}"
+    assert user.count(RETURN_ONLY_CODE) == 1
 
 
 def test_readme_flag_table_names_each_flag_and_its_agents():

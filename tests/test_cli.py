@@ -686,6 +686,22 @@ class TestReport:
         # A label with none of the quoted characters prints as it is.
         assert line.startswith(f"method_label={label} ") is (label in ("ZSL", "Système"))
 
+    def test_label_not_valid_utf8_exits_2_and_touches_no_output(self, workdir, capsys):
+        out_dir = self.bench(workdir, reps=2)
+        ledger = workdir / "ledger.csv"
+        ledger.write_text("run_id,mistake_id,category,description\nrun-001,m1,fatal,x\n", encoding="utf-8")
+        assert main(["report", str(out_dir), str(ledger), "--label", "m"]) == 0
+        earlier = (out_dir / "report.csv").read_bytes()
+        # The argv bytes b"m\xff" as Python decodes them.
+        label = b"m\xff".decode("utf-8", "surrogateescape")
+        capsys.readouterr()
+        assert main(["report", str(out_dir), str(ledger), "--label", label]) == 2
+        assert capsys.readouterr().err == "error: --label is not valid UTF-8\n"
+        assert (out_dir / "report.csv").read_bytes() == earlier
+        fresh = workdir / "fresh"
+        assert main(["report", str(out_dir), str(ledger), "--label", label, "--out", str(fresh)]) == 2
+        assert not fresh.exists()
+
     def test_non_finite_index_duration_exits_2(self, workdir, capsys):
         out_dir = workdir / "out"
         out_dir.mkdir()

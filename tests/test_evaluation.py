@@ -395,22 +395,24 @@ class TestBenchIndex:
             read_bench_index(path)
 
     @pytest.mark.parametrize(
-        "row",
+        "row, message",
         [
-            "run-001,completed,nan,3",
-            "run-001,completed,inf,3",
-            "run-001,completed,-inf,3",
-            "run-001,completed,-0.5,3",
-            "run-001,completed,1.0,-3",
-            "run-001,completed,nan,-3",
+            ("run-001,completed,nan,3", "duration nan is not a finite non-negative number"),
+            ("run-001,completed,inf,3", "duration inf is not a finite non-negative number"),
+            ("run-001,completed,-inf,3", "duration -inf is not a finite non-negative number"),
+            ("run-001,completed,-0.5,3", "duration -0.5 is not a finite non-negative number"),
+            ("run-001,completed,1.0,-3", "negative loc -3"),
+            ("run-001,completed,nan,-3", "duration nan is not a finite non-negative number"),
+            (",completed,1.000,3", "run_id must be non-empty"),
         ],
     )
-    def test_negative_or_non_finite_values_rejected(self, tmp_path, row):
+    def test_negative_or_non_finite_values_rejected(self, tmp_path, row, message):
         path = tmp_path / "index.csv"
         header = "run_id,status,duration_seconds,loc\nrun-002,completed,0.0,0\n"
         path.write_text(f"{header}{row}\n", encoding="utf-8")
-        with pytest.raises(LedgerParseError, match=r"^row 3: .*index\.csv: "):
+        with pytest.raises(LedgerParseError) as raised:
             read_bench_index(path)
+        assert str(raised.value) == f"row 3: {path}: {message}"
 
 
 class TestEmitReport:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from uplift.errors import EmptyRequirements, MalformedMarker, NoCodeFound
+from uplift.errors import EmptyRequirements, MalformedMarker
 from uplift.model import (
     CodeArtifact,
     Decision,
@@ -108,9 +108,8 @@ class TestExtractCode:
     def test_sentinel_fallback(self):
         assert extract_code("<?php echo 1;") == "<?php echo 1;"
 
-    def test_no_code_raises(self):
-        with pytest.raises(NoCodeFound):
-            extract_code("I cannot update this file.")
+    def test_no_code_is_none(self):
+        assert extract_code("I cannot update this file.") is None
 
     def test_longest_block_wins(self):
         reply = (
@@ -120,8 +119,7 @@ class TestExtractCode:
         assert extract_code(reply) == "<?php\n$x = 1;\n$y = 2;\necho $x + $y;"
 
     def test_empty_fence_is_ignored(self):
-        with pytest.raises(NoCodeFound):
-            extract_code("```\n```\nno actual code")
+        assert extract_code("```\n```\nno actual code") is None
 
     def test_unterminated_fence_runs_to_end(self):
         assert extract_code("```php\n<?php echo 2;") == "<?php echo 2;"

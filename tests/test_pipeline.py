@@ -296,6 +296,11 @@ class TestTranscriptInvariants:
             assert len(records) == len(transcript.entries) + 1
             assert {r["run_id"] for r in records} == {run.run_id}
 
+    def test_empty_run_id_is_rejected(self):
+        # Caught when the transcript is built, before a run could record it.
+        with pytest.raises(ValueError, match="^run_id must be non-empty$"):
+            Transcript("")
+
     def test_unwritable_path_surfaces_io_error(self, original_code, two_requirements):
         outcome, transcript = self.run_with_transcript(
             original_code, two_requirements, happy_single_task_backend()
