@@ -8,7 +8,6 @@ replays canned responses for deterministic offline runs.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
 import time
@@ -19,8 +18,6 @@ from threading import Lock
 from typing import Any, Callable, Iterable, Protocol
 
 from .errors import BackendExhausted, CredentialMissing, ScriptExhausted, ScriptParseError
-
-log = logging.getLogger(__name__)
 
 DEFAULT_MODEL = "gpt-4o-mini"
 API_KEY_ENV = "LLM_API_KEY"
@@ -201,7 +198,6 @@ class HttpBackend:
                 status, body = self._transport(self.endpoint, payload, api_key, TIMEOUT_S)
             except OSError as exc:  # every requests.RequestException is one
                 failures.append(f"attempt {attempt + 1}: {exc}")
-                log.debug("transport error on attempt %d: %s", attempt + 1, exc)
                 continue
             finally:
                 latency += time.perf_counter() - start

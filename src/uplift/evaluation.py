@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
-import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -126,13 +125,14 @@ def population_sd(values: Sequence[float]) -> float:
     """
     if not values:
         raise EmptyInput("population_sd of an empty list")
+    import statistics  # here, so that only report loads it
     return statistics.pstdev(sorted(values))
 
 
 def _mean(values: Sequence[float]) -> float:
     if not values:
         return 0.0
-    return statistics.fmean(sorted(values))
+    return math.fsum(sorted(values)) / len(values)  # statistics.fmean's sum and divide
 
 
 def _read_csv(
@@ -292,7 +292,7 @@ def aggregate(
         method_label=label,
         mean_errors=_mean(error_counts),
         sd_errors=population_sd(error_counts) if error_counts else 0.0,
-        mean_loc=_mean([r.loc for r in completed if r.loc is not None]),
+        mean_loc=_mean([r.loc for r in completed]),
         mean_duration_seconds=_mean([r.duration_seconds for r in completed]),
         runs_total=len(records),
         runs_failed=len(records) - len(completed),
@@ -385,6 +385,7 @@ def run_bench(
 
     indexes = range(1, repetitions + 1)
     if parallelism > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here, so that a serial bench never loads it
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             return list(pool.map(one_run, indexes))
     return [one_run(i) for i in indexes]

@@ -5,8 +5,8 @@ the run's transcript."""
 from __future__ import annotations
 
 import math
+import os
 import time
-import uuid
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -82,7 +82,7 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class RunRecord:
     """The four facts of a run that a bench index.csv row holds and that
-    aggregation reads; loc is None for a run without code."""
+    aggregation reads; loc is given exactly when the run completed."""
 
     run_id: str
     status: RunStatus
@@ -94,6 +94,8 @@ class RunRecord:
             raise ValueError("run_id must be non-empty")
         if not (math.isfinite(self.duration_seconds) and self.duration_seconds >= 0):
             raise ValueError(f"duration {self.duration_seconds} is not a finite non-negative number")
+        if (self.status is RunStatus.COMPLETED) is (self.loc is None):
+            raise ValueError(f"a {self.status.value} run {'needs' if self.loc is None else 'cannot have'} a loc")
         if self.loc is not None and self.loc < 0:
             raise ValueError(f"negative loc {self.loc}")
 
@@ -117,7 +119,7 @@ class RunOutcome(RunRecord):
 
 
 def new_run_id() -> str:
-    return uuid.uuid4().hex[:12]
+    return os.urandom(6).hex()  # 12 hex digits, 48 random bits
 
 
 def context(config: PipelineConfig, transcript: Transcript) -> AgentContext:
@@ -179,16 +181,15 @@ def run_pipeline(
         else:
             plan = build_plan(ctx, spec, config.mode)
             task_count = len(plan.tasks)
-            original = code
             current = code
             for task in plan.tasks:
                 prompt = make_prompt(ctx, task, current)
                 candidate = execute(ctx, prompt, current)
-                verdict = verify(ctx, task, current, candidate, original=original)
+                verdict = verify(ctx, task, current, candidate, original=code)
                 while verdict.decision is Decision.REVISE and candidate.iteration < config.max_loop_iterations:
                     candidate = finalize(ctx, task, candidate, verdict.feedback)
                     finalizer_invocations += 1
-                    verdict = verify(ctx, task, current, candidate, original=original)
+                    verdict = verify(ctx, task, current, candidate, original=code)
                 current = candidate
             final = current
     except Exception as exc:

@@ -19,6 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import RunOutcome
 
 TIMING_FIELDS = ("latency_seconds", "duration_seconds")
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)  # json.dumps would build one per call
 
 
 def _digest(text: str) -> str:
@@ -32,7 +33,7 @@ def error_text(exc: BaseException) -> str:
 
 def dump_record(record: dict[str, Any]) -> str:
     """Canonical one-line JSON used for every transcript record."""
-    return json.dumps(record, sort_keys=True, ensure_ascii=False)
+    return _ENCODER.encode(record)
 
 
 @dataclass
@@ -54,8 +55,8 @@ class TranscriptEntry:
         The request is encoded once: that text is hashed for request_digest
         and spliced into the line, in the place its key sorts to."""
         request = dump_record(self.request)
-        record = {f.name: getattr(self, f.name) for f in fields(self)}
-        record.update(
+        record = dict(
+            vars(self),  # the entry's fields; dump_record sorts the keys
             record="exchange",
             run_id=run_id,
             request=None,

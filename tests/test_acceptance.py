@@ -151,16 +151,11 @@ def test_criterion_07_randomized_property_suite():
 
     for _ in range(1000):  # aggregate permutation invariance
         records = read_ledger(io.StringIO(to_csv(random_rows())))
-        outcomes = [
-            RunRecord(r, rng.choice(list(RunStatus)), rng.randint(1, 20) / 2, 10)
-            for r in run_ids
-        ]
-        outcomes = [
-            RunRecord(o.run_id, o.status, o.duration_seconds, None)
-            if o.status is RunStatus.FAILED_GENERATION
-            else o
-            for o in outcomes
-        ]
+        outcomes = []
+        for r in run_ids:
+            status = rng.choice(list(RunStatus))
+            loc = 10 if status is RunStatus.COMPLETED else None
+            outcomes.append(RunRecord(r, status, rng.randint(1, 20) / 2, loc))
         scores = [
             RequirementScoreRecord(r, i, rng.randint(0, 1)) for r in run_ids for i in (1, 2)
         ]

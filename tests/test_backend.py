@@ -356,38 +356,64 @@ class TestRequestsTransport:
 
 LAZY_IMPORT_CHILD = """
 import json, sys
-preloaded = "requests" in sys.modules
+watched = ("requests", "logging", "uuid", "statistics", "concurrent.futures")
+steps = {"site": [m for m in watched if m in sys.modules]}
 src, case = sys.argv[1:]
 sys.path.insert(0, src)
 import uplift
+steps["import"] = [m for m in watched if m in sys.modules]
 from uplift.cli import main
 script = case + "/script.json"
-codes = [
-    main(["plan", case + "/requirements.txt", "--script", script]),
-    main(["run", case + "/original.php", case + "/requirements.txt", "--script", script]),
-    main(["bench", case, "--script", script, "--reps", "1"]),
-    main(["report", "out/case_view", "ledger.csv", "--label", "x"]),
-]
-print(json.dumps({"preloaded": preloaded, "codes": codes, "loaded": "requests" in sys.modules}))
+commands = {
+    "plan": ["plan", case + "/requirements.txt", "--script", script],
+    "run": ["run", case + "/original.php", case + "/requirements.txt", "--script", script],
+    "bench": ["bench", case, "--script", script, "--reps", "1"],
+    "report": ["report", "out/case_view", "ledger.csv", "--label", "x"],
+}
+codes = []
+for step, argv in commands.items():
+    codes.append(main(argv))
+    steps[step] = [m for m in watched if m in sys.modules]
+print(json.dumps({"codes": codes, "steps": steps}))
 """
 
 
-def test_offline_commands_never_import_requests(fixtures_dir, tmp_path):
-    (tmp_path / "ledger.csv").write_text("run_id,mistake_id,category,description\nrun-001,m1,fatal,x\n")
+@pytest.fixture(scope="module")
+def offline_imports(tmp_path_factory):
+    """For a fresh interpreter that imports uplift, then runs the scripted
+    plan, run, bench and report in turn: the watched modules loaded by the
+    site setup and after each step."""
+    workdir = tmp_path_factory.mktemp("imports")
+    (workdir / "ledger.csv").write_text("run_id,mistake_id,category,description\nrun-001,m1,fatal,x\n")
     src = Path(uplift.__file__).resolve().parents[1]
+    case = Path(__file__).parent / "fixtures" / "case_view"
     proc = subprocess.run(
-        [sys.executable, "-c", LAZY_IMPORT_CHILD, str(src), str(fixtures_dir / "case_view")],
-        cwd=tmp_path,
+        [sys.executable, "-c", LAZY_IMPORT_CHILD, str(src), str(case)],
+        cwd=workdir,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    if result["preloaded"]:
-        pytest.skip("the interpreter's site setup imports requests")
     assert result["codes"] == [0, 0, 0, 0]
-    assert not result["loaded"]
+    return result["steps"]
+
+
+def test_offline_commands_never_import_requests(offline_imports):
+    if "requests" in offline_imports["site"]:
+        pytest.skip("the interpreter's site setup imports requests")
+    assert "requests" not in offline_imports["report"]
+
+
+@pytest.mark.parametrize("module", ["logging", "uuid", "statistics", "concurrent.futures"])
+def test_import_and_serial_run_load_no_unused_stdlib_module(offline_imports, module):
+    if module in offline_imports["site"]:
+        pytest.skip(f"the interpreter's site setup imports {module}")
+    for step in ("import", "plan", "run", "bench"):
+        assert module not in offline_imports[step], step
+    if module != "statistics":  # report's standard deviation may load it
+        assert module not in offline_imports["report"]
 
 
 json_values = st.recursive(

@@ -714,6 +714,25 @@ class TestReport:
         assert "row 2: " in capsys.readouterr().err
         assert not (out_dir / "report.csv").exists()
 
+    @pytest.mark.parametrize(
+        "first, row, message",
+        [
+            ("run-001,completed,1.000,", 2, "a completed run needs a loc"),
+            ("run-001,completed,1.000,4", 4, "a failed_generation run cannot have a loc"),
+        ],
+    )
+    def test_loc_contradicting_status_exits_2_naming_its_row(self, workdir, capsys, first, row, message):
+        out_dir = workdir / "out"
+        out_dir.mkdir()
+        rows = [first, "run-002,completed,3.000,10", "run-003,failed_generation,2.000,7"]
+        index = out_dir / "index.csv"
+        index.write_text("run_id,status,duration_seconds,loc\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        ledger = workdir / "ledger.csv"
+        ledger.write_text("run_id,mistake_id,category,description\n", encoding="utf-8")
+        assert main(["report", str(out_dir), str(ledger), "--label", "x"]) == 2
+        assert capsys.readouterr().err == f"error: row {row}: {index}: {message}\n"
+        assert not (out_dir / "report.csv").exists()
+
     def test_unknown_run_id_exits_5(self, workdir, capsys):
         out_dir = self.bench(workdir, reps=3)
         ledger = workdir / "ledger.csv"

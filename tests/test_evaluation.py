@@ -404,6 +404,8 @@ class TestBenchIndex:
             ("run-001,completed,1.0,-3", "negative loc -3"),
             ("run-001,completed,nan,-3", "duration nan is not a finite non-negative number"),
             (",completed,1.000,3", "run_id must be non-empty"),
+            ("run-001,completed,1.0,", "a completed run needs a loc"),
+            ("run-001,failed_generation,1.0,7", "a failed_generation run cannot have a loc"),
         ],
     )
     def test_negative_or_non_finite_values_rejected(self, tmp_path, row, message):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import shutil
 from hashlib import sha256
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from uplift.agents import DEFAULT_PROMPT_DIR
 from uplift.evaluation import run_bench
 from uplift.model import CodeArtifact, extract_code
-from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, run_pipeline
+from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, new_run_id, run_pipeline
 from uplift.transcript import Transcript, dump_record, read_transcript, strip_timing, write_transcript
 
 from conftest import ACCEPT_REPLY, CODE_REPLY, PLAN_REPLY, REVISE_REPLY, SECTIONS_REPLY, seq
@@ -202,6 +203,12 @@ class TestBaseline:
     def test_system_mode_rejected(self, original_code):
         with pytest.raises(ValueError):
             run_pipeline(original_code, "x", config(seq(), PipelineMode.SYSTEM_MANAGER))
+
+
+def test_new_run_ids_are_12_hex_digits_and_distinct():
+    ids = [new_run_id() for _ in range(1000)]
+    assert all(re.fullmatch("[0-9a-f]{12}", run_id) for run_id in ids)
+    assert len(set(ids)) == 1000
 
 
 class TestTranscriptInvariants:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import statistics
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from uplift.evaluation import (
     ErrorCategory,
     RequirementScoreRecord,
     RunRecord,
+    _mean,
     aggregate,
     population_sd,
     read_ledger,
@@ -125,6 +127,18 @@ class TestSdProperties:
         elif sd == 0:
             # float spacing can make distinct values numerically equal in SD
             assert max(xs) - min(xs) == pytest.approx(0, abs=1e-6)
+
+
+class TestMeanProperties:
+    # Bounded so that no sum overflows.
+    numbers = st.floats(min_value=-1e300, max_value=1e300) | st.integers(min_value=-(2**80), max_value=2**80)
+
+    @given(st.lists(numbers, min_size=1, max_size=40))
+    def test_equals_fmean_of_the_sorted_values_bit_for_bit(self, xs):
+        assert _mean(xs).hex() == statistics.fmean(sorted(xs)).hex()
+
+    def test_empty_is_zero(self):
+        assert _mean([]) == 0.0
 
 
 class TestAgentParserDeafness:
