@@ -27,8 +27,9 @@ TIMEOUT_S = 120.0
 
 def utf8_encodable(text: str) -> bool:
     """False when text holds a lone surrogate, as a JSON "\\ud800" escape
-    without its pair decodes to: no UTF-8 file can hold one."""
-    return re.search("[\ud800-\udfff]", text) is None
+    without its pair decodes to: no UTF-8 file can hold one. ASCII text,
+    which isascii() tells in O(1), holds none and skips the scan."""
+    return text.isascii() or re.search("[\ud800-\udfff]", text) is None
 
 
 class Role(str, Enum):
@@ -117,6 +118,8 @@ def load_script(path: str | Path) -> ScriptedBackend:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScriptParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ScriptParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, list):
         raise ScriptParseError(f"{path}: expected a JSON array of entries")
     replies = []

@@ -116,6 +116,8 @@ def load_config(path: str | None) -> CliConfig:
         data = json.loads(chosen.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{chosen}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{chosen}: invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{chosen}: expected a JSON object")
     for section, keys in data.items():

@@ -94,25 +94,28 @@ class Transcript:
 def write_transcript(run: "RunOutcome", entries: Iterable[TranscriptEntry], path: str | Path) -> None:
     """Write exchanges plus a trailing summary record as JSONL. Every
     exchange line carries the run's id. The summary holds each RunOutcome
-    field but final_code and loc, which it gives as final_loc."""
-    lines = [e.to_line(run.run_id) for e in entries]
+    field but final_code and loc, which it gives as final_loc.
+
+    Each line is written as soon as it is encoded, so one line at a time is
+    held, not the whole transcript. A write that stops part-way leaves the
+    exchange lines written so far and no summary: an unfinished run."""
     summary = {f.name: getattr(run, f.name) for f in fields(run) if f.name not in ("final_code", "loc")}
     summary.update(record="summary", status=run.status.value, final_loc=run.loc)
-    lines.append(dump_record(summary))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        for entry in entries:
+            print(entry.to_line(run.run_id), file=out)
+        print(dump_record(summary), file=out)
 
 
 def read_transcript(path: str | Path) -> list[dict[str, Any]]:
-    """Load a transcript back as raw records (exchanges + summary).
+    """Load a transcript back as raw records (exchanges + summary), reading
+    the file one line at a time.
 
-    Records are split on "\\n" alone: bodies are written with
-    ensure_ascii=False, so U+2028, U+2029 and U+0085, which splitlines()
-    breaks on, may stand raw inside a record's strings."""
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").split("\n"):
-        if line.strip():
-            records.append(json.loads(line))
-    return records
+    Records are split on "\\n" alone, as iterating a text file does: bodies
+    are written with ensure_ascii=False, so U+2028, U+2029 and U+0085, which
+    splitlines() breaks on, may stand raw inside a record's strings."""
+    with open(path, encoding="utf-8") as lines:
+        return [json.loads(line) for line in lines if line.strip()]
 
 
 def strip_timing(records: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:

@@ -68,6 +68,15 @@ class TestPlan:
         assert code == 3
 
 
+    @pytest.mark.parametrize("flag", ["--script", "--config"])
+    def test_deeply_nested_json_exits_2_naming_the_file(self, workdir, capsys, flag):
+        (workdir / "deep.json").write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        assert main(["plan", "case_view/requirements.txt", flag, "deep.json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: deep.json: ") and "nested too deeply" in err
+
+
 class TestRun:
     def test_system_run_writes_artifacts(self, workdir, capsys):
         script = write_script(workdir / "s.json", SINGLE_TASK_RUN_SCRIPT)

@@ -11,9 +11,16 @@ import pytest
 
 from uplift.agents import DEFAULT_PROMPT_DIR
 from uplift.evaluation import run_bench
-from uplift.model import CodeArtifact, extract_code
+from uplift.model import CodeArtifact, extract_code, parse_requirements
 from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, new_run_id, run_pipeline
-from uplift.transcript import Transcript, dump_record, read_transcript, strip_timing, write_transcript
+from uplift.transcript import (
+    Transcript,
+    TranscriptEntry,
+    dump_record,
+    read_transcript,
+    strip_timing,
+    write_transcript,
+)
 
 from conftest import ACCEPT_REPLY, CODE_REPLY, PLAN_REPLY, REVISE_REPLY, SECTIONS_REPLY, seq
 
@@ -314,6 +321,67 @@ class TestTranscriptInvariants:
         )
         with pytest.raises(OSError):
             write_transcript(outcome, transcript.entries, "/nonexistent-dir/t.jsonl")
+
+    def test_writing_holds_less_than_the_transcript(self, tmp_path):
+        # A 2,000-line file through three tasks, each revised once: 17
+        # exchanges, most carrying the whole file. Writing must not hold
+        # them all at once.
+        import tracemalloc
+
+        lines = [
+            f"<?php echo $html->link('Item {i}', array('action' => 'view', $item['Item']['id'])); ?>"
+            for i in range(2000)
+        ]
+        code = CodeArtifact("\n".join(lines))
+        tasks = [("$html->", "$this->Html->"), ("'view'", "'show'"), ("['Item']", "['Items']")]
+        texts = [f"Replace {old} with {new}" for old, new in tasks]
+        plan = "\n".join(f"TASK {i}: {text}" for i, text in enumerate(texts, 1))
+        replies = [plan, plan]
+        current = code.content
+        for old, new in tasks:
+            current = current.replace(old, new)
+            fenced = f"```php\n{current}\n```"
+            replies += [SECTIONS_REPLY, fenced, REVISE_REPLY, fenced, ACCEPT_REPLY]
+        requirements = "".join(f"Requirement{i}: {text}.\n" for i, text in enumerate(texts, 1))
+        transcript = Transcript("r1")
+        outcome = run_pipeline(
+            code,
+            parse_requirements(requirements),
+            config(seq(*replies), PipelineMode.SYSTEM_MANAGER),
+            transcript=transcript,
+        )
+        assert outcome.status is RunStatus.COMPLETED and len(transcript.entries) == 17
+        path = tmp_path / "t.jsonl"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_transcript(outcome, transcript.entries, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 2_000_000
+        assert peak - before < path.stat().st_size
+
+    def test_a_failed_write_keeps_the_lines_before_it_and_no_summary(
+        self, tmp_path, monkeypatch, original_code, two_requirements
+    ):
+        outcome, transcript = self.run_with_transcript(
+            original_code, two_requirements, happy_single_task_backend()
+        )
+        to_line = TranscriptEntry.to_line
+
+        def third_fails(entry, run_id):
+            if entry.step == 3:
+                raise RuntimeError("encoding failed")
+            return to_line(entry, run_id)
+
+        monkeypatch.setattr(TranscriptEntry, "to_line", third_fails)
+        path = tmp_path / "t.jsonl"
+        with pytest.raises(RuntimeError, match="^encoding failed$"):
+            write_transcript(outcome, transcript.entries, path)
+        records = read_transcript(path)
+        assert [r["record"] for r in records] == ["exchange", "exchange"]
+        assert [r["step"] for r in records] == [1, 2]
 
     def test_replay_is_deterministic_modulo_timing(self, fixtures_dir, tmp_path):
         from uplift.backend import load_script

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import io
 import random
+import re
 import statistics
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from uplift.backend import utf8_encodable
 from uplift.evaluation import (
     ErrorCategory,
     RequirementScoreRecord,
@@ -28,6 +30,20 @@ req_text = st.text(
     min_size=1,
     max_size=40,
 ).filter(lambda s: s.strip())
+
+
+class TestUtf8EncodableProperties:
+    @given(
+        st.text(
+            st.one_of(
+                st.characters(max_codepoint=127),
+                st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+                st.characters(),
+            )
+        )
+    )
+    def test_matches_the_lone_surrogate_search(self, text):
+        assert utf8_encodable(text) is (re.search("[\ud800-\udfff]", text) is None)
 
 
 class TestCountLocProperties:
