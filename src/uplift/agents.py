@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .backend import Backend, ChatMessage, ChatRequest, ChatResponse, DEFAULT_MODEL, Role
-from .errors import FailedGeneration, PlanParseError, PromptSpecParseError, TemplateError
+from .errors import ConfigError, FailedGeneration, PlanParseError, PromptSpecParseError
 from .model import (
     CodeArtifact,
     Decision,
@@ -100,20 +100,20 @@ class PromptLibrary:
         for name, placeholders in TEMPLATE_PLACEHOLDERS.items():
             path = self.directory / f"{name}.txt"
             if not path.is_file():
-                raise TemplateError(f"missing prompt template {path}")
+                raise ConfigError(f"missing prompt template {path}")
             text = path.read_text(encoding="utf-8")
             if not text.strip():
-                raise TemplateError(f"prompt template {path} is empty")
+                raise ConfigError(f"prompt template {path} is empty")
             unknown = sorted(set(_PLACEHOLDER_RE.findall(text)) - placeholders)
             if unknown:
                 names = ", ".join(f"{{{{{u}}}}}" for u in unknown)
-                raise TemplateError(f"prompt template {path} names unknown placeholder(s) {names}")
+                raise ConfigError(f"prompt template {path} names unknown placeholder(s) {names}")
             self._templates[name] = text
 
     def render(self, name: str, **values: str) -> str:
         def substitute(match: re.Match) -> str:
             if match.group(1) not in values:
-                raise TemplateError(f"no value for placeholder {match.group(0)}")
+                raise ConfigError(f"no value for placeholder {match.group(0)}")
             return values[match.group(1)]
 
         return _PLACEHOLDER_RE.sub(substitute, self._templates[name])

@@ -17,7 +17,7 @@ from pathlib import Path
 from threading import Lock
 from typing import Any, Callable, Iterable, Protocol
 
-from .errors import BackendExhausted, CredentialMissing, ScriptExhausted, ScriptParseError
+from .errors import BackendExhausted, ConfigError, CredentialMissing, ScriptExhausted
 
 DEFAULT_MODEL = "gpt-4o-mini"
 API_KEY_ENV = "LLM_API_KEY"
@@ -117,27 +117,27 @@ def load_script(path: str | Path) -> ScriptedBackend:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScriptParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
-        raise ScriptParseError(f"{path}: JSON nested too deeply") from None
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, list):
-        raise ScriptParseError(f"{path}: expected a JSON array of entries")
+        raise ConfigError(f"{path}: expected a JSON array of entries")
     replies = []
     for i, item in enumerate(data):
         if not isinstance(item, dict):
-            raise ScriptParseError(f"{path}: entry {i} is not an object")
+            raise ConfigError(f"{path}: entry {i} is not an object")
         unknown = set(item) - {"match", "response"}
         if unknown:
-            raise ScriptParseError(f"{path}: entry {i} has unknown keys {sorted(unknown)}")
+            raise ConfigError(f"{path}: entry {i} has unknown keys {sorted(unknown)}")
         if item.get("match", "sequence") != "sequence":
-            raise ScriptParseError(f"{path}: entry {i}: match must be \"sequence\", got {item['match']!r}")
+            raise ConfigError(f"{path}: entry {i}: match must be \"sequence\", got {item['match']!r}")
         response = item.get("response", "")
         if not isinstance(response, str):
-            raise ScriptParseError(f"{path}: entry {i}: response must be a string")
+            raise ConfigError(f"{path}: entry {i}: response must be a string")
         if not response:
-            raise ScriptParseError(f"{path}: entry {i}: script entry response must be non-empty")
+            raise ConfigError(f"{path}: entry {i}: script entry response must be non-empty")
         if not utf8_encodable(response):
-            raise ScriptParseError(f"{path}: entry {i}: response holds a lone surrogate escape")
+            raise ConfigError(f"{path}: entry {i}: response holds a lone surrogate escape")
         replies.append(response)
     return ScriptedBackend(replies)
 

@@ -206,6 +206,8 @@ def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
     # Checked before any input is read, so a bad label leaves no output touched.
     if not utf8_encodable(args.label):
         raise ConfigError("--label is not valid UTF-8")
+    if not args.label.strip():
+        raise ConfigError("--label must hold a non-whitespace character")
     case_out = Path(args.case_out_dir)
     records = read_bench_index(case_out / "index.csv")
     errors = ingest_ledger(args.ledger)

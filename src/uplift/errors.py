@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from UpliftError so the CLI can map
-failures onto its closed set of exit codes.
+failures onto its closed set of exit codes. A class exists only if a caller
+tells it apart: cli.main gives it an exit code other than 2, or its name can
+reach a transcript as a run's failure or an exchange's error. Every other
+bad input raises ConfigError.
 """
 
 from __future__ import annotations
@@ -12,43 +15,22 @@ class UpliftError(Exception):
 
 
 class ConfigError(UpliftError):
-    """Invalid or inconsistent configuration."""
-
-
-# --- requirement parsing ---------------------------------------------------
-
-class EmptyRequirements(UpliftError):
-    """No requirement marker line found in the input."""
-
-
-class MalformedMarker(UpliftError):
-    """A requirement marker with no text and no continuation lines."""
+    """Bad input found before a run: a config value, a script, a prompt
+    template, a requirements or source file, or a report CSV row."""
 
 
 # --- backend ---------------------------------------------------------------
 
-class BackendError(UpliftError):
-    """Base class for chat-backend failures."""
-
-
-class CredentialMissing(BackendError):
+class CredentialMissing(UpliftError):
     """API-key environment variable is not set."""
 
 
-class BackendExhausted(BackendError):
+class BackendExhausted(UpliftError):
     """All retry attempts against the HTTP backend failed."""
 
 
-class ScriptExhausted(BackendError):
+class ScriptExhausted(UpliftError):
     """The scripted backend has served every reply it loaded."""
-
-
-class ScriptParseError(UpliftError):
-    """A script file could not be parsed."""
-
-
-class TemplateError(UpliftError):
-    """A prompt template is missing or has an unfilled placeholder."""
 
 
 # --- agent response parsing -------------------------------------------------
@@ -67,22 +49,8 @@ class FailedGeneration(UpliftError):
 
 # --- evaluation harness ------------------------------------------------------
 
-class LedgerParseError(UpliftError):
-    """An error ledger or score file row could not be parsed."""
-
-    def __init__(self, message: str, row: int | None = None):
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
-        self.row = row
-
-
 class UnknownCategory(UpliftError):
     """A ledger row named a category outside the closed set."""
-
-
-class EmptyInput(UpliftError):
-    """A statistic was requested over an empty collection."""
 
 
 class DanglingReference(UpliftError):

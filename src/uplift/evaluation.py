@@ -16,16 +16,10 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Hashable, Mapping, Sequence, TextIO, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TextIO, TypeVar
 
 from .backend import Backend
-from .errors import (
-    ConfigError,
-    DanglingReference,
-    EmptyInput,
-    LedgerParseError,
-    UnknownCategory,
-)
+from .errors import ConfigError, DanglingReference, UnknownCategory
 from .model import CodeArtifact, RequirementSet, artifact_from_file, load_requirements
 from .pipeline import (
     BASELINE_MODES,
@@ -121,10 +115,9 @@ def population_sd(values: Sequence[float]) -> float:
     """Standard deviation with divisor N, matching the published aggregates.
 
     Values are sorted before reduction so the result is exactly invariant
-    under permutation of the input.
+    under permutation of the input. An empty list raises
+    statistics.StatisticsError, a ValueError.
     """
-    if not values:
-        raise EmptyInput("population_sd of an empty list")
     import statistics  # here, so that only report loads it
     return statistics.pstdev(sorted(values))
 
@@ -142,17 +135,19 @@ def _read_csv(
     parse: Callable[..., T],
     key: Callable[[T], Hashable] | None = None,
 ) -> list[T]:
-    """parse(*stripped cells) of each non-blank row, in order. A ValueError
-    from parse, or a key(record) that repeats an earlier row's, becomes a
-    LedgerParseError naming the source and the row."""
+    """parse(*stripped cells) of each non-blank row, in order. A bad header
+    is a ConfigError naming the source. A row with the wrong number of
+    fields, a ValueError from parse, or a key(record) that repeats an
+    earlier row's is a ConfigError starting "row N: <source>: "; an
+    UnknownCategory from parse gets the same start."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None:
-        raise LedgerParseError(f"{source}: empty file, expected header {','.join(expected_header)}")
+        raise ConfigError(f"{source}: empty file, expected header {','.join(expected_header)}")
     if header:  # spreadsheet "CSV UTF-8" exports start with a byte-order mark
         header[0] = header[0].removeprefix("\ufeff")
     if [h.strip() for h in header] != expected_header:
-        raise LedgerParseError(
+        raise ConfigError(
             f"{source}: bad header {','.join(header)!r}, expected {','.join(expected_header)}"
         )
     records: list[T] = []
@@ -160,15 +155,18 @@ def _read_csv(
     for row_number, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
+        where = f"row {row_number}: {source}"
         if len(row) != len(expected_header):
-            raise LedgerParseError(f"{source}: expected {len(expected_header)} fields", row=row_number)
+            raise ConfigError(f"{where}: expected {len(expected_header)} fields")
         try:
             record = parse(*(cell.strip() for cell in row))
         except ValueError as exc:
-            raise LedgerParseError(f"{source}: {exc}", row=row_number) from None
+            raise ConfigError(f"{where}: {exc}") from None
+        except UnknownCategory as exc:
+            raise UnknownCategory(f"{where}: {exc}") from None
         first = first_rows.setdefault(key(record), row_number) if key else row_number
         if first != row_number:
-            raise LedgerParseError(f"{source}: repeats row {first}'s key {key(record)!r}", row=row_number)
+            raise ConfigError(f"{where}: repeats row {first}'s key {key(record)!r}")
         records.append(record)
     return records
 
@@ -177,13 +175,18 @@ def _ledger_row(run_id: str, mistake_id: str, category: str, description: str) -
     return ErrorRecord(run_id, mistake_id, parse_category(category), description)
 
 
+def _first_per_mistake(records: Iterable[ErrorRecord]) -> list[ErrorRecord]:
+    """The records, less each one that repeats an earlier (run_id, mistake_id)."""
+    first: dict[tuple[str, str], ErrorRecord] = {}
+    for record in records:
+        first.setdefault((record.run_id, record.mistake_id), record)
+    return list(first.values())
+
+
 def read_ledger(stream: TextIO, source: str = "ledger") -> list[ErrorRecord]:
     """Parse error records from CSV text. Every row is checked, and rows that
     repeat a (run_id, mistake_id) collapse to the first."""
-    records: dict[tuple[str, str], ErrorRecord] = {}
-    for record in _read_csv(stream, LEDGER_HEADER, source, _ledger_row):
-        records.setdefault((record.run_id, record.mistake_id), record)
-    return list(records.values())
+    return _first_per_mistake(_read_csv(stream, LEDGER_HEADER, source, _ledger_row))
 
 
 def ingest_ledger(path: str | Path) -> list[ErrorRecord]:
@@ -246,6 +249,7 @@ def aggregate(
         if run_id not in known:
             raise DanglingReference(f"replaced-functions row cites unknown run_id {run_id!r}")
 
+    errors = _first_per_mistake(errors)  # one mistake counts once, as in read_ledger
     distinct: dict[str, set[str]] = {}
     for err in errors:
         distinct.setdefault(err.run_id, set()).add(err.mistake_id)
@@ -271,7 +275,7 @@ def aggregate(
                 score_map.get((r.run_id, index), 0) if r.run_id in completed_ids else 0
                 for r in records
             ]
-            means.append(_mean(values) if records else 0.0)
+            means.append(_mean(values))
         requirement_means = tuple(means)
         requirement_total = sum(requirement_means)
 

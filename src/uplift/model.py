@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from .errors import ConfigError, EmptyRequirements, MalformedMarker
+from .errors import ConfigError
 
 # Replies that skip the code fence but plainly start with source code are
 # still accepted.
@@ -121,8 +121,8 @@ def parse_requirements(raw: str, source_path: str = "") -> RequirementSet:
     requirement. Indices are renumbered 1..K in file order regardless of the
     literal numbers in the file.
 
-    Raises EmptyRequirements when no marker line exists and MalformedMarker
-    when a marker introduces no text at all.
+    Raises ConfigError when no marker line exists or when a marker
+    introduces no text at all.
     """
     segments: list[list[str]] = []
     current: list[str] | None = None
@@ -134,13 +134,13 @@ def parse_requirements(raw: str, source_path: str = "") -> RequirementSet:
         elif current is not None:
             current.append(line)
     if not segments:
-        raise EmptyRequirements(f"no Requirement<N>: marker line found in {source_path or 'input'}")
+        raise ConfigError(f"no Requirement<N>: marker line found in {source_path or 'input'}")
 
     requirements = []
     for pos, seg in enumerate(segments, start=1):
         text = "\n".join(seg).strip()
         if not text:
-            raise MalformedMarker(f"requirement {pos} has a marker but no text")
+            raise ConfigError(f"requirement {pos} has a marker but no text")
         requirements.append(Requirement(index=pos, text=text))
     return RequirementSet(requirements=tuple(requirements))
 

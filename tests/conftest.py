@@ -20,6 +20,21 @@ ACCEPT_REPLY = "VERDICT: ACCEPT"
 REVISE_REPLY = "VERDICT: REVISE\nFEEDBACK: first() not used on the ORM object"
 
 
+class FakeTransport:
+    """Scripted (status, body) pairs; an Exception instance raises instead."""
+
+    def __init__(self, *outcomes):
+        self.outcomes = list(outcomes)
+        self.calls = 0
+
+    def __call__(self, endpoint, payload, api_key, timeout):
+        self.calls += 1
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
 def seq(*responses: str) -> ScriptedBackend:
     """Backend replaying the given responses in order."""
     return ScriptedBackend(responses)

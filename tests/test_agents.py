@@ -25,7 +25,7 @@ from uplift.agents import (
     verify,
 )
 from uplift.backend import ChatMessage, ChatResponse, Role
-from uplift.errors import BackendExhausted, PlanParseError, PromptSpecParseError, FailedGeneration, TemplateError
+from uplift.errors import BackendExhausted, ConfigError, PlanParseError, PromptSpecParseError, FailedGeneration
 from uplift.model import CodeArtifact, Decision, Task, TaskPlan, Verdict
 from uplift.transcript import Transcript
 
@@ -46,7 +46,7 @@ def executor_artifact(content="<?php echo 1;") -> CodeArtifact:
 
 class TestCall:
     """AgentContext.call records one exchange per backend call, on success
-    and on a BackendError alike."""
+    and on a backend failure alike."""
 
     MESSAGES = (ChatMessage(Role.SYSTEM, "be brief"), ChatMessage(Role.USER, "hello"))
 
@@ -88,7 +88,7 @@ class TestTemplates:
         shutil.copytree(DEFAULT_PROMPT_DIR, prompts)
         PromptLibrary(prompts)
         (prompts / "verifier.txt").write_text(" \n\t\n", encoding="utf-8")
-        with pytest.raises(TemplateError, match="verifier.txt"):
+        with pytest.raises(ConfigError, match=r"^prompt template .*verifier\.txt is empty$"):
             PromptLibrary(prompts)
 
     @pytest.mark.parametrize("name", TEMPLATE_PLACEHOLDERS)
@@ -96,9 +96,9 @@ class TestTemplates:
         shutil.copytree(DEFAULT_PROMPT_DIR, tmp_path / "prompts")
         path = tmp_path / "prompts" / f"{name}.txt"
         path.write_text(path.read_text(encoding="utf-8") + "\n{{taks}}\n", encoding="utf-8")
-        with pytest.raises(TemplateError) as raised:
+        with pytest.raises(ConfigError) as raised:
             PromptLibrary(tmp_path / "prompts")
-        assert f"{name}.txt" in str(raised.value) and "{{taks}}" in str(raised.value)
+        assert str(raised.value) == f"prompt template {path} names unknown placeholder(s) {{{{taks}}}}"
 
     def test_a_template_may_leave_a_placeholder_out(self, tmp_path):
         shutil.copytree(DEFAULT_PROMPT_DIR, tmp_path / "prompts")
@@ -110,12 +110,12 @@ class TestTemplates:
         shutil.copytree(DEFAULT_PROMPT_DIR, tmp_path / "prompts")
         (tmp_path / "prompts" / "finalizer.txt").write_text("hello {{task}}", encoding="utf-8")
         library = PromptLibrary(tmp_path / "prompts")
-        with pytest.raises(TemplateError, match=r"^no value for placeholder \{\{task\}\}$"):
+        with pytest.raises(ConfigError, match=r"^no value for placeholder \{\{task\}\}$"):
             library.render("finalizer")
         assert library.render("finalizer", task="world") == "hello world"
 
     def test_missing_template_dir(self, tmp_path):
-        with pytest.raises(TemplateError):
+        with pytest.raises(ConfigError, match=r"^missing prompt template .*manager\.txt$"):
             PromptLibrary(tmp_path)
 
 

@@ -23,17 +23,16 @@ from uplift.backend import (
     load_script,
 )
 from uplift.errors import (
-    BackendError,
     BackendExhausted,
+    ConfigError,
     CredentialMissing,
     ScriptExhausted,
-    ScriptParseError,
 )
 from uplift.evaluation import run_bench, run_once
 from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, run_pipeline
 from uplift.transcript import Transcript, read_transcript
 
-from conftest import SECTIONS_REPLY, seq
+from conftest import SECTIONS_REPLY, FakeTransport, seq
 
 
 def request_with(user: str = "hello") -> ChatRequest:
@@ -96,14 +95,16 @@ class TestLoadScript:
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text("[{]")
-        with pytest.raises(ScriptParseError):
+        with pytest.raises(ConfigError) as exc:
             load_script(path)
+        assert str(exc.value) == f"{path}: line 1 column 3: Expecting property name enclosed in double quotes"
 
     def test_bad_entry_shapes(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps([{"match": "sequence", "response": "x", "bogus": 1}]))
-        with pytest.raises(ScriptParseError):
+        with pytest.raises(ConfigError) as exc:
             load_script(path)
+        assert str(exc.value) == f"{path}: entry 0 has unknown keys ['bogus']"
 
     @pytest.mark.parametrize(
         "entry, reason",
@@ -117,7 +118,7 @@ class TestLoadScript:
     def test_entry_other_than_an_in_order_reply_rejected(self, tmp_path, entry, reason):
         path = tmp_path / "s.json"
         path.write_text(json.dumps([{"response": "first"}, entry]))
-        with pytest.raises(ScriptParseError) as exc:
+        with pytest.raises(ConfigError) as exc:
             load_script(path)
         assert str(exc.value) == f"{path}: {reason}"
 
@@ -126,7 +127,7 @@ class TestLoadScript:
         path = tmp_path / "s.json"
         path.write_text(json.dumps([{"response": "```php\n<?php echo 1; // \ud800\n```"}]))
         assert "\\ud800" in path.read_text()
-        with pytest.raises(ScriptParseError) as exc:
+        with pytest.raises(ConfigError) as exc:
             load_script(path)
         assert str(exc.value) == f"{path}: entry 0: response holds a lone surrogate escape"
 
@@ -152,23 +153,8 @@ class TestLoadScript:
     def test_non_string_values_rejected(self, tmp_path, entry):
         path = tmp_path / "s.json"
         path.write_text(json.dumps([entry]))
-        with pytest.raises(ScriptParseError, match="must be a string"):
+        with pytest.raises(ConfigError, match=r"^.*: entry 0: response must be a string$"):
             load_script(path)
-
-
-class FakeTransport:
-    """Scripted (status, body) pairs; an Exception instance raises instead."""
-
-    def __init__(self, *outcomes):
-        self.outcomes = list(outcomes)
-        self.calls = 0
-
-    def __call__(self, endpoint, payload, api_key, timeout):
-        self.calls += 1
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
 
 
 def ok_body(content="fine"):
@@ -446,7 +432,7 @@ class TestCompletionBodyFuzz:
         with mock.patch.dict(os.environ, {"LLM_API_KEY": "k"}):
             try:
                 response = backend.complete(request_with())
-            except BackendError:
+            except BackendExhausted:
                 return
         assert isinstance(response, ChatResponse) and isinstance(response.content, str)
         for count in (response.prompt_tokens, response.completion_tokens):

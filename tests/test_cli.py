@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from uplift import cli
 from uplift.agents import DEFAULT_PROMPT_DIR as PROMPTS_DIR
 from uplift.backend import ScriptedBackend
 from uplift.cli import CliConfig, build_parser, main
+from uplift.errors import DanglingReference, PlanParseError, UnknownCategory, UpliftError
 
 PLAN_SCRIPT = [
     {"match": "sequence", "response": "TASK 1: Update syntax to 4.5\nTASK 2: Fix ORM access"},
@@ -317,6 +319,11 @@ class TestRun:
         assert code == 2
 
 
+def error_classes(cls: type) -> list[type]:
+    """cls and every class below it."""
+    return [cls] + [c for sub in cls.__subclasses__() for c in error_classes(sub)]
+
+
 class TestExitCodes:
     def test_usage_errors_exit_2(self, workdir, capsys):
         with pytest.raises(SystemExit) as info:
@@ -337,6 +344,16 @@ class TestExitCodes:
                 main(argv + ["--backend", "http"])
             assert info.value.code == 2
             assert "unrecognized arguments: --backend http" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", error_classes(UpliftError), ids=lambda cls: cls.__name__)
+    def test_every_error_class_has_its_exit_code(self, workdir, capsys, monkeypatch, error):
+        def load_requirements(path):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "load_requirements", load_requirements)
+        expected = {PlanParseError: 3, DanglingReference: 5, UnknownCategory: 5}.get(error, 2)
+        assert main(["plan", "case_view/requirements.txt"]) == expected
+        assert capsys.readouterr().err == "error: boom\n"
 
     def test_empty_requirements_file_maps_to_2(self, workdir):
         (workdir / "empty.txt").write_text("", encoding="utf-8")
@@ -711,6 +728,12 @@ class TestReport:
         assert main(["report", str(out_dir), str(ledger), "--label", label, "--out", str(fresh)]) == 2
         assert not fresh.exists()
 
+    @pytest.mark.parametrize("label", ["", "  "])
+    def test_blank_label_exits_2_before_reading_input(self, workdir, capsys, label):
+        assert main(["report", "nowhere", "nowhere.csv", "--label", label, "--out", "fresh"]) == 2
+        assert capsys.readouterr().err == "error: --label must hold a non-whitespace character\n"
+        assert not (workdir / "fresh").exists()
+
     def test_non_finite_index_duration_exits_2(self, workdir, capsys):
         out_dir = workdir / "out"
         out_dir.mkdir()
@@ -757,6 +780,17 @@ class TestReport:
             "run_id,mistake_id,category,description\nrun-001,m1,syntax,bad\n", encoding="utf-8"
         )
         assert main(["report", str(out_dir), str(ledger), "--label", "x"]) == 5
+
+    def test_unknown_category_names_its_row(self, workdir, capsys):
+        out_dir = self.bench(workdir, reps=3)
+        ledger = workdir / "ledger.csv"
+        rows = "run_id,mistake_id,category,description\nrun-001,m1,fatal,ok\nrun-002,m1,bogus,bad\n"
+        ledger.write_text(rows, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(out_dir), str(ledger), "--label", "x"]) == 5
+        expected = "unknown error category 'bogus'; expected one of fatal, runtime, content, missing_additional"
+        assert capsys.readouterr().err == f"error: row 3: {ledger}: {expected}\n"
+        assert not (out_dir / "report.csv").exists()
 
     @pytest.mark.parametrize(
         "key, value",

@@ -11,8 +11,6 @@ from uplift.backend import load_script
 from uplift.errors import (
     ConfigError,
     DanglingReference,
-    EmptyInput,
-    LedgerParseError,
     UnknownCategory,
 )
 from uplift.evaluation import (
@@ -72,7 +70,9 @@ class TestPopulationSd:
         assert population_sd([5, 5, 5]) == 0
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        from statistics import StatisticsError
+
+        with pytest.raises(StatisticsError, match="requires at least one data point"):
             population_sd([])
 
     def test_matches_brute_force_on_many_inputs(self):
@@ -112,21 +112,23 @@ class TestIngestLedger:
         assert parse_category("Missing Additional") is ErrorCategory.MISSING_ADDITIONAL
 
     def test_bad_header(self):
-        with pytest.raises(LedgerParseError):
+        with pytest.raises(ConfigError) as info:
             read_ledger(io.StringIO("run,mistake\nx,y\n"))
+        assert str(info.value) == "ledger: bad header 'run,mistake', expected run_id,mistake_id,category,description"
 
     def test_row_errors_carry_row_number(self):
         text = self.HEADER + "run-001,m1,fatal,ok\nrun-002,,fatal,missing id\n"
-        with pytest.raises(LedgerParseError) as info:
+        with pytest.raises(ConfigError) as info:
             read_ledger(io.StringIO(text))
-        assert info.value.row == 3
+        assert str(info.value) == "row 3: ledger: run_id and mistake_id must be non-empty"
 
     @pytest.mark.parametrize(
-        "repeat, error", [("run-001,m1,bogus,y", UnknownCategory), ("run-001,m1,fatal,", LedgerParseError)]
+        "repeat, error", [("run-001,m1,bogus,y", UnknownCategory), ("run-001,m1,fatal,", ConfigError)]
     )
     def test_repeated_rows_are_checked_too(self, repeat, error):
-        with pytest.raises(error):
+        with pytest.raises(error) as info:
             read_ledger(io.StringIO(self.HEADER + "run-001,m1,fatal,x\n" + repeat + "\n"))
+        assert str(info.value).startswith("row 3: ledger: ")
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "ledger.csv"
@@ -148,13 +150,13 @@ class TestIngestScores:
         path.write_text(
             "run_id,requirement_index,value\nrun-001,1,1\nrun-001,1,0\n", encoding="utf-8"
         )
-        with pytest.raises(LedgerParseError):
+        with pytest.raises(ConfigError, match=r"^row 3: .*: repeats row 2's key \('run-001', 1\)$"):
             ingest_scores(path)
 
     def test_value_outside_binary(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("run_id,requirement_index,value\nrun-001,1,2\n", encoding="utf-8")
-        with pytest.raises(LedgerParseError):
+        with pytest.raises(ConfigError, match=r"^row 2: .*: value must be 0 or 1$"):
             ingest_scores(path)
 
 
@@ -167,10 +169,10 @@ class TestIngestReplacedFunctions:
     def test_duplicate_and_negative_rejected(self, tmp_path):
         path = tmp_path / "rf.csv"
         path.write_text("run_id,replaced_functions\nrun-001,4\nrun-001,2\n", encoding="utf-8")
-        with pytest.raises(LedgerParseError):
+        with pytest.raises(ConfigError, match=r"^row 3: .*: repeats row 2's key 'run-001'$"):
             ingest_replaced_functions(path)
         path.write_text("run_id,replaced_functions\nrun-001,-1\n", encoding="utf-8")
-        with pytest.raises(LedgerParseError):
+        with pytest.raises(ConfigError, match=r"^row 2: .*: negative count -1$"):
             ingest_replaced_functions(path)
 
 
@@ -270,6 +272,15 @@ class TestAggregate:
         metrics = aggregate(outcomes, errors, [], "x")
         assert metrics.category_counts[ErrorCategory.RUNTIME] == 2
         assert sum(metrics.category_counts.values()) == 3
+
+    def test_a_repeated_mistake_counts_once_in_the_categories(self):
+        errors = [
+            ErrorRecord("run-001", "m1", ErrorCategory.FATAL, "x"),
+            ErrorRecord("run-001", "m1", ErrorCategory.RUNTIME, "x again"),
+        ]
+        metrics = aggregate([completed("run-001")], errors, [], "L")
+        assert metrics.mean_errors == 1.0
+        assert metrics.category_counts == {category: int(category is ErrorCategory.FATAL) for category in ErrorCategory}
 
     def test_replaced_functions_mean(self):
         outcomes = [completed("run-001"), completed("run-002"), failed("run-003")]
@@ -391,7 +402,7 @@ class TestBenchIndex:
         path.write_text(
             "run_id,status,duration_seconds,loc\nrun-001,exploded,1.0,5\n", encoding="utf-8"
         )
-        with pytest.raises(LedgerParseError):
+        with pytest.raises(ConfigError, match=r"^row 2: .*: 'exploded' is not a valid RunStatus$"):
             read_bench_index(path)
 
     @pytest.mark.parametrize(
@@ -412,7 +423,7 @@ class TestBenchIndex:
         path = tmp_path / "index.csv"
         header = "run_id,status,duration_seconds,loc\nrun-002,completed,0.0,0\n"
         path.write_text(f"{header}{row}\n", encoding="utf-8")
-        with pytest.raises(LedgerParseError) as raised:
+        with pytest.raises(ConfigError) as raised:
             read_bench_index(path)
         assert str(raised.value) == f"row 3: {path}: {message}"
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from uplift.errors import EmptyRequirements, MalformedMarker
+from uplift.errors import ConfigError
 from uplift.model import (
     CodeArtifact,
     Decision,
@@ -44,11 +44,11 @@ class TestParseRequirements:
         assert reqs.requirements[0].text == "a"
 
     def test_no_marker_is_an_error(self):
-        with pytest.raises(EmptyRequirements):
+        with pytest.raises(ConfigError, match=r"^no Requirement<N>: marker line found in input$"):
             parse_requirements("no markers here")
 
     def test_marker_without_text_is_malformed(self):
-        with pytest.raises(MalformedMarker):
+        with pytest.raises(ConfigError, match=r"^requirement 1 has a marker but no text$"):
             parse_requirements("Requirement1:\nRequirement2: b")
 
     def test_continuation_lines_join_current_requirement(self):
@@ -66,7 +66,7 @@ class TestParseRequirements:
         assert reqs.requirements[0].text == "spaced out"
 
     def test_zero_is_not_a_marker(self):
-        with pytest.raises(EmptyRequirements):
+        with pytest.raises(ConfigError, match=r"^no Requirement<N>: marker line found in input$"):
             parse_requirements("Requirement0: not a positive index")
 
     def test_preamble_before_first_marker_is_ignored(self):
