@@ -8,6 +8,7 @@ replays canned responses for deterministic offline runs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import time
@@ -74,8 +75,9 @@ class ChatResponse:
     completion_tokens: int | None = None
 
     def __post_init__(self):
-        if self.latency_seconds < 0:
-            raise ValueError("latency cannot be negative")
+        # NaN passes a "< 0" test, and a transcript cannot hold it or an infinity as JSON.
+        if not (math.isfinite(self.latency_seconds) and self.latency_seconds >= 0):
+            raise ValueError(f"latency must be finite and non-negative, not {self.latency_seconds!r}")
         for field in ("prompt_tokens", "completion_tokens"):
             value = getattr(self, field)
             if value is not None and value < 0:

@@ -210,9 +210,10 @@ def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
         raise ConfigError("--label must hold a non-whitespace character")
     case_out = Path(args.case_out_dir)
     records = read_bench_index(case_out / "index.csv")
-    errors = ingest_ledger(args.ledger)
-    scores = ingest_scores(args.scores) if args.scores else []
-    replaced = ingest_replaced_functions(args.rf) if args.rf else None
+    runs = {r.run_id for r in records}
+    errors = ingest_ledger(args.ledger, runs)
+    scores = ingest_scores(args.scores, runs) if args.scores else []
+    replaced = ingest_replaced_functions(args.rf, runs) if args.rf else None
     metrics = aggregate(
         records,
         errors,

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Mapping, Sequence, TextIO, TypeVar
+from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence, TextIO, TypeVar
 
 from .backend import Backend
 from .errors import ConfigError, DanglingReference, UnknownCategory
@@ -134,12 +134,15 @@ def _read_csv(
     source: str,
     parse: Callable[..., T],
     key: Callable[[T], Hashable] | None = None,
+    runs: Collection[str] | None = None,
 ) -> list[T]:
     """parse(*stripped cells) of each non-blank row, in order. A bad header
     is a ConfigError naming the source. A row with the wrong number of
     fields, a ValueError from parse, or a key(record) that repeats an
     earlier row's is a ConfigError starting "row N: <source>: "; an
-    UnknownCategory from parse gets the same start."""
+    UnknownCategory from parse gets the same start, and so does the
+    DanglingReference of a row whose run_id, its first cell, is not in
+    runs, when runs is given."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None:
@@ -164,6 +167,8 @@ def _read_csv(
             raise ConfigError(f"{where}: {exc}") from None
         except UnknownCategory as exc:
             raise UnknownCategory(f"{where}: {exc}") from None
+        if runs is not None and row[0].strip() not in runs:
+            raise DanglingReference(f"{where}: cites unknown run_id {row[0].strip()!r}")
         first = first_rows.setdefault(key(record), row_number) if key else row_number
         if first != row_number:
             raise ConfigError(f"{where}: repeats row {first}'s key {key(record)!r}")
@@ -183,25 +188,30 @@ def _first_per_mistake(records: Iterable[ErrorRecord]) -> list[ErrorRecord]:
     return list(first.values())
 
 
-def read_ledger(stream: TextIO, source: str = "ledger") -> list[ErrorRecord]:
-    """Parse error records from CSV text. Every row is checked, and rows that
-    repeat a (run_id, mistake_id) collapse to the first."""
-    return _first_per_mistake(_read_csv(stream, LEDGER_HEADER, source, _ledger_row))
+def read_ledger(
+    stream: TextIO, source: str = "ledger", runs: Collection[str] | None = None
+) -> list[ErrorRecord]:
+    """Parse error records from CSV text. Every row is checked, against runs
+    too when given, and rows that repeat a (run_id, mistake_id) collapse to
+    the first."""
+    return _first_per_mistake(_read_csv(stream, LEDGER_HEADER, source, _ledger_row, runs=runs))
 
 
-def ingest_ledger(path: str | Path) -> list[ErrorRecord]:
+# Each ingest_* checks every row's run_id against runs, when given: the
+# run_ids of the bench index a report reads.
+def ingest_ledger(path: str | Path, runs: Collection[str] | None = None) -> list[ErrorRecord]:
     with open(path, encoding="utf-8", newline="") as fh:
-        return read_ledger(fh, source=str(path))
+        return read_ledger(fh, source=str(path), runs=runs)
 
 
 def _score_row(run_id: str, index: str, value: str) -> RequirementScoreRecord:
     return RequirementScoreRecord(run_id=run_id, requirement_index=int(index), value=int(value))
 
 
-def ingest_scores(path: str | Path) -> list[RequirementScoreRecord]:
+def ingest_scores(path: str | Path, runs: Collection[str] | None = None) -> list[RequirementScoreRecord]:
     with open(path, encoding="utf-8", newline="") as fh:
         return _read_csv(
-            fh, SCORES_HEADER, str(path), _score_row, key=lambda r: (r.run_id, r.requirement_index)
+            fh, SCORES_HEADER, str(path), _score_row, key=lambda r: (r.run_id, r.requirement_index), runs=runs
         )
 
 
@@ -211,9 +221,9 @@ def _replaced_functions_row(run_id: str, count: str) -> tuple[str, int]:
     return run_id, int(count)
 
 
-def ingest_replaced_functions(path: str | Path) -> dict[str, int]:
+def ingest_replaced_functions(path: str | Path, runs: Collection[str] | None = None) -> dict[str, int]:
     with open(path, encoding="utf-8", newline="") as fh:
-        return dict(_read_csv(fh, RF_HEADER, str(path), _replaced_functions_row, key=lambda r: r[0]))
+        return dict(_read_csv(fh, RF_HEADER, str(path), _replaced_functions_row, key=lambda r: r[0], runs=runs))
 
 
 def aggregate(

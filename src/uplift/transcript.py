@@ -1,10 +1,12 @@
 """Append-only record of every backend exchange in a run.
 
 Transcripts are written as JSONL with full prompt/response bodies inline;
-the digests make it cheap to diff runs. Each request is JSON-encoded once,
-at write time, and its digest and its line share that encoding. Two runs
-against the same script produce byte-identical files except for the timing
-fields, so replay tests compare records through strip_timing().
+the digests make it cheap to diff runs. Every line is dump_record of its
+record. An exchange line is written from one template in that same form,
+and its request is encoded once, at write time, for both its digest and its
+line. Two runs against the same script produce byte-identical files except
+for the timing fields, so replay tests compare records through
+strip_timing().
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from hashlib import sha256
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, TYPE_CHECKING
 
@@ -20,6 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 TIMING_FIELDS = ("latency_seconds", "duration_seconds")
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)  # json.dumps would build one per call
+# The escaper _ENCODER applies to every string, keys and values alike.
+_quote = encode_basestring
 
 
 def _digest(text: str) -> str:
@@ -34,6 +39,22 @@ def error_text(exc: BaseException) -> str:
 def dump_record(record: dict[str, Any]) -> str:
     """Canonical one-line JSON used for every transcript record."""
     return _ENCODER.encode(record)
+
+
+def _is_chat_payload(request: Any) -> bool:
+    """True for {"messages": [{"content": str, "role": str}, ...], "model": str}
+    and nothing else: two keys, each with a value of its type."""
+    if type(request) is not dict or len(request) != 2 or type(request.get("model")) is not str:
+        return False
+    messages = request.get("messages")
+    if type(messages) is not list:
+        return False
+    for m in messages:
+        if type(m) is not dict or len(m) != 2:
+            return False
+        if type(m.get("content")) is not str or type(m.get("role")) is not str:
+            return False
+    return True
 
 
 @dataclass
@@ -51,22 +72,36 @@ class TranscriptEntry:
     flags: set[str] = field(default_factory=set)
 
     def to_line(self, run_id: str) -> str:
-        """The exchange as one dump_record line, stamped with its run's id.
-        The request is encoded once: that text is hashed for request_digest
-        and spliced into the line, in the place its key sorts to."""
-        request = dump_record(self.request)
-        record = dict(
-            vars(self),  # the entry's fields; dump_record sorts the keys
-            record="exchange",
-            run_id=run_id,
-            request=None,
-            request_digest=_digest(request),
-            response_digest=_digest(self.response) if self.response is not None else "",
-            flags=sorted(self.flags),
+        """The exchange as one line, stamped with its run's id: the 13 keys
+        in sorted order, written as dump_record writes the record. Strings
+        go through dump_record's escaper and numbers through the reprs its
+        encoder uses. The request is encoded once, and that text is both
+        hashed for request_digest and written into the line."""
+        messages = ", ".join(
+            [f'{{"content": {_quote(m["content"])}, "role": {_quote(m["role"])}}}'
+             for m in self.request["messages"]]
         )
-        # The key is the only unescaped '"request": null' in the line: quotes
-        # inside string values are escaped.
-        return dump_record(record).replace('"request": null', f'"request": {request}', 1)
+        request = f'{{"messages": [{messages}], "model": {_quote(self.request["model"])}}}'
+        response = self.response
+        error = self.error
+        iteration = self.iteration
+        task_ordinal = self.task_ordinal
+        return (
+            f'{{"agent": {_quote(self.agent)}, '
+            f'"error": {"null" if error is None else _quote(error)}, '
+            f'"flags": [{", ".join([_quote(flag) for flag in sorted(self.flags)])}], '
+            f'"iteration": {"null" if iteration is None else int.__repr__(iteration)}, '
+            # float() writes a custom backend's int latency as a float.
+            f'"latency_seconds": {float.__repr__(float(self.latency_seconds))}, '
+            '"record": "exchange", '
+            f'"request": {request}, '
+            f'"request_digest": "{_digest(request)}", '
+            f'"response": {"null" if response is None else _quote(response)}, '
+            f'"response_digest": "{"" if response is None else _digest(response)}", '
+            f'"run_id": {_quote(run_id)}, '
+            f'"step": {int.__repr__(self.step)}, '
+            f'"task_ordinal": {"null" if task_ordinal is None else int.__repr__(task_ordinal)}}}'
+        )
 
 
 class Transcript:
@@ -79,7 +114,13 @@ class Transcript:
         self.entries: list[TranscriptEntry] = []
 
     def record(self, agent: str, request: dict[str, Any], **fields: Any) -> TranscriptEntry:
-        """Append an exchange as the next step; `fields` are its other TranscriptEntry fields."""
+        """Append an exchange as the next step; `fields` are its other TranscriptEntry fields.
+        The request must have the chat-payload shape AgentContext.call sends,
+        the one shape to_line writes; any other is a ValueError."""
+        if not _is_chat_payload(request):
+            raise ValueError(
+                "a transcript request is {'messages': [{'content': str, 'role': str}, ...], 'model': str}"
+            )
         entry = TranscriptEntry(len(self.entries) + 1, agent, request, **fields)
         self.entries.append(entry)
         return entry

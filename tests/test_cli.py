@@ -845,6 +845,20 @@ class TestReport:
         assert capsys.readouterr().err == f"error: row 4: {paths[name]}: {message}\n"
         assert not (out_dir / "report.csv").exists()
 
+    @pytest.mark.parametrize(
+        "name, row, dangling",
+        [("ledger", 3, "run-009,m2,fatal,bad"), ("scores", 4, "run-009,1,1"), ("rf", 4, "run-009,3")],
+    )
+    def test_unknown_run_id_exits_5_naming_its_row(self, workdir, capsys, name, row, dangling):
+        out_dir = self.bench(workdir, reps=2)
+        paths, argv = self.write_inputs(workdir, out_dir)
+        with open(paths[name], "a", encoding="utf-8") as fh:
+            fh.write(dangling + "\n")
+        capsys.readouterr()
+        assert main(argv) == 5
+        assert capsys.readouterr().err == f"error: row {row}: {paths[name]}: cites unknown run_id 'run-009'\n"
+        assert not (out_dir / "report.csv").exists()
+
     def test_rf_sidecar(self, workdir, capsys):
         out_dir = self.bench(workdir, reps=2)
         ledger = workdir / "ledger.csv"

@@ -2,7 +2,8 @@
 output is checked in under tests/golden/<scenario>/ and compared byte for byte.
 
 Each scenario writes into a fresh directory. What is compared:
-- each run-NNN.jsonl after strip_timing, one dump_record line per record;
+- each run-NNN.jsonl as written, byte for byte, but for the values of
+  latency_seconds and duration_seconds, each set to 0.0;
 - each run-NNN.updated.<ext> as written;
 - index.csv with every duration_seconds cell set to 0.000;
 - exit_code, the CLI's exit code, for the scenarios that go through cli.main.
@@ -19,6 +20,7 @@ import csv
 import io
 import json
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -31,7 +33,6 @@ from uplift.cli import _FLAGS, main
 from uplift.evaluation import run_once, write_bench_index
 from uplift.model import artifact_from_file
 from uplift.pipeline import PipelineConfig, PipelineMode
-from uplift.transcript import dump_record, read_transcript, strip_timing
 
 from conftest import FIXTURES, FakeTransport
 
@@ -167,10 +168,14 @@ def produce(name: str, work: Path) -> dict[str, bytes]:
     return files
 
 
+# A timing key and its value. Quotes inside a string are escaped, so only a
+# key can match.
+TIMING = re.compile(rb'"(latency_seconds|duration_seconds)": [^,}]+')
+
+
 def _normalized(path: Path) -> bytes:
     if path.suffix == ".jsonl":
-        records = strip_timing(read_transcript(path))
-        return "".join(dump_record(r) + "\n" for r in records).encode("utf-8")
+        return TIMING.sub(rb'"\1": 0.0', path.read_bytes())
     if path.name == "index.csv":
         with open(path, encoding="utf-8", newline="") as fh:
             header, *rows = csv.reader(fh)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 import shutil
 from hashlib import sha256
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from uplift.agents import DEFAULT_PROMPT_DIR
+from uplift.backend import ChatResponse
 from uplift.evaluation import run_bench
 from uplift.model import CodeArtifact, extract_code, parse_requirements
 from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, new_run_id, run_pipeline
@@ -178,6 +180,29 @@ class TestFailures:
         assert outcome.task_count == 0
 
 
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf")])
+    def test_non_finite_latency_fails_the_run_and_stays_out_of_the_transcript(
+        self, tmp_path, original_code, two_requirements, latency
+    ):
+        class BadClock:
+            def complete(self, request):
+                return ChatResponse(content=SECTIONS_REPLY, latency_seconds=latency)
+
+        transcript = Transcript("r1")
+        outcome = run_pipeline(original_code, two_requirements, config(BadClock()), transcript=transcript)
+        assert outcome.status is RunStatus.FAILED_GENERATION
+        assert outcome.failure == f"ValueError: latency must be finite and non-negative, not {latency!r}"
+        write_transcript(outcome, transcript.entries, tmp_path / "t.jsonl")
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        with open(tmp_path / "t.jsonl", encoding="utf-8") as lines:
+            *exchanges, summary = [json.loads(line, parse_constant=reject) for line in lines]
+        assert exchanges[-1]["error"] == summary["failure"] == outcome.failure
+        assert math.isfinite(exchanges[-1]["latency_seconds"])
+
+
 class TestBaseline:
     def test_single_call_with_prompt_then_code(self, original_code):
         transcript = Transcript("r1")
@@ -278,8 +303,8 @@ class TestTranscriptInvariants:
         assert records[-2]["response"] == reply
 
     def test_lines_are_canonical_and_digests_hash_the_bodies(self, tmp_path, two_requirements):
-        # The bodies quote the key the request is spliced at, escape, and
-        # leave ASCII; the verifier call finds the script empty and fails.
+        # The bodies hold a literal '{"request": null}', characters JSON
+        # escapes, and non-ASCII; the verifier call finds the script empty and fails.
         code = CodeArtifact('<?php $j = \'{"request": null}\'; echo "naïve \\"q\\""; ?>')
         backend = seq(SECTIONS_REPLY, f"```php\n{code.content}\n```")
         transcript = Transcript("r1")
@@ -309,6 +334,25 @@ class TestTranscriptInvariants:
             records = read_transcript(path)
             assert len(records) == len(transcript.entries) + 1
             assert {r["run_id"] for r in records} == {run.run_id}
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"messages": [{"content": "x", "role": "system"}]},
+            {"messages": [{"content": "x", "role": "system"}], "model": "m", "temperature": 0},
+            {"messages": ({"content": "x", "role": "system"},), "model": "m"},
+            {"messages": [{"content": None, "role": "system"}], "model": "m"},
+            {"messages": [{"content": "x", "role": "system", "name": "n"}], "model": "m"},
+            {"messages": ["x"], "model": "m"},
+            {"messages": [], "model": 4},
+            [("messages", []), ("model", "m")],
+        ],
+    )
+    def test_only_the_chat_payload_shape_is_recorded(self, request_):
+        transcript = Transcript("r1")
+        with pytest.raises(ValueError, match="^a transcript request is "):
+            transcript.record("manager", request_, response="x", latency_seconds=0.0)
+        assert transcript.entries == []
 
     def test_empty_run_id_is_rejected(self):
         # Caught when the transcript is built, before a run could record it.
@@ -570,3 +614,14 @@ def test_readme_lists_the_summary_keys_write_transcript_writes(tmp_path, origina
         summary = read_transcript(tmp_path / "t.jsonl")[-1]
         assert sorted(summary) == sorted(documented)
         assert (summary["failure"] is None) is (outcome.status is RunStatus.COMPLETED)
+
+
+def test_readme_lists_the_exchange_keys_in_written_order(tmp_path, original_code, two_requirements):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\nAn exchange record has these 13 keys", 1)[1].split("\n\n", 2)[1]
+    documented = [line.split("`")[1] for line in section.splitlines() if line.startswith("- `")]
+    transcript = Transcript("r1")
+    outcome = run_pipeline(original_code, two_requirements, config(seq()), transcript=transcript)
+    write_transcript(outcome, transcript.entries, tmp_path / "t.jsonl")
+    exchange = (tmp_path / "t.jsonl").read_text(encoding="utf-8").split("\n", 1)[0]
+    assert list(json.loads(exchange)) == documented

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import io
+import json
 import random
 import re
 import statistics
+from hashlib import sha256
 
 import pytest
 from hypothesis import given
@@ -23,6 +25,7 @@ from uplift.evaluation import (
 )
 from uplift.model import count_loc, extract_code, parse_requirements, render_requirements
 from uplift.pipeline import RunStatus
+from uplift.transcript import TranscriptEntry, dump_record
 
 # Requirement texts that cannot collide with marker lines: no colons.
 req_text = st.text(
@@ -248,3 +251,56 @@ class TestAggregateProperties:
             rng.shuffle(pool)
         shuffled = aggregate(outcomes, records, scores, "x")
         assert base == shuffled
+
+
+# Every code point but surrogates, with the ones JSON escapes or that break
+# lines elsewhere drawn often.
+line_text = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x00\x1f\x7f\x85\u2028\u2029\U0001f600'),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=30,
+)
+maybe_count = st.none() | st.integers(min_value=0)
+EXCHANGE_KEYS = {
+    "agent", "error", "flags", "iteration", "latency_seconds", "record", "request",
+    "request_digest", "response", "response_digest", "run_id", "step", "task_ordinal",
+}
+
+
+@st.composite
+def transcript_entries(draw):
+    messages = st.lists(st.fixed_dictionaries({"content": line_text, "role": line_text}), max_size=4)
+    return TranscriptEntry(
+        step=draw(st.integers(min_value=0)),
+        agent=draw(line_text),
+        request={"messages": draw(messages), "model": draw(line_text)},
+        response=draw(st.none() | line_text),
+        latency_seconds=draw(st.floats(min_value=-0.0, allow_nan=False, allow_infinity=False)),
+        task_ordinal=draw(maybe_count),
+        iteration=draw(maybe_count),
+        error=draw(st.none() | line_text),
+        flags=draw(st.sets(line_text, max_size=4)),
+    )
+
+
+class TestTranscriptLineProperties:
+    @given(transcript_entries(), line_text.filter(bool))
+    def test_line_is_dump_record_of_its_record(self, entry, run_id):
+        line = entry.to_line(run_id)
+        record = json.loads(line)
+        assert line == dump_record(record)
+        assert set(record) == EXCHANGE_KEYS
+        assert record["request_digest"] == sha256(dump_record(entry.request).encode("utf-8")).hexdigest()
+        response = entry.response
+        expected = "" if response is None else sha256(response.encode("utf-8")).hexdigest()
+        assert record["response_digest"] == expected
+        assert record == {
+            **vars(entry),
+            "flags": sorted(entry.flags),
+            "record": "exchange",
+            "run_id": run_id,
+            "request_digest": record["request_digest"],
+            "response_digest": record["response_digest"],
+        }
