@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .backend import Backend, ChatMessage, ChatRequest, ChatResponse, DEFAULT_MODEL, Role
+from .backend import Backend, ChatMessage, ChatRequest, ChatResponse, Role
 from .errors import ConfigError, FailedGeneration, PlanParseError, PromptSpecParseError
 from .model import (
     CodeArtifact,
@@ -127,7 +127,7 @@ class AgentContext:
     backend: Backend
     prompts: PromptLibrary
     transcript: Transcript
-    model: str = DEFAULT_MODEL
+    model: str
 
     def call(
         self,
@@ -150,7 +150,7 @@ class AgentContext:
             failure = exc
         self.transcript.record(
             agent,
-            request.to_payload(),
+            request,
             response=None if failure is not None else response.content,
             latency_seconds=time.perf_counter() - start if failure is not None else response.latency_seconds,
             task_ordinal=task_ordinal,

@@ -14,6 +14,7 @@ import re
 import time
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from threading import Lock
 from typing import Any, Callable, Iterable, Protocol
@@ -45,6 +46,8 @@ class ChatMessage:
     content: str
 
     def __post_init__(self):
+        if not isinstance(self.role, Role) or not isinstance(self.content, str):
+            raise ValueError("a message's role must be a Role and its content a str")
         if self.role in (Role.SYSTEM, Role.USER) and not self.content:
             raise ValueError(f"{self.role.value} message content must be non-empty")
 
@@ -52,11 +55,13 @@ class ChatMessage:
 @dataclass(frozen=True)
 class ChatRequest:
     messages: tuple[ChatMessage, ...]
-    model: str = DEFAULT_MODEL
+    model: str
 
     def __post_init__(self):
-        if not self.messages:
-            raise ValueError("a request needs at least one message")
+        if not isinstance(self.model, str):
+            raise ValueError(f"model must be a str, not {type(self.model).__name__}")
+        if not self.messages or not all(isinstance(m, ChatMessage) for m in self.messages):
+            raise ValueError("a request needs at least one message, each a ChatMessage")
         if self.messages[0].role is not Role.SYSTEM:
             raise ValueError("the first message must have the system role")
 
@@ -65,6 +70,12 @@ class ChatRequest:
             "model": self.model,
             "messages": [{"role": m.role.value, "content": m.content} for m in self.messages],
         }
+
+    def to_json(self) -> str:
+        """to_payload() as transcript.dump_record writes it, from a template
+        (a Role is a str, so _quote writes its value)."""
+        messages = [f'{{"content": {_quote(m.content)}, "role": {_quote(m.role)}}}' for m in self.messages]
+        return f'{{"messages": [{", ".join(messages)}], "model": {_quote(self.model)}}}'
 
 
 @dataclass(frozen=True)
@@ -75,6 +86,8 @@ class ChatResponse:
     completion_tokens: int | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.content, str) and utf8_encodable(self.content)):
+            raise ValueError("response content must be a str with no lone surrogate")
         # NaN passes a "< 0" test, and a transcript cannot hold it or an infinity as JSON.
         if not (math.isfinite(self.latency_seconds) and self.latency_seconds >= 0):
             raise ValueError(f"latency must be finite and non-negative, not {self.latency_seconds!r}")

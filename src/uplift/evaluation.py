@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence, TextIO, TypeVar
+from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .backend import Backend
 from .errors import ConfigError, DanglingReference, UnknownCategory
@@ -128,6 +128,16 @@ def _mean(values: Sequence[float]) -> float:
     return math.fsum(sorted(values)) / len(values)  # statistics.fmean's sum and divide
 
 
+def _numbered_rows(stream: TextIO, source: str) -> Iterator[tuple[int, list[str]]]:
+    """(N, cells) of each CSV row, from N = 1, for _read_csv."""
+    row_number = 0
+    try:
+        for row_number, row in enumerate(csv.reader(stream), start=1):
+            yield row_number, row
+    except csv.Error as exc:
+        raise ConfigError(f"row {row_number + 1}: {source}: {exc}") from None
+
+
 def _read_csv(
     stream: TextIO,
     expected_header: list[str],
@@ -142,9 +152,10 @@ def _read_csv(
     earlier row's is a ConfigError starting "row N: <source>: "; an
     UnknownCategory from parse gets the same start, and so does the
     DanglingReference of a row whose run_id, its first cell, is not in
-    runs, when runs is given."""
-    reader = csv.reader(stream)
-    header = next(reader, None)
+    runs, when runs is given, and the ConfigError of a row csv cannot read,
+    such as one over the field limit (process-wide, so left as it is)."""
+    rows = _numbered_rows(stream, source)
+    _, header = next(rows, (1, None))
     if header is None:
         raise ConfigError(f"{source}: empty file, expected header {','.join(expected_header)}")
     if header:  # spreadsheet "CSV UTF-8" exports start with a byte-order mark
@@ -155,7 +166,7 @@ def _read_csv(
         )
     records: list[T] = []
     first_rows: dict[Hashable, int] = {}
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in rows:
         if not row or all(not cell.strip() for cell in row):
             continue
         where = f"row {row_number}: {source}"

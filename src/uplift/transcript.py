@@ -3,10 +3,9 @@
 Transcripts are written as JSONL with full prompt/response bodies inline;
 the digests make it cheap to diff runs. Every line is dump_record of its
 record. An exchange line is written from one template in that same form,
-and its request is encoded once, at write time, for both its digest and its
-line. Two runs against the same script produce byte-identical files except
-for the timing fields, so replay tests compare records through
-strip_timing().
+with ChatRequest.to_json() as its request. Two runs against the same script
+produce byte-identical files except for the timing fields, so replay tests
+compare records through strip_timing().
 """
 
 from __future__ import annotations
@@ -14,17 +13,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from hashlib import sha256
-from json.encoder import encode_basestring
+from json.encoder import encode_basestring as _quote  # _ENCODER's escaper, for keys and values alike
 from pathlib import Path
 from typing import Any, Iterable, TYPE_CHECKING
+
+from .backend import ChatRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import RunOutcome
 
 TIMING_FIELDS = ("latency_seconds", "duration_seconds")
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)  # json.dumps would build one per call
-# The escaper _ENCODER applies to every string, keys and values alike.
-_quote = encode_basestring
 
 
 def _digest(text: str) -> str:
@@ -41,29 +40,13 @@ def dump_record(record: dict[str, Any]) -> str:
     return _ENCODER.encode(record)
 
 
-def _is_chat_payload(request: Any) -> bool:
-    """True for {"messages": [{"content": str, "role": str}, ...], "model": str}
-    and nothing else: two keys, each with a value of its type."""
-    if type(request) is not dict or len(request) != 2 or type(request.get("model")) is not str:
-        return False
-    messages = request.get("messages")
-    if type(messages) is not list:
-        return False
-    for m in messages:
-        if type(m) is not dict or len(m) != 2:
-            return False
-        if type(m.get("content")) is not str or type(m.get("role")) is not str:
-            return False
-    return True
-
-
 @dataclass
 class TranscriptEntry:
     """One backend exchange, as AgentContext.call records it."""
 
     step: int
     agent: str
-    request: dict[str, Any]
+    request: ChatRequest
     response: str | None
     latency_seconds: float
     task_ordinal: int | None = None
@@ -75,13 +58,8 @@ class TranscriptEntry:
         """The exchange as one line, stamped with its run's id: the 13 keys
         in sorted order, written as dump_record writes the record. Strings
         go through dump_record's escaper and numbers through the reprs its
-        encoder uses. The request is encoded once, and that text is both
-        hashed for request_digest and written into the line."""
-        messages = ", ".join(
-            [f'{{"content": {_quote(m["content"])}, "role": {_quote(m["role"])}}}'
-             for m in self.request["messages"]]
-        )
-        request = f'{{"messages": [{messages}], "model": {_quote(self.request["model"])}}}'
+        encoder uses. The request's text, ChatRequest.to_json(), is both hashed and spliced in."""
+        request = self.request.to_json()
         response = self.response
         error = self.error
         iteration = self.iteration
@@ -113,14 +91,11 @@ class Transcript:
         self.run_id = run_id
         self.entries: list[TranscriptEntry] = []
 
-    def record(self, agent: str, request: dict[str, Any], **fields: Any) -> TranscriptEntry:
+    def record(self, agent: str, request: ChatRequest, **fields: Any) -> TranscriptEntry:
         """Append an exchange as the next step; `fields` are its other TranscriptEntry fields.
-        The request must have the chat-payload shape AgentContext.call sends,
-        the one shape to_line writes; any other is a ValueError."""
-        if not _is_chat_payload(request):
-            raise ValueError(
-                "a transcript request is {'messages': [{'content': str, 'role': str}, ...], 'model': str}"
-            )
+        The request is the ChatRequest sent, whose checks keep to_line valid; any other is a ValueError."""
+        if not isinstance(request, ChatRequest):
+            raise ValueError(f"a transcript request is a ChatRequest, not {type(request).__name__}")
         entry = TranscriptEntry(len(self.entries) + 1, agent, request, **fields)
         self.entries.append(entry)
         return entry

@@ -21,14 +21,17 @@ REVISE_REPLY = "VERDICT: REVISE\nFEEDBACK: first() not used on the ORM object"
 
 
 class FakeTransport:
-    """Scripted (status, body) pairs; an Exception instance raises instead."""
+    """Scripted (status, body) pairs; an Exception instance raises instead.
+    Each payload posted is kept, in call order."""
 
     def __init__(self, *outcomes):
         self.outcomes = list(outcomes)
         self.calls = 0
+        self.payloads = []
 
     def __call__(self, endpoint, payload, api_key, timeout):
         self.calls += 1
+        self.payloads.append(payload)
         outcome = self.outcomes.pop(0)
         if isinstance(outcome, Exception):
             raise outcome

@@ -254,7 +254,7 @@ def test_criterion_10_baseline_parity(fixtures_dir):
     assert outcome.status is RunStatus.COMPLETED
     assert len(transcript.entries) == 1
     rendered = "\n".join(
-        m["content"] for m in transcript.entries[0].request["messages"]
+        m.content for m in transcript.entries[0].request.messages
     )
     assert prompt_text in rendered
     assert rendered.index(prompt_text) < rendered.index(code.content)

@@ -24,7 +24,7 @@ from uplift.agents import (
     parse_task_lines,
     verify,
 )
-from uplift.backend import ChatMessage, ChatResponse, Role
+from uplift.backend import DEFAULT_MODEL, ChatMessage, ChatResponse, Role
 from uplift.errors import BackendExhausted, ConfigError, PlanParseError, PromptSpecParseError, FailedGeneration
 from uplift.model import CodeArtifact, Decision, Task, TaskPlan, Verdict
 from uplift.transcript import Transcript
@@ -33,7 +33,7 @@ from conftest import ACCEPT_REPLY, CODE_REPLY, PLAN_REPLY, REVISE_REPLY, SECTION
 
 
 def ctx_with(backend) -> AgentContext:
-    return AgentContext(backend=backend, prompts=PromptLibrary(), transcript=Transcript("t"))
+    return AgentContext(backend=backend, prompts=PromptLibrary(), transcript=Transcript("t"), model=DEFAULT_MODEL)
 
 
 def a_task(description="Fix ORM access", ordinal=1) -> Task:
@@ -79,7 +79,7 @@ class TestCall:
         assert entry.response is None
         assert entry.error == "BackendExhausted: all 3 attempts failed"
         assert entry.latency_seconds >= 0.05
-        assert entry.request["messages"][1] == {"role": "user", "content": "hello"}
+        assert entry.request.messages[1] == ChatMessage(Role.USER, "hello")
 
 
 class TestTemplates:
@@ -146,9 +146,9 @@ class TestManagerPlan:
     def test_requirements_rendered_into_user_message(self, two_requirements):
         ctx = ctx_with(seq(PLAN_REPLY))
         manager_plan(ctx, two_requirements)
-        user = ctx.transcript.entries[0].request["messages"][1]
-        assert user["role"] == "user"
-        assert "Requirement1: Update whole CakePHP view file" in user["content"]
+        user = ctx.transcript.entries[0].request.messages[1]
+        assert user.role is Role.USER
+        assert "Requirement1: Update whole CakePHP view file" in user.content
 
     def test_llm_numbering_is_renumbered(self, two_requirements):
         ctx = ctx_with(seq("TASK 3: late\nTASK 1: early"))
@@ -247,7 +247,7 @@ class TestExecute:
     def test_user_message_carries_code_and_directive(self, original_code):
         ctx = ctx_with(seq(CODE_REPLY))
         execute(ctx, self.spec(), original_code)
-        user = ctx.transcript.entries[-1].request["messages"][1]["content"]
+        user = ctx.transcript.entries[-1].request.messages[1].content
         assert original_code.content in user
         assert user.rstrip().endswith(RETURN_ONLY_CODE)
 
@@ -299,7 +299,7 @@ class TestVerify:
         after = executor_artifact("<?php new version ?>")
         older = CodeArtifact("<?php ancient ?>")
         verify(ctx, a_task(), original_code, after, original=older)
-        user = ctx.transcript.entries[0].request["messages"][1]["content"]
+        user = ctx.transcript.entries[0].request.messages[1].content
         assert user.index("<?php ancient ?>") < user.index(original_code.content)
         assert user.index(original_code.content) < user.index("<?php new version ?>")
 
@@ -309,7 +309,7 @@ class TestVerify:
         ctx = ctx_with(seq(ACCEPT_REPLY))
         original = CodeArtifact(original_code.content) if copy else original_code
         verify(ctx, a_task(), original_code, executor_artifact("<?php new version ?>"), original=original)
-        user = ctx.transcript.entries[0].request["messages"][1]["content"]
+        user = ctx.transcript.entries[0].request.messages[1].content
         assert user.count(original_code.content) == 1
         label = user.splitlines()[0]
         assert "ORIGINAL FILE" in label and "BEFORE THIS TASK" in label
@@ -428,7 +428,7 @@ def test_code_roles_end_the_user_message_in_one_directive(op, prefix, original_c
     ctx = ctx_with(seq(CODE_REPLY))
     op(ctx, original_code)
     [entry] = ctx.transcript.entries
-    user = entry.request["messages"][-1]["content"]
+    user = entry.request.messages[-1].content
     assert user == f"{prefix}{original_code.content}\n\n{RETURN_ONLY_CODE}"
     assert user.count(RETURN_ONLY_CODE) == 1
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from hashlib import sha256
 from pathlib import Path
 from unittest import mock
 
@@ -30,23 +31,24 @@ from uplift.errors import (
 )
 from uplift.evaluation import run_bench, run_once
 from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, run_pipeline
-from uplift.transcript import Transcript, read_transcript
+from uplift.model import CodeArtifact
+from uplift.transcript import Transcript, dump_record, read_transcript
 
-from conftest import SECTIONS_REPLY, FakeTransport, seq
+from conftest import ACCEPT_REPLY, CODE_REPLY, SECTIONS_REPLY, FakeTransport, seq
 
 
 def request_with(user: str = "hello") -> ChatRequest:
-    return ChatRequest(messages=(ChatMessage(Role.SYSTEM, "sys"), ChatMessage(Role.USER, user)))
+    return ChatRequest(messages=(ChatMessage(Role.SYSTEM, "sys"), ChatMessage(Role.USER, user)), model="m")
 
 
 class TestChatTypes:
     def test_first_message_must_be_system(self):
         with pytest.raises(ValueError):
-            ChatRequest(messages=(ChatMessage(Role.USER, "hi"),))
+            ChatRequest(messages=(ChatMessage(Role.USER, "hi"),), model="m")
 
     def test_messages_must_be_non_empty(self):
         with pytest.raises(ValueError):
-            ChatRequest(messages=())
+            ChatRequest(messages=(), model="m")
 
     def test_system_and_user_content_non_empty(self):
         with pytest.raises(ValueError):
@@ -55,6 +57,22 @@ class TestChatTypes:
 
     def test_payload_omits_unset_sampling_fields(self):
         assert set(request_with().to_payload()) == {"model", "messages"}
+
+    # A plain str role is rejected too: the payload writes a Role's value.
+    @pytest.mark.parametrize("role, content", [(Role.USER, None), (Role.ASSISTANT, 5), (1, "hi"), ("user", "hi")])
+    def test_message_role_and_content_are_checked(self, role, content):
+        with pytest.raises(ValueError, match="^a message's role must be a Role and its content a str$"):
+            ChatMessage(role, content)
+
+    @pytest.mark.parametrize("model", [None, 4, b"m"])
+    def test_model_must_be_a_str(self, model):
+        with pytest.raises(ValueError, match="^model must be a str, not "):
+            ChatRequest(messages=(ChatMessage(Role.SYSTEM, "sys"),), model=model)
+
+    @pytest.mark.parametrize("content", [5, None, b"x", "\ud800"], ids=repr)
+    def test_response_content_must_be_a_str_a_transcript_can_hold(self, content):
+        with pytest.raises(ValueError, match="^response content must be a str with no lone surrogate$"):
+            ChatResponse(content=content, latency_seconds=0.0)
 
 
 class TestScriptedBackend:
@@ -439,6 +457,23 @@ class TestCompletionBodyFuzz:
             assert count is None or type(count) is int
 
 
+def test_each_exchange_records_the_payload_posted(monkeypatch, two_requirements, tmp_path):
+    # Quotes, a backslash, a tab and non-ASCII text: each must be written as json writes it.
+    code = CodeArtifact('<?php echo "caf\u00e9 \\ \t \u2028 \U0001f600"; ?>')
+    monkeypatch.setenv("LLM_API_KEY", "k")
+    transport = FakeTransport(ok_body(SECTIONS_REPLY), ok_body(CODE_REPLY), ok_body(ACCEPT_REPLY))
+    backend = HttpBackend("http://x", transport=transport)
+    config = PipelineConfig(mode=PipelineMode.SYSTEM_SINGLE_TASK, backend=backend)
+    outcome = run_once(code, two_requirements, config, "run-001", tmp_path, ".php")
+    assert outcome.status is RunStatus.COMPLETED
+    # Split on "\n" alone: U+2028 stands raw inside a line.
+    *lines, _summary, _ = (tmp_path / "run-001.jsonl").read_text(encoding="utf-8").split("\n")
+    assert len(lines) == len(transport.payloads) == 3
+    for line, payload in zip(lines, transport.payloads):
+        posted = dump_record(payload)
+        assert f'"request": {posted}, "request_digest": "{sha256(posted.encode()).hexdigest()}"' in line
+
+
 class TestNullContentRun:
     """A reply the backend cannot pass on ("content": null from a refusal or
     tool call, or a malformed usage block) ends its run as a recorded failed
@@ -483,6 +518,22 @@ class TestNullContentRun:
         assert [e["agent"] for e in exchanges] == ["prompt_maker", "executor"]
         assert exchanges[-1]["error"] == summary["failure"] == outcome.failure
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run-001.jsonl"]
+
+    # A custom backend's reply: a ChatResponse that no transcript line could hold.
+    @pytest.mark.parametrize("content", [5, "```php\n<?php echo 1; // \ud800\n```"], ids=["int", "surrogate"])
+    def test_reply_a_transcript_cannot_hold_is_a_recorded_failed_run(self, fixtures_dir, tmp_path, content):
+        class Reply:
+            def complete(self, request):
+                return ChatResponse(content=content, latency_seconds=0.0)
+
+        config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=Reply())
+        outcomes = run_bench(fixtures_dir / "case_view_zsl", config, 2, out_dir=tmp_path)
+        assert [o.status for o in outcomes] == [RunStatus.FAILED_GENERATION] * 2
+        for outcome in outcomes:
+            *exchanges, summary = read_transcript(tmp_path / f"{outcome.run_id}.jsonl")
+            assert summary["record"] == "summary"
+            assert summary["failure"].startswith("ValueError: response content must be a str")
+            assert [e["error"] for e in exchanges] == [summary["failure"]]
 
     def test_bench_returns_every_outcome(self, monkeypatch, fixtures_dir, tmp_path):
         monkeypatch.setenv("LLM_API_KEY", "k")

@@ -765,6 +765,20 @@ class TestReport:
         assert capsys.readouterr().err == f"error: row {row}: {index}: {message}\n"
         assert not (out_dir / "report.csv").exists()
 
+    @pytest.mark.parametrize("name, row", [("ledger", 2), ("index", 3)])
+    def test_cell_over_the_csv_field_limit_exits_2_naming_its_row(self, workdir, capsys, name, row):
+        out_dir = workdir / "out"
+        out_dir.mkdir()
+        paths = {"index": out_dir / "index.csv", "ledger": workdir / "ledger.csv"}
+        paths["index"].write_text("run_id,status,duration_seconds,loc\nrun-001,completed,1.0,3\n", encoding="utf-8")
+        paths["ledger"].write_text("run_id,mistake_id,category,description\n", encoding="utf-8")
+        oversized = {"index": "run-002,failed_generation,1.0,", "ledger": "run-001,m1,fatal,"}[name]
+        with open(paths[name], "a", encoding="utf-8") as fh:
+            fh.write(oversized + "x" * 200_000 + "\n")
+        assert main(["report", str(out_dir), str(paths["ledger"]), "--label", "x"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: row {row}: {paths[name]}: field larger than field limit")
+        assert not (out_dir / "report.csv").exists()
+
     def test_unknown_run_id_exits_5(self, workdir, capsys):
         out_dir = self.bench(workdir, reps=3)
         ledger = workdir / "ledger.csv"

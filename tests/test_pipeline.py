@@ -78,7 +78,7 @@ class TestSystemModes:
             transcript=transcript,
         )
         assert outcome.task_count == 2
-        first_system = transcript.entries[0].request["messages"][0]["content"]
+        first_system = transcript.entries[0].request.messages[0].content
         assert two_requirements.requirements[0].text in first_system
 
     def test_single_task_mode_concatenates(self, original_code, two_requirements):
@@ -91,7 +91,7 @@ class TestSystemModes:
         )
         assert outcome.task_count == 1
         merged = " ".join(r.text for r in two_requirements.requirements)
-        assert merged in transcript.entries[0].request["messages"][0]["content"]
+        assert merged in transcript.entries[0].request.messages[0].content
 
     def test_baseline_mode_rejected(self, original_code, two_requirements):
         with pytest.raises(ValueError):
@@ -216,7 +216,7 @@ class TestBaseline:
         assert outcome.status is RunStatus.COMPLETED
         assert outcome.task_count == 1 and outcome.finalizer_invocations == 0
         assert len(transcript.entries) == 1
-        user = transcript.entries[0].request["messages"][1]["content"]
+        user = transcript.entries[0].request.messages[1].content
         assert user.index(prompt_text) < user.index(original_code.content)
 
     def test_codeless_reply_fails(self, original_code):
@@ -338,6 +338,7 @@ class TestTranscriptInvariants:
     @pytest.mark.parametrize(
         "request_",
         [
+            {"messages": [{"content": "x", "role": "system"}], "model": "m"},
             {"messages": [{"content": "x", "role": "system"}]},
             {"messages": [{"content": "x", "role": "system"}], "model": "m", "temperature": 0},
             {"messages": ({"content": "x", "role": "system"},), "model": "m"},
@@ -345,12 +346,12 @@ class TestTranscriptInvariants:
             {"messages": [{"content": "x", "role": "system", "name": "n"}], "model": "m"},
             {"messages": ["x"], "model": "m"},
             {"messages": [], "model": 4},
-            [("messages", []), ("model", "m")],
         ],
     )
-    def test_only_the_chat_payload_shape_is_recorded(self, request_):
+    def test_a_dict_request_is_rejected(self, request_):
+        # Even the payload a ChatRequest posts: a transcript records the request itself.
         transcript = Transcript("r1")
-        with pytest.raises(ValueError, match="^a transcript request is "):
+        with pytest.raises(ValueError, match="^a transcript request is a ChatRequest, not dict$"):
             transcript.record("manager", request_, response="x", latency_seconds=0.0)
         assert transcript.entries == []
 
@@ -510,7 +511,7 @@ class TestVerifierMessage:
         users = {1: [], 2: []}
         for entry in transcript.entries:
             if entry.agent == "verifier":
-                users[entry.task_ordinal].append(entry.request["messages"][1]["content"])
+                users[entry.task_ordinal].append(entry.request.messages[1].content)
         assert len(users[1]) == 2 and len(users[2]) == 1
         for user in users[1]:
             assert user.startswith("BEFORE THIS TASK (unchanged ORIGINAL FILE):\n")

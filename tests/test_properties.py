@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uplift.backend import utf8_encodable
+from uplift.backend import ChatMessage, ChatRequest, Role, utf8_encodable
 from uplift.evaluation import (
     ErrorCategory,
     RequirementScoreRecord,
@@ -269,13 +269,26 @@ EXCHANGE_KEYS = {
 }
 
 
+def messages_as(role: Role):
+    # A system or user message needs content; an assistant's may be empty.
+    content = line_text if role is Role.ASSISTANT else line_text.filter(bool)
+    return st.builds(ChatMessage, st.just(role), content)
+
+
+chat_requests = st.builds(
+    lambda first, rest, model: ChatRequest((first, *rest), model),
+    messages_as(Role.SYSTEM),
+    st.lists(st.sampled_from(Role).flatmap(messages_as), max_size=3),
+    line_text,
+)
+
+
 @st.composite
 def transcript_entries(draw):
-    messages = st.lists(st.fixed_dictionaries({"content": line_text, "role": line_text}), max_size=4)
     return TranscriptEntry(
         step=draw(st.integers(min_value=0)),
         agent=draw(line_text),
-        request={"messages": draw(messages), "model": draw(line_text)},
+        request=draw(chat_requests),
         response=draw(st.none() | line_text),
         latency_seconds=draw(st.floats(min_value=-0.0, allow_nan=False, allow_infinity=False)),
         task_ordinal=draw(maybe_count),
@@ -292,12 +305,15 @@ class TestTranscriptLineProperties:
         record = json.loads(line)
         assert line == dump_record(record)
         assert set(record) == EXCHANGE_KEYS
-        assert record["request_digest"] == sha256(dump_record(entry.request).encode("utf-8")).hexdigest()
+        request = dump_record(entry.request.to_payload())
+        assert f'"request": {request}, "request_digest": ' in line
+        assert record["request_digest"] == sha256(request.encode("utf-8")).hexdigest()
         response = entry.response
         expected = "" if response is None else sha256(response.encode("utf-8")).hexdigest()
         assert record["response_digest"] == expected
         assert record == {
             **vars(entry),
+            "request": entry.request.to_payload(),
             "flags": sorted(entry.flags),
             "record": "exchange",
             "run_id": run_id,
