@@ -140,26 +140,24 @@ class AgentContext:
     ) -> ChatResponse:
         """Send one request and record exactly one transcript exchange,
         whether the backend succeeds or fails. A failed exchange keeps its
-        wall-clock latency and its error; the same exception is re-raised."""
+        wall-clock latency and its error; the same exception is re-raised.
+        A reply that is not a ChatResponse fails as a TypeError."""
         request = ChatRequest(messages=tuple(messages), model=self.model)
+        where = {"task_ordinal": task_ordinal, "iteration": iteration, "flags": set(flags)}
         start = time.perf_counter()
-        response = failure = None
         try:
             response = self.backend.complete(request)
+            if not isinstance(response, ChatResponse):
+                raise TypeError(f"complete() returned a {type(response).__name__}, not a ChatResponse")
         except Exception as exc:
-            failure = exc
+            latency = time.perf_counter() - start
+            self.transcript.record(
+                agent, request, response=None, latency_seconds=latency, error=error_text(exc), **where
+            )
+            raise
         self.transcript.record(
-            agent,
-            request,
-            response=None if failure is not None else response.content,
-            latency_seconds=time.perf_counter() - start if failure is not None else response.latency_seconds,
-            task_ordinal=task_ordinal,
-            iteration=iteration,
-            error=error_text(failure) if failure is not None else None,
-            flags=set(flags),
+            agent, request, response=response.content, latency_seconds=response.latency_seconds, **where
         )
-        if failure is not None:
-            raise failure
         return response
 
 

@@ -80,6 +80,10 @@ class ChatRequest:
 
 @dataclass(frozen=True)
 class ChatResponse:
+    """A backend's reply. Its checks are the one rule for what a reply may hold:
+    one that breaks them raises ValueError, or TypeError for a latency that is
+    not a number (from HttpBackend, BackendExhausted)."""
+
     content: str
     latency_seconds: float
     prompt_tokens: int | None = None
@@ -93,8 +97,8 @@ class ChatResponse:
             raise ValueError(f"latency must be finite and non-negative, not {self.latency_seconds!r}")
         for field in ("prompt_tokens", "completion_tokens"):
             value = getattr(self, field)
-            if value is not None and value < 0:
-                raise ValueError(f"{field} cannot be negative")
+            if not (value is None or (type(value) is int and value >= 0)):  # a bool is not a count
+                raise ValueError(f"{field} must be None or an int >= 0, not {value!r}")
 
 
 class Backend(Protocol):
@@ -231,28 +235,18 @@ class HttpBackend:
 
     @staticmethod
     def _parse_body(body: dict[str, Any], latency: float) -> ChatResponse:
+        """The reply a 200 body holds. A body that lacks one, or whose reply
+        ChatResponse rejects (refusals and tool-call replies carry "content":
+        null), is malformed: BackendExhausted."""
         try:
-            content = body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
-            content = None
-        # Refusals and tool-call replies carry "content": null. Only text a UTF-8
-        # transcript can hold reaches the parsers; only valid counts reach ChatResponse.
-        text = isinstance(content, str) and utf8_encodable(content)
-        counts = _token_counts(body.get("usage")) if text else None
-        if counts is None:
-            raise BackendExhausted(f"malformed completion body: {json.dumps(body)[:200]}")
-        return ChatResponse(content=content, latency_seconds=latency, **counts)
-
-
-def _token_counts(usage: Any) -> dict[str, int | None] | None:
-    """ChatResponse's token-count fields from a completion's usage block, or
-    None when it is malformed. An absent or null usage or count gives None;
-    a count that is present must be a non-negative int."""
-    if usage is None:
-        usage = {}
-    if not isinstance(usage, dict):
-        return None
-    counts = {key: usage.get(key) for key in ("prompt_tokens", "completion_tokens")}
-    if all(c is None or (type(c) is int and c >= 0) for c in counts.values()):
-        return counts
-    return None
+            usage = body.get("usage")
+            if usage is None:  # not `or {}`: a falsy usage such as [] or 0 is malformed
+                usage = {}
+            return ChatResponse(
+                content=body["choices"][0]["message"]["content"],
+                latency_seconds=latency,
+                prompt_tokens=usage.get("prompt_tokens"),
+                completion_tokens=usage.get("completion_tokens"),
+            )
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError):
+            raise BackendExhausted(f"malformed completion body: {json.dumps(body)[:200]}") from None

@@ -17,7 +17,7 @@ from typing import Sequence
 from urllib.parse import urlsplit
 
 from .agents import DEFAULT_PROMPT_DIR, render_tasks
-from .backend import DEFAULT_MODEL, HttpBackend, ScriptedBackend, load_script, utf8_encodable
+from .backend import DEFAULT_MODEL, HttpBackend, load_script, utf8_encodable
 from .errors import (
     DanglingReference,
     ConfigError,
@@ -183,17 +183,12 @@ def cmd_bench(args: argparse.Namespace, config: CliConfig) -> int:
     if not case_dir.is_dir():
         raise ConfigError(f"case directory not found: {case_dir}")
     pconfig = pipeline_config(config)
-    backend = pconfig.backend
-    # A scripted backend is consumed as it runs, so each repetition replays
-    # the parsed replies through a backend of its own.
-    factory = (lambda i: ScriptedBackend(backend.replies)) if isinstance(backend, ScriptedBackend) else None
     out_dir = Path(args.out or "out") / case_dir.name
     outcomes = run_bench(
         case_dir,
         pconfig,
         config.bench_repetitions,
         out_dir=out_dir,
-        backend_factory=factory,
         parallelism=config.bench_parallelism,
     )
     write_bench_index(outcomes, out_dir / "index.csv")

@@ -26,7 +26,8 @@ class CredentialMissing(UpliftError):
 
 
 class BackendExhausted(UpliftError):
-    """All retry attempts against the HTTP backend failed."""
+    """The HTTP backend got no usable reply: every retry attempt failed, the
+    status was one not retried, or a 200 body was malformed."""
 
 
 class ScriptExhausted(UpliftError):

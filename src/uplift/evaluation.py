@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
-from .backend import Backend
+from .backend import Backend, ScriptedBackend
 from .errors import ConfigError, DanglingReference, UnknownCategory
 from .model import CodeArtifact, RequirementSet, artifact_from_file, load_requirements
 from .pipeline import (
@@ -382,8 +382,9 @@ def run_bench(
     completed runs) one updated file per run. The run files of an earlier
     bench into out_dir beyond `repetitions` are deleted.
 
-    backend_factory(i) supplies a fresh backend per 1-based repetition so
-    scripted runs never share consumption state. Whatever fails inside a
+    backend_factory(i) supplies the backend of 1-based repetition i. Without
+    it, each repetition replays a ScriptedBackend's replies from the start,
+    and any other backend is shared. Whatever fails inside a
     run ends it as a failed outcome, with the reason in its summary; only a
     failure to write a run's files (or an interrupt) aborts the batch.
     """
@@ -404,7 +405,11 @@ def run_bench(
             path.unlink()
 
     def one_run(i: int) -> RunOutcome:
-        backend = backend_factory(i) if backend_factory is not None else config.backend
+        backend = config.backend
+        if backend_factory is not None:
+            backend = backend_factory(i)
+        elif isinstance(backend, ScriptedBackend):
+            backend = ScriptedBackend(backend.replies)
         run_config = replace(config, backend=backend)
         return run_once(code, spec, run_config, f"run-{i:03d}", out_path, original_path.suffix)
 

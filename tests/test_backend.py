@@ -74,6 +74,13 @@ class TestChatTypes:
         with pytest.raises(ValueError, match="^response content must be a str with no lone surrogate$"):
             ChatResponse(content=content, latency_seconds=0.0)
 
+    @pytest.mark.parametrize(
+        "field, count", [("prompt_tokens", True), ("prompt_tokens", 1.5), ("completion_tokens", False)]
+    )
+    def test_token_counts_are_none_or_non_bool_ints(self, field, count):
+        with pytest.raises(ValueError, match=f"^{field} must be None or an int >= 0, not {count!r}$"):
+            ChatResponse(content="x", latency_seconds=0.0, **{field: count})
+
 
 class TestScriptedBackend:
     def test_sequence_entries_in_load_order_then_exhausted(self):
@@ -277,6 +284,11 @@ class TestHttpBackend:
             {"completion_tokens": 1.5},
             [7, 3],
             "7",
+            # Falsy, yet not null: `usage or {}` would let these through.
+            [],
+            0,
+            "",
+            False,
         ],
         ids=repr,
     )
@@ -426,15 +438,23 @@ json_values = st.recursive(
     max_leaves=8,
 )
 counts = st.none() | st.booleans() | st.integers(min_value=-3) | st.floats() | st.text(max_size=3)
-usages = json_values | st.fixed_dictionaries({}, optional={"prompt_tokens": counts, "completion_tokens": counts})
+usages = json_values | st.one_of(
+    st.fixed_dictionaries({}, optional={"prompt_tokens": c, "completion_tokens": c})
+    for c in (counts, st.integers(min_value=0))
+)
+
+
+# Text that may hold a lone surrogate, as a "\ud800" escape in a body decodes to.
+lone_surrogates = st.sampled_from("\ud800\udbff\udc00\udfff")
+replies = st.text(max_size=20) | st.text(st.characters() | lone_surrogates, max_size=20)
 
 
 @st.composite
 def completion_bodies(draw):
     """Chat-completion bodies, well formed from the outside down to a drawn
-    depth and junk below it; depth 5 carries text content."""
-    depth = draw(st.integers(0, 5))
-    node = draw(st.text(max_size=20) if depth == 5 else json_values)
+    depth and junk below it; depth 5, half of all bodies, carries text content."""
+    depth = draw(st.just(5) | st.integers(0, 4))
+    node = draw(replies if depth == 5 else json_values)
     wrappers = (lambda n: {"content": n}, lambda n: {"message": n}, lambda n: [n], lambda n: {"choices": n})
     for wrap in wrappers[4 - min(depth, 4) :]:
         node = wrap(node)
@@ -443,18 +463,41 @@ def completion_bodies(draw):
     return node
 
 
+def reply_fields(body):
+    """The oracle: (content, prompt_tokens, completion_tokens) when a 200 body
+    is a reply, None when it is malformed. A reply's content is a str with no
+    lone surrogate; its usage is absent, null, or an object whose two counts
+    are each absent, null or a non-bool int >= 0."""
+    choices = body.get("choices") if isinstance(body, dict) else None
+    if not (isinstance(choices, list) and choices and isinstance(choices[0], dict)):
+        return None
+    message = choices[0].get("message")
+    content = message.get("content") if isinstance(message, dict) else None
+    if not isinstance(content, str) or any("\ud800" <= c <= "\udfff" for c in content):
+        return None
+    usage = {} if body.get("usage") is None else body["usage"]
+    if not isinstance(usage, dict):
+        return None
+    counts = (usage.get("prompt_tokens"), usage.get("completion_tokens"))
+    if not all(c is None or (type(c) is int and c >= 0) for c in counts):
+        return None
+    return (content, *counts)
+
+
 class TestCompletionBodyFuzz:
     @given(completion_bodies())
-    def test_any_body_gives_a_response_or_a_backend_error(self, body):
+    def test_a_body_gives_a_response_exactly_when_it_is_a_reply(self, body):
         backend = HttpBackend("http://x", transport=FakeTransport((200, body)), sleep=lambda _: None)
+        expected = reply_fields(body)
         with mock.patch.dict(os.environ, {"LLM_API_KEY": "k"}):
             try:
                 response = backend.complete(request_with())
-            except BackendExhausted:
+            except BackendExhausted as exc:
+                assert expected is None
+                assert str(exc) == f"malformed completion body: {json.dumps(body)[:200]}"
                 return
-        assert isinstance(response, ChatResponse) and isinstance(response.content, str)
-        for count in (response.prompt_tokens, response.completion_tokens):
-            assert count is None or type(count) is int
+        fields = (response.content, response.prompt_tokens, response.completion_tokens)
+        assert fields == expected and [type(f) for f in fields] == [type(f) for f in expected]
 
 
 def test_each_exchange_records_the_payload_posted(monkeypatch, two_requirements, tmp_path):
@@ -534,6 +577,18 @@ class TestNullContentRun:
             assert summary["record"] == "summary"
             assert summary["failure"].startswith("ValueError: response content must be a str")
             assert [e["error"] for e in exchanges] == [summary["failure"]]
+
+    def test_a_reply_other_than_a_chat_response_is_a_recorded_failed_exchange(self, fixtures_dir, tmp_path):
+        class Text:
+            def complete(self, request):
+                return "```php\n<?php echo 1;\n```"
+
+        config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=Text())
+        (outcome,) = run_bench(fixtures_dir / "case_view_zsl", config, 1, out_dir=tmp_path)
+        assert outcome.status is RunStatus.FAILED_GENERATION
+        *exchanges, summary = read_transcript(tmp_path / "run-001.jsonl")
+        assert [e["error"] for e in exchanges] == [summary["failure"]] == [outcome.failure]
+        assert outcome.failure == "TypeError: complete() returned a str, not a ChatResponse"
 
     def test_bench_returns_every_outcome(self, monkeypatch, fixtures_dir, tmp_path):
         monkeypatch.setenv("LLM_API_KEY", "k")

@@ -31,6 +31,7 @@ from uplift.evaluation import (
     write_bench_index,
 )
 from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus
+from uplift.transcript import read_transcript
 
 
 def brute_force_sd(values):
@@ -328,7 +329,6 @@ class TestRunBench:
             config,
             10,
             out_dir=tmp_path,
-            backend_factory=lambda i: load_script(case / "script.json"),
         )
         assert len(outcomes) == 10
         assert all(o.status is RunStatus.COMPLETED for o in outcomes)
@@ -359,6 +359,17 @@ class TestRunBench:
         assert [o.failure for i, o in enumerate(outcomes) if i != 3] == [None] * 9
         assert not (tmp_path / "run-004.updated.php").exists()
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_a_scripted_backend_replays_in_every_repetition(self, fixtures_dir, tmp_path, parallelism):
+        case = fixtures_dir / "case_view"
+        backend = load_script(case / "script.json")
+        config = PipelineConfig(mode=PipelineMode.SYSTEM_MANAGER, backend=backend)
+        outcomes = run_bench(case, config, 3, out_dir=tmp_path, parallelism=parallelism)
+        assert [o.status for o in outcomes] == [RunStatus.COMPLETED] * 3
+        for outcome in outcomes:
+            *exchanges, _summary = read_transcript(tmp_path / f"{outcome.run_id}.jsonl")
+            assert [e["response"] for e in exchanges] == list(backend.replies)
+
     def test_zero_repetitions_rejected(self, fixtures_dir, tmp_path):
         case = fixtures_dir / "case_view"
         config = PipelineConfig(
@@ -377,7 +388,6 @@ class TestRunBench:
             config,
             6,
             out_dir=tmp_path,
-            backend_factory=lambda i: load_script(case / "script.json"),
             parallelism=3,
         )
         assert [o.run_id for o in outcomes] == [f"run-{i:03d}" for i in range(1, 7)]
