@@ -13,9 +13,9 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
-from .backend import Backend, ChatMessage, ChatRequest, ChatResponse, Role
+from .backend import ChatMessage, ChatRequest, ChatResponse, Role
 from .errors import ConfigError, FailedGeneration, PlanParseError, PromptSpecParseError
 from .model import (
     CodeArtifact,
@@ -28,6 +28,9 @@ from .model import (
     render_requirements,
 )
 from .transcript import Transcript, error_text
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 # Each template asset and the placeholders its role renders it with. A
 # template may leave a placeholder out; naming any other one is an error at
@@ -121,13 +124,11 @@ class PromptLibrary:
 
 @dataclass
 class AgentContext:
-    """Everything an agent call needs: backend, templates, transcript, and
-    the request parameters recorded for reproducibility."""
+    """What every agent call of a run shares: the run's settings (backend,
+    templates, model) and the transcript its exchanges land in."""
 
-    backend: Backend
-    prompts: PromptLibrary
+    config: PipelineConfig
     transcript: Transcript
-    model: str
 
     def call(
         self,
@@ -142,11 +143,11 @@ class AgentContext:
         whether the backend succeeds or fails. A failed exchange keeps its
         wall-clock latency and its error; the same exception is re-raised.
         A reply that is not a ChatResponse fails as a TypeError."""
-        request = ChatRequest(messages=tuple(messages), model=self.model)
+        request = ChatRequest(messages=tuple(messages), model=self.config.model)
         where = {"task_ordinal": task_ordinal, "iteration": iteration, "flags": set(flags)}
         start = time.perf_counter()
         try:
-            response = self.backend.complete(request)
+            response = self.config.backend.complete(request)
             if not isinstance(response, ChatResponse):
                 raise TypeError(f"complete() returned a {type(response).__name__}, not a ChatResponse")
         except Exception as exc:
@@ -216,7 +217,7 @@ def render_tasks(plan: TaskPlan) -> str:
 
 def manager_plan(ctx: AgentContext, requirements: RequirementSet) -> TaskPlan:
     """Ask the manager to decompose the requirements into ordered tasks."""
-    system = ctx.prompts.render("manager")
+    system = ctx.config.prompts.render("manager")
     user = render_requirements(requirements)
     plan = _ask(ctx, "manager", system, user, _parse_plan, "plan_unparsed", _REASK_TASKS)
     if plan is None:
@@ -230,7 +231,7 @@ def manager_confirm(ctx: AgentContext, plan: TaskPlan, requirements: Requirement
     An unparseable confirmation keeps the original plan rather than stalling
     the run; the exchange is flagged in the transcript.
     """
-    system = ctx.prompts.render("manager_confirm", tasks=render_tasks(plan))
+    system = ctx.config.prompts.render("manager_confirm", tasks=render_tasks(plan))
     user = render_requirements(requirements)
     return _ask(ctx, "manager", system, user, _parse_plan, "confirm_fallback") or plan
 
@@ -257,7 +258,7 @@ def _parse_sections(text: str) -> dict[str, str] | None:
 
 def make_prompt(ctx: AgentContext, task: Task, code: CodeArtifact) -> PromptSpec:
     """Have the prompt-maker turn one task into a one-shot prompt."""
-    system = ctx.prompts.render("prompt_maker", task=task.description)
+    system = ctx.config.prompts.render("prompt_maker", task=task.description)
     sections = _ask(
         ctx, "prompt_maker", system, code.content, _parse_sections, "sections_unparsed", _REASK_SECTIONS,
         task_ordinal=task.ordinal,
@@ -278,7 +279,7 @@ def execute(ctx: AgentContext, prompt: PromptSpec, code: CodeArtifact) -> CodeAr
     """Run the one-shot prompt against the current file."""
     if not code.content:
         raise ValueError("cannot execute against an empty file")
-    system = ctx.prompts.render(
+    system = ctx.config.prompts.render(
         "executor",
         instruction=prompt.instruction,
         example_before=prompt.example_before,
@@ -302,7 +303,7 @@ def verify(
     both roles. After a failed re-ask the verdict defaults to accept
     (flagged), biasing toward progress over a hallucinating verifier.
     """
-    system = ctx.prompts.render("verifier", task=task.description)
+    system = ctx.config.prompts.render("verifier", task=task.description)
     if original.content == before.content:
         shown = f"BEFORE THIS TASK (unchanged ORIGINAL FILE):\n{before.content}\n\n"
     else:
@@ -345,7 +346,7 @@ def finalize(ctx: AgentContext, task: Task, code: CodeArtifact, feedback: str) -
     """Revise rejected code according to the verifier's feedback."""
     if not feedback.strip():
         raise ValueError("finalize requires non-empty feedback")
-    system = ctx.prompts.render("finalizer", task=task.description, feedback=feedback)
+    system = ctx.config.prompts.render("finalizer", task=task.description, feedback=feedback)
     return _ask_code(ctx, "finalizer", system, code.content, task.ordinal, code.iteration + 1)
 
 

@@ -16,15 +16,9 @@ from pathlib import Path
 from typing import Sequence
 from urllib.parse import urlsplit
 
-from .agents import DEFAULT_PROMPT_DIR, render_tasks
+from .agents import DEFAULT_PROMPT_DIR, AgentContext, PromptLibrary, render_tasks
 from .backend import DEFAULT_MODEL, HttpBackend, load_script, utf8_encodable
-from .errors import (
-    DanglingReference,
-    ConfigError,
-    PlanParseError,
-    UnknownCategory,
-    UpliftError,
-)
+from .errors import ConfigError, DanglingReference, PlanParseError, UpliftError
 from .evaluation import (
     FAILED_ERROR_THRESHOLD,
     aggregate,
@@ -40,7 +34,7 @@ from .evaluation import (
     write_bench_index,
 )
 from .model import artifact_from_file, load_requirements
-from .pipeline import MAX_LOOP_ITERATIONS, PipelineConfig, PipelineMode, RunStatus, build_plan, context
+from .pipeline import MAX_LOOP_ITERATIONS, PipelineConfig, PipelineMode, RunStatus, build_plan
 from .transcript import Transcript
 
 EXIT_OK = 0
@@ -148,7 +142,7 @@ def pipeline_config(config: CliConfig) -> PipelineConfig:
     return PipelineConfig(
         mode=PipelineMode(config.pipeline_mode),
         backend=backend,
-        prompt_dir=Path(config.prompts_dir),
+        prompts=PromptLibrary(config.prompts_dir),
         max_loop_iterations=config.pipeline_max_loop_iterations,
         model=config.backend_model,
     )
@@ -156,7 +150,7 @@ def pipeline_config(config: CliConfig) -> PipelineConfig:
 
 def cmd_plan(args: argparse.Namespace, config: CliConfig) -> int:
     requirements = load_requirements(args.requirements)
-    ctx = context(pipeline_config(config), Transcript("plan"))
+    ctx = AgentContext(pipeline_config(config), Transcript("plan"))
     plan = build_plan(ctx, requirements, PipelineMode.SYSTEM_MANAGER)
     print(render_tasks(plan))
     return EXIT_OK
@@ -288,7 +282,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     config.backend_kind = "script"
         config.validate()
         return args.func(args, config)
-    except (DanglingReference, UnknownCategory) as exc:
+    except DanglingReference as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFERENCE
     except PlanParseError as exc:

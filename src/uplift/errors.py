@@ -50,9 +50,6 @@ class FailedGeneration(UpliftError):
 
 # --- evaluation harness ------------------------------------------------------
 
-class UnknownCategory(UpliftError):
-    """A ledger row named a category outside the closed set."""
-
-
 class DanglingReference(UpliftError):
-    """A ledger or score record cites a run_id not present in the outcomes."""
+    """A ledger or score row names what the outcomes do not hold: a run_id
+    with no run, or a category outside the closed set."""

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .backend import Backend, ScriptedBackend
-from .errors import ConfigError, DanglingReference, UnknownCategory
+from .errors import ConfigError, DanglingReference
 from .model import CodeArtifact, RequirementSet, artifact_from_file, load_requirements
 from .pipeline import (
     BASELINE_MODES,
@@ -60,7 +60,7 @@ def parse_category(value: str) -> ErrorCategory:
     try:
         return ErrorCategory(normalized)
     except ValueError:
-        raise UnknownCategory(
+        raise DanglingReference(
             f"unknown error category {value!r}; expected one of "
             + ", ".join(c.value for c in ErrorCategory)
         ) from None
@@ -149,11 +149,11 @@ def _read_csv(
     """parse(*stripped cells) of each non-blank row, in order. A bad header
     is a ConfigError naming the source. A row with the wrong number of
     fields, a ValueError from parse, or a key(record) that repeats an
-    earlier row's is a ConfigError starting "row N: <source>: "; an
-    UnknownCategory from parse gets the same start, and so does the
-    DanglingReference of a row whose run_id, its first cell, is not in
-    runs, when runs is given, and the ConfigError of a row csv cannot read,
-    such as one over the field limit (process-wide, so left as it is)."""
+    earlier row's is a ConfigError starting "row N: <source>: ". So is the
+    ConfigError of a row csv cannot read, such as one over the field limit
+    (process-wide, so left as it is). A DanglingReference from parse, or of
+    a row whose run_id, its first cell, is not in runs when runs is given,
+    gets the same start."""
     rows = _numbered_rows(stream, source)
     _, header = next(rows, (1, None))
     if header is None:
@@ -176,8 +176,8 @@ def _read_csv(
             record = parse(*(cell.strip() for cell in row))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        except UnknownCategory as exc:
-            raise UnknownCategory(f"{where}: {exc}") from None
+        except DanglingReference as exc:
+            raise DanglingReference(f"{where}: {exc}") from None
         if runs is not None and row[0].strip() not in runs:
             raise DanglingReference(f"{where}: cites unknown run_id {row[0].strip()!r}")
         first = first_rows.setdefault(key(record), row_number) if key else row_number

@@ -5,7 +5,6 @@ the run's transcript."""
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -14,7 +13,6 @@ from pathlib import Path
 from .agents import (
     AgentContext,
     PromptLibrary,
-    DEFAULT_PROMPT_DIR,
     baseline,
     execute,
     finalize,
@@ -62,21 +60,24 @@ class RunStatus(str, Enum):
 
 @dataclass
 class PipelineConfig:
+    """A run's settings, the one place an agent call reads them from."""
+
     mode: PipelineMode
     backend: Backend
-    prompt_dir: Path = DEFAULT_PROMPT_DIR
     max_loop_iterations: int = MAX_LOOP_ITERATIONS
     model: str = DEFAULT_MODEL
-    # Loaded from prompt_dir when the config is built. dataclasses.replace
-    # passes it on, so the per-run copies run_bench makes reread nothing.
-    prompts: PromptLibrary | None = field(default=None, repr=False, compare=False)
+    # Loaded once; dataclasses.replace passes the same library on, so the
+    # per-run copies run_bench makes reread nothing.
+    prompts: PromptLibrary = field(default_factory=PromptLibrary, repr=False, compare=False)
 
     def __post_init__(self):
         self.mode = PipelineMode(self.mode)
         if self.max_loop_iterations < 0:
             raise ValueError("max_loop_iterations must be non-negative")
-        if self.prompts is None or self.prompts.directory != Path(self.prompt_dir):
-            self.prompts = PromptLibrary(self.prompt_dir)
+
+    @property
+    def prompt_dir(self) -> Path:
+        return self.prompts.directory
 
 
 @dataclass(frozen=True)
@@ -118,20 +119,6 @@ class RunOutcome(RunRecord):
             raise ValueError("a failed run cannot carry final code")
 
 
-def new_run_id() -> str:
-    return os.urandom(6).hex()  # 12 hex digits, 48 random bits
-
-
-def context(config: PipelineConfig, transcript: Transcript) -> AgentContext:
-    """The agent context every call of a run shares."""
-    return AgentContext(
-        backend=config.backend,
-        prompts=config.prompts,
-        transcript=transcript,
-        model=config.model,
-    )
-
-
 def build_plan(ctx: AgentContext, requirements: RequirementSet, mode: PipelineMode) -> TaskPlan:
     """The run's tasks, in the way the system mode makes them."""
     if mode is PipelineMode.SYSTEM_MANAGER:
@@ -148,9 +135,10 @@ def run_pipeline(
     spec: RequirementSet | str,
     config: PipelineConfig,
     *,
-    transcript: Transcript | None = None,
+    transcript: Transcript,
 ) -> RunOutcome:
-    """Execute one full run.
+    """Execute one full run, recording every exchange in the caller's
+    transcript, whose run_id the outcome carries.
 
     In a baseline mode, spec is the user-authored prompt text and the run is
     one call carrying it, the file, and the return-only-code directive. In a
@@ -168,8 +156,7 @@ def run_pipeline(
         raise ValueError(f"{config.mode.value} mode cannot run a {type(spec).__name__} spec")
     if prompted and not spec.strip():
         raise ValueError("baseline prompt text must be non-empty")
-    transcript = transcript if transcript is not None else Transcript(new_run_id())
-    ctx = context(config, transcript)
+    ctx = AgentContext(config, transcript)
     start = time.perf_counter()
     final: CodeArtifact | None = None
     failure: str | None = None

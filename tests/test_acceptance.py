@@ -275,7 +275,7 @@ def test_criterion_11_live_smoke(fixtures_dir):
     endpoint = os.environ.get("UPLIFT_LIVE_ENDPOINT", DEFAULT_ENDPOINT)
     config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=HttpBackend(endpoint))
     completed = 0
-    for _ in range(10):
-        outcome = run_pipeline(code, prompt_text, config)
+    for i in range(10):
+        outcome = run_pipeline(code, prompt_text, config, transcript=Transcript(f"live-{i + 1:02d}"))
         completed += outcome.status is RunStatus.COMPLETED
     assert completed >= 8

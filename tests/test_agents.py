@@ -24,16 +24,17 @@ from uplift.agents import (
     parse_task_lines,
     verify,
 )
-from uplift.backend import DEFAULT_MODEL, ChatMessage, ChatResponse, Role
+from uplift.backend import ChatMessage, ChatResponse, Role
 from uplift.errors import BackendExhausted, ConfigError, PlanParseError, PromptSpecParseError, FailedGeneration
 from uplift.model import CodeArtifact, Decision, Task, TaskPlan, Verdict
+from uplift.pipeline import PipelineConfig, PipelineMode
 from uplift.transcript import Transcript
 
 from conftest import ACCEPT_REPLY, CODE_REPLY, PLAN_REPLY, REVISE_REPLY, SECTIONS_REPLY, seq
 
 
 def ctx_with(backend) -> AgentContext:
-    return AgentContext(backend=backend, prompts=PromptLibrary(), transcript=Transcript("t"), model=DEFAULT_MODEL)
+    return AgentContext(PipelineConfig(PipelineMode.SYSTEM_MANAGER, backend), Transcript("t"))
 
 
 def a_task(description="Fix ORM access", ordinal=1) -> Task:
@@ -447,3 +448,13 @@ def test_readme_flag_table_names_each_flag_and_its_agents():
         if exchanges == 2:
             pinned["re_ask"].add(agent)
     assert documented == pinned
+
+
+def test_readme_template_table_names_each_template_and_its_placeholders():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = next(block for block in readme.split("\n\n") if block.startswith("| template | placeholders |"))
+    documented = {
+        name: frozenset(re.findall(r"`\{\{(\w+)\}\}`", cell))
+        for name, cell in re.findall(r"^\| `(\w+)\.txt` \| ([^|]*) \|", table, re.MULTILINE)
+    }
+    assert documented == TEMPLATE_PLACEHOLDERS

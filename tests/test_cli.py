@@ -3,8 +3,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,7 @@ from uplift import cli
 from uplift.agents import DEFAULT_PROMPT_DIR as PROMPTS_DIR
 from uplift.backend import ScriptedBackend
 from uplift.cli import CliConfig, build_parser, main
-from uplift.errors import DanglingReference, PlanParseError, UnknownCategory, UpliftError
+from uplift.errors import DanglingReference, PlanParseError, UpliftError
 
 PLAN_SCRIPT = [
     {"match": "sequence", "response": "TASK 1: Update syntax to 4.5\nTASK 2: Fix ORM access"},
@@ -351,7 +354,7 @@ class TestExitCodes:
             raise error("boom")
 
         monkeypatch.setattr(cli, "load_requirements", load_requirements)
-        expected = {PlanParseError: 3, DanglingReference: 5, UnknownCategory: 5}.get(error, 2)
+        expected = {PlanParseError: 3, DanglingReference: 5}.get(error, 2)
         assert main(["plan", "case_view/requirements.txt"]) == expected
         assert capsys.readouterr().err == "error: boom\n"
 
@@ -894,6 +897,17 @@ def test_readme_config_block_lists_every_key_with_its_default():
     assert documented == {**dataclasses.asdict(CliConfig()), "prompts_dir": "<packaged prompts>"}
 
 
+def test_readme_errors_list_names_each_class_in_uplift_errors():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Errors\n", 1)[1].split("\n## ", 1)[0]
+    bullets = section.split("\n\n- ", 1)[1].split("\n\n", 1)[0].split("\n- ")
+    documented = [name for bullet in bullets for name in re.findall(r"`(\w+)`", bullet.split(":", 1)[0])]
+    classes = [cls.__name__ for cls in error_classes(UpliftError) if cls.__module__ == "uplift.errors"]
+    assert sorted(documented) == sorted(classes)
+    count = "zero one two three four five six seven eight nine ten eleven twelve".split()[len(classes)]
+    assert f"That leaves {count} classes" in section
+
+
 def test_readme_cli_table_lists_each_subcommand_flag():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     table = next(block for block in readme.split("\n\n") if block.startswith("| subcommand | flags |"))
@@ -909,3 +923,30 @@ def test_readme_cli_table_lists_each_subcommand_flag():
     }
     assert documented == parsed
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "case_view", "--reps", "3"],
+        ["run", "case_view/original.php", "case_view/requirements.txt"],
+    ],
+    ids=["bench", "run"],
+)
+def test_scripted_commands_run_clean_in_dev_mode_with_warnings_as_errors(workdir, argv):
+    # -X dev shows ResourceWarning and other warnings hidden by default;
+    # -W error turns each into an exception, so an unclosed file or a
+    # deprecated call shows as a nonzero exit or a line on stderr.
+    (workdir / "uplift.json").write_text(json.dumps({"bench": {"parallelism": 2}}), encoding="utf-8")
+    source = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c"]
+        + ["import sys; from uplift.cli import main; sys.exit(main(sys.argv[1:]))"]
+        + argv + ["--script", "case_view/script.json"],
+        cwd=workdir,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -3,18 +3,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import re
 import shutil
 from hashlib import sha256
 from pathlib import Path
 
 import pytest
 
-from uplift.agents import DEFAULT_PROMPT_DIR
+from uplift.agents import DEFAULT_PROMPT_DIR, PromptLibrary
 from uplift.backend import ChatResponse
 from uplift.evaluation import run_bench
 from uplift.model import CodeArtifact, extract_code, parse_requirements
-from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, new_run_id, run_pipeline
+from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, run_pipeline
 from uplift.transcript import (
     Transcript,
     TranscriptEntry,
@@ -36,12 +35,19 @@ def happy_single_task_backend():
 
 
 class TestConfig:
-    def test_replace_keeps_templates_unless_the_directory_changes(self, tmp_path):
+    def test_replace_keeps_the_templates_it_is_not_given(self, tmp_path):
         base = config(seq())
         assert dataclasses.replace(base, backend=seq()).prompts is base.prompts
+        assert base.prompt_dir == base.prompts.directory == DEFAULT_PROMPT_DIR
         shutil.copytree(DEFAULT_PROMPT_DIR, tmp_path / "prompts")
-        moved = dataclasses.replace(base, prompt_dir=tmp_path / "prompts")
-        assert moved.prompts.directory == tmp_path / "prompts"
+        (tmp_path / "prompts" / "manager.txt").write_text("MOVED MANAGER", encoding="utf-8")
+        moved = dataclasses.replace(base, prompts=PromptLibrary(tmp_path / "prompts"))
+        assert moved.prompts.render("manager") == "MOVED MANAGER"
+        assert moved.prompt_dir == moved.prompts.directory == tmp_path / "prompts"
+
+    def test_prompt_dir_is_not_a_setting(self, tmp_path):
+        with pytest.raises(TypeError):
+            config(seq(), prompt_dir=tmp_path)
 
 
 class TestSystemModes:
@@ -96,14 +102,16 @@ class TestSystemModes:
     def test_baseline_mode_rejected(self, original_code, two_requirements):
         with pytest.raises(ValueError):
             run_pipeline(
-                original_code, two_requirements, config(seq(), PipelineMode.BASELINE_ZSL)
+                original_code, two_requirements, config(seq(), PipelineMode.BASELINE_ZSL),
+                transcript=Transcript("r1"),
             )
 
 
 class TestRevisionLoop:
     def test_accepting_verifier_means_no_finalizer(self, original_code, two_requirements):
         outcome = run_pipeline(
-            original_code, two_requirements, config(happy_single_task_backend())
+            original_code, two_requirements, config(happy_single_task_backend()),
+            transcript=Transcript("r1"),
         )
         assert outcome.finalizer_invocations == 0
 
@@ -125,14 +133,17 @@ class TestRevisionLoop:
 
     def test_revise_then_accept_stops_early(self, original_code, two_requirements):
         backend = seq(SECTIONS_REPLY, CODE_REPLY, REVISE_REPLY, CODE_REPLY, ACCEPT_REPLY)
-        outcome = run_pipeline(original_code, two_requirements, config(backend))
+        outcome = run_pipeline(
+            original_code, two_requirements, config(backend), transcript=Transcript("r1")
+        )
         assert outcome.finalizer_invocations == 1
         assert outcome.status is RunStatus.COMPLETED
 
     def test_zero_cap_advances_rejected_code(self, original_code, two_requirements):
         backend = seq(SECTIONS_REPLY, CODE_REPLY, REVISE_REPLY)
         outcome = run_pipeline(
-            original_code, two_requirements, config(backend, max_loop_iterations=0)
+            original_code, two_requirements, config(backend, max_loop_iterations=0),
+            transcript=Transcript("r1"),
         )
         assert outcome.finalizer_invocations == 0
         assert outcome.status is RunStatus.COMPLETED
@@ -141,7 +152,9 @@ class TestRevisionLoop:
 class TestFailures:
     def test_executor_prose_fails_run(self, original_code, two_requirements):
         backend = seq(SECTIONS_REPLY, "I cannot update this file.")
-        outcome = run_pipeline(original_code, two_requirements, config(backend))
+        outcome = run_pipeline(
+            original_code, two_requirements, config(backend), transcript=Transcript("r1")
+        )
         assert outcome.status is RunStatus.FAILED_GENERATION
         assert outcome.failure == "FailedGeneration: executor reply for task 1 contained no code"
         assert outcome.final_code is None
@@ -164,7 +177,8 @@ class TestFailures:
             SECTIONS_REPLY, "I cannot update this file.",
         )
         outcome = run_pipeline(
-            original_code, two_requirements, config(backend, PipelineMode.SYSTEM_PER_REQUIREMENT)
+            original_code, two_requirements, config(backend, PipelineMode.SYSTEM_PER_REQUIREMENT),
+            transcript=Transcript("r1"),
         )
         assert outcome.status is RunStatus.FAILED_GENERATION
         assert outcome.failure == "FailedGeneration: executor reply for task 2 contained no code"
@@ -173,7 +187,8 @@ class TestFailures:
     def test_unplannable_manager_fails_run(self, original_code, two_requirements):
         backend = seq("nope", "still nope")
         outcome = run_pipeline(
-            original_code, two_requirements, config(backend, PipelineMode.SYSTEM_MANAGER)
+            original_code, two_requirements, config(backend, PipelineMode.SYSTEM_MANAGER),
+            transcript=Transcript("r1"),
         )
         assert outcome.status is RunStatus.FAILED_GENERATION
         assert outcome.failure == "PlanParseError: manager reply contained no TASK lines after a re-ask"
@@ -221,7 +236,8 @@ class TestBaseline:
 
     def test_codeless_reply_fails(self, original_code):
         outcome = run_pipeline(
-            original_code, "do it", config(seq("no code here"), PipelineMode.BASELINE_OSL)
+            original_code, "do it", config(seq("no code here"), PipelineMode.BASELINE_OSL),
+            transcript=Transcript("r1"),
         )
         assert outcome.status is RunStatus.FAILED_GENERATION
         assert outcome.failure == "FailedGeneration: baseline reply for task 1 contained no code"
@@ -230,17 +246,19 @@ class TestBaseline:
 
     def test_empty_prompt_rejected(self, original_code):
         with pytest.raises(ValueError):
-            run_pipeline(original_code, "  ", config(seq(), PipelineMode.BASELINE_ZSL))
+            run_pipeline(
+                original_code, "  ", config(seq(), PipelineMode.BASELINE_ZSL), transcript=Transcript("r1")
+            )
+
+    def test_a_run_needs_the_callers_transcript(self, original_code):
+        with pytest.raises(TypeError, match="transcript"):
+            run_pipeline(original_code, "x", config(seq(), PipelineMode.BASELINE_ZSL))
 
     def test_system_mode_rejected(self, original_code):
         with pytest.raises(ValueError):
-            run_pipeline(original_code, "x", config(seq(), PipelineMode.SYSTEM_MANAGER))
-
-
-def test_new_run_ids_are_12_hex_digits_and_distinct():
-    ids = [new_run_id() for _ in range(1000)]
-    assert all(re.fullmatch("[0-9a-f]{12}", run_id) for run_id in ids)
-    assert len(set(ids)) == 1000
+            run_pipeline(
+                original_code, "x", config(seq(), PipelineMode.SYSTEM_MANAGER), transcript=Transcript("r1")
+            )
 
 
 class TestTranscriptInvariants:
