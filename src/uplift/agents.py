@@ -74,23 +74,9 @@ _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
 _TASK_LINE_RE = re.compile(r"^[^A-Za-z]*TASK\s+([0-9]+)\s*:\s*(\S.*)$", re.IGNORECASE)
 _VERDICT_RE = re.compile(r"^[^A-Za-z]*VERDICT\s*:\s*(ACCEPT|REVISE)\b", re.IGNORECASE)
 _FEEDBACK_RE = re.compile(r"^[^A-Za-z]*FEEDBACK\s*:\s*(.*)$", re.IGNORECASE)
-_SECTION_LABELS = ("INSTRUCTION", "EXAMPLE BEFORE", "EXAMPLE AFTER")
-_SECTION_RE = re.compile(r"^[^A-Za-z]*(" + "|".join(_SECTION_LABELS) + r")\s*:\s*(.*)$", re.IGNORECASE)
-
-
-@dataclass(frozen=True)
-class PromptSpec:
-    """A one-shot prompt produced by the prompt-maker for one task."""
-
-    instruction: str
-    example_before: str
-    example_after: str
-    task_ordinal: int
-
-    def __post_init__(self):
-        for name in ("instruction", "example_before", "example_after"):
-            if not getattr(self, name).strip():
-                raise ValueError(f"{name} must be non-empty")
+# Each section label of a prompt-maker reply, with the executor placeholder it fills.
+_SECTIONS = {"INSTRUCTION": "instruction", "EXAMPLE BEFORE": "example_before", "EXAMPLE AFTER": "example_after"}
+_SECTION_RE = re.compile(r"^[^A-Za-z]*(" + "|".join(_SECTIONS) + r")\s*:\s*(.*)$", re.IGNORECASE)
 
 
 class PromptLibrary:
@@ -198,7 +184,7 @@ def _ask_code(
     )
     if content is None:
         raise FailedGeneration(f"{agent} reply for task {task_ordinal} contained no code")
-    return CodeArtifact(content=content, iteration=iteration)
+    return CodeArtifact(content)
 
 
 def parse_task_lines(text: str) -> list[str]:
@@ -238,8 +224,8 @@ def manager_confirm(ctx: AgentContext, plan: TaskPlan, requirements: Requirement
 
 def _parse_sections(text: str) -> dict[str, str] | None:
     """Split a reply on INSTRUCTION / EXAMPLE BEFORE / EXAMPLE AFTER labels,
-    order-insensitively. Returns None unless all three are present and
-    non-empty."""
+    order-insensitively, into the executor placeholders they fill. Returns
+    None unless all three are present and non-empty."""
     sections: dict[str, list[str]] = {}
     current: list[str] | None = None
     for line in text.splitlines():
@@ -250,14 +236,13 @@ def _parse_sections(text: str) -> dict[str, str] | None:
             current.append(match.group(2))
         elif current is not None:
             current.append(line)
-    parsed = {label: "\n".join(lines).strip() for label, lines in sections.items()}
-    if all(parsed.get(label) for label in _SECTION_LABELS):
-        return parsed
-    return None
+    parsed = {_SECTIONS[label]: "\n".join(lines).strip() for label, lines in sections.items()}
+    return parsed if all(parsed.get(name) for name in _SECTIONS.values()) else None
 
 
-def make_prompt(ctx: AgentContext, task: Task, code: CodeArtifact) -> PromptSpec:
-    """Have the prompt-maker turn one task into a one-shot prompt."""
+def make_prompt(ctx: AgentContext, task: Task, code: CodeArtifact) -> str:
+    """Have the prompt-maker turn one task into a one-shot prompt: the
+    executor template filled with the three sections of its reply."""
     system = ctx.config.prompts.render("prompt_maker", task=task.description)
     sections = _ask(
         ctx, "prompt_maker", system, code.content, _parse_sections, "sections_unparsed", _REASK_SECTIONS,
@@ -267,25 +252,14 @@ def make_prompt(ctx: AgentContext, task: Task, code: CodeArtifact) -> PromptSpec
         raise PromptSpecParseError(
             f"prompt-maker reply for task {task.ordinal} was missing sections after a re-ask"
         )
-    return PromptSpec(
-        instruction=sections["INSTRUCTION"],
-        example_before=sections["EXAMPLE BEFORE"],
-        example_after=sections["EXAMPLE AFTER"],
-        task_ordinal=task.ordinal,
-    )
+    return ctx.config.prompts.render("executor", **sections)
 
 
-def execute(ctx: AgentContext, prompt: PromptSpec, code: CodeArtifact) -> CodeArtifact:
-    """Run the one-shot prompt against the current file."""
+def execute(ctx: AgentContext, task: Task, prompt: str, code: CodeArtifact) -> CodeArtifact:
+    """Run the one-shot prompt, as the system message, against the current file."""
     if not code.content:
         raise ValueError("cannot execute against an empty file")
-    system = ctx.config.prompts.render(
-        "executor",
-        instruction=prompt.instruction,
-        example_before=prompt.example_before,
-        example_after=prompt.example_after,
-    )
-    return _ask_code(ctx, "executor", system, code.content, prompt.task_ordinal, 0)
+    return _ask_code(ctx, "executor", prompt, code.content, task.ordinal, 0)
 
 
 def verify(
@@ -294,8 +268,10 @@ def verify(
     before: CodeArtifact,
     after: CodeArtifact,
     original: CodeArtifact,
+    iteration: int,
 ) -> Verdict:
-    """Ask the verifier whether the task is complete in the after version.
+    """Ask the verifier whether the task is complete in the after version,
+    the code of finalizer pass ``iteration`` (0 for the executor's).
 
     The original user input is shown alongside the pre-task version so
     cumulative drift across tasks stays visible. When the two are the same
@@ -311,7 +287,7 @@ def verify(
     user = f"{shown}AFTER THIS TASK:\n{after.content}"
     verdict = _ask(
         ctx, "verifier", system, user, _parse_verdict, "verdict_fallback", _REASK_VERDICT,
-        task_ordinal=task.ordinal, iteration=after.iteration,
+        task_ordinal=task.ordinal, iteration=iteration,
     )
     return verdict or Verdict(decision=Decision.ACCEPT)
 
@@ -342,12 +318,12 @@ def _parse_verdict(text: str) -> Verdict | None:
     return Verdict(decision=decision, feedback=feedback)
 
 
-def finalize(ctx: AgentContext, task: Task, code: CodeArtifact, feedback: str) -> CodeArtifact:
-    """Revise rejected code according to the verifier's feedback."""
+def finalize(ctx: AgentContext, task: Task, code: CodeArtifact, feedback: str, iteration: int) -> CodeArtifact:
+    """Revise rejected code according to the verifier's feedback, as pass ``iteration`` of the task."""
     if not feedback.strip():
         raise ValueError("finalize requires non-empty feedback")
     system = ctx.config.prompts.render("finalizer", task=task.description, feedback=feedback)
-    return _ask_code(ctx, "finalizer", system, code.content, task.ordinal, code.iteration + 1)
+    return _ask_code(ctx, "finalizer", system, code.content, task.ordinal, iteration)
 
 
 def baseline(ctx: AgentContext, prompt_text: str, code: CodeArtifact) -> CodeArtifact:

@@ -93,8 +93,10 @@ class ChatResponse:
         if not (isinstance(self.content, str) and utf8_encodable(self.content)):
             raise ValueError("response content must be a str with no lone surrogate")
         # NaN passes a "< 0" test, and a transcript cannot hold it or an infinity as JSON.
-        if not (math.isfinite(self.latency_seconds) and self.latency_seconds >= 0):
-            raise ValueError(f"latency must be finite and non-negative, not {self.latency_seconds!r}")
+        # isfinite takes a bool as an int, but a bool is not a time.
+        latency = self.latency_seconds
+        if type(latency) is bool or not (math.isfinite(latency) and latency >= 0):
+            raise ValueError(f"latency must be finite and non-negative, not {latency!r}")
         for field in ("prompt_tokens", "completion_tokens"):
             value = getattr(self, field)
             if not (value is None or (type(value) is int and value >= 0)):  # a bool is not a count

@@ -81,15 +81,9 @@ class TaskPlan:
 
 @dataclass(frozen=True)
 class CodeArtifact:
-    """A source file snapshot; ``iteration`` counts the finalizer passes
-    behind it within its task (0 for user input and executor output)."""
+    """A source file snapshot."""
 
     content: str
-    iteration: int = 0
-
-    def __post_init__(self):
-        if self.iteration < 0:
-            raise ValueError("iteration must be non-negative")
 
     @cached_property
     def loc(self) -> int:
@@ -152,7 +146,8 @@ def render_requirements(reqs: RequirementSet) -> str:
 
 def load_requirements(path: str | Path) -> RequirementSet:
     p = Path(path)
-    return parse_requirements(p.read_text(encoding="utf-8"), source_path=str(p))
+    # utf-8-sig drops a byte-order mark, which would hide the first marker line.
+    return parse_requirements(p.read_text(encoding="utf-8-sig"), source_path=str(p))
 
 
 def count_loc(content: str) -> int:

@@ -171,12 +171,16 @@ def run_pipeline(
             current = code
             for task in plan.tasks:
                 prompt = make_prompt(ctx, task, current)
-                candidate = execute(ctx, prompt, current)
-                verdict = verify(ctx, task, current, candidate, original=code)
-                while verdict.decision is Decision.REVISE and candidate.iteration < config.max_loop_iterations:
-                    candidate = finalize(ctx, task, candidate, verdict.feedback)
-                    finalizer_invocations += 1
-                    verdict = verify(ctx, task, current, candidate, original=code)
+                candidate = execute(ctx, task, prompt, current)
+                iteration = 0  # finalizer passes that returned code for this task
+                try:
+                    verdict = verify(ctx, task, current, candidate, code, iteration)
+                    while verdict.decision is Decision.REVISE and iteration < config.max_loop_iterations:
+                        candidate = finalize(ctx, task, candidate, verdict.feedback, iteration + 1)
+                        iteration += 1
+                        verdict = verify(ctx, task, current, candidate, code, iteration)
+                finally:
+                    finalizer_invocations += iteration
                 current = candidate
             final = current
     except Exception as exc:

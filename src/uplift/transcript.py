@@ -17,7 +17,7 @@ from json.encoder import encode_basestring as _quote  # _ENCODER's escaper, for 
 from pathlib import Path
 from typing import Any, Iterable, TYPE_CHECKING
 
-from .backend import ChatRequest
+from .backend import ChatRequest, utf8_encodable
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import RunOutcome
@@ -31,8 +31,10 @@ def _digest(text: str) -> str:
 
 
 def error_text(exc: BaseException) -> str:
-    """How an exception is recorded: an exchange's error, a run's failure."""
-    return f"{type(exc).__name__}: {exc}"
+    """How an exception is recorded: an exchange's error, a run's failure. A
+    lone surrogate, which no UTF-8 file can hold, is written as its \\uXXXX escape."""
+    text = f"{type(exc).__name__}: {exc}"
+    return text if utf8_encodable(text) else text.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 def dump_record(record: dict[str, Any]) -> str:

@@ -12,7 +12,6 @@ from uplift.agents import (
     AgentContext,
     DEFAULT_PROMPT_DIR,
     PromptLibrary,
-    PromptSpec,
     RETURN_ONLY_CODE,
     TEMPLATE_PLACEHOLDERS,
     baseline,
@@ -184,25 +183,27 @@ class TestManagerConfirm:
         assert "confirm_fallback" in ctx.transcript.entries[-1].flags
 
 
+def executor_prompt(instruction, example_before, example_after) -> str:
+    return PromptLibrary().render(
+        "executor", instruction=instruction, example_before=example_before, example_after=example_after
+    )
+
+
 class TestMakePrompt:
-    def test_parses_three_sections(self, original_code):
+    def test_returns_the_executor_template_filled_with_the_three_sections(self, original_code):
         ctx = ctx_with(seq(SECTIONS_REPLY))
-        spec = make_prompt(ctx, a_task(), original_code)
-        assert spec.instruction == "Update helper calls to the 4.5 style."
-        assert spec.example_before == "echo $html->link('x');"
-        assert spec.example_after == "echo $this->Html->link('x');"
-        assert spec.task_ordinal == 1
+        prompt = make_prompt(ctx, a_task(), original_code)
+        assert prompt == executor_prompt(
+            "Update helper calls to the 4.5 style.", "echo $html->link('x');", "echo $this->Html->link('x');"
+        )
+        assert ctx.transcript.entries[-1].task_ordinal == 1
 
     def test_sections_order_insensitive(self, original_code):
         reply = (
             "EXAMPLE AFTER: new()\nEXAMPLE BEFORE: old()\nINSTRUCTION: swap them"
         )
-        spec = make_prompt(ctx_with(seq(reply)), a_task(), original_code)
-        assert (spec.instruction, spec.example_before, spec.example_after) == (
-            "swap them",
-            "old()",
-            "new()",
-        )
+        prompt = make_prompt(ctx_with(seq(reply)), a_task(), original_code)
+        assert prompt == executor_prompt("swap them", "old()", "new()")
 
     def test_multiline_sections(self, original_code):
         reply = (
@@ -210,9 +211,8 @@ class TestMakePrompt:
             "EXAMPLE BEFORE:\nline one\nline two\n"
             "EXAMPLE AFTER:\nswapped two\nswapped one"
         )
-        spec = make_prompt(ctx_with(seq(reply)), a_task(), original_code)
-        assert spec.example_before == "line one\nline two"
-        assert spec.example_after == "swapped two\nswapped one"
+        prompt = make_prompt(ctx_with(seq(reply)), a_task(), original_code)
+        assert prompt == executor_prompt("do it", "line one\nline two", "swapped two\nswapped one")
 
     def test_missing_section_twice_is_an_error(self, original_code):
         ctx = ctx_with(seq("INSTRUCTION: x\nEXAMPLE BEFORE: y", "INSTRUCTION: x\nEXAMPLE BEFORE: y"))
@@ -228,26 +228,27 @@ class TestExecute:
 
     def test_happy_path(self, original_code):
         ctx = ctx_with(seq(CODE_REPLY))
-        artifact = execute(ctx, self.spec(), original_code)
-        assert artifact.iteration == 0
-        assert ctx.transcript.entries[-1].task_ordinal == 1
+        artifact = execute(ctx, a_task(ordinal=2), self.spec(), original_code)
+        entry = ctx.transcript.entries[-1]
+        assert (entry.task_ordinal, entry.iteration) == (2, 0)
+        assert entry.request.messages[0].content == self.spec()
         assert artifact.content == "<?php echo $this->Html->link('x'); ?>"
         assert artifact.loc == 1
 
     def test_reply_without_code_fails_generation(self, original_code):
         ctx = ctx_with(seq("Sorry."))
         with pytest.raises(FailedGeneration):
-            execute(ctx, self.spec(), original_code)
+            execute(ctx, a_task(), self.spec(), original_code)
         assert "no_code" in ctx.transcript.entries[-1].flags
 
     def test_longest_block_is_kept(self, original_code):
         reply = "```php\n$a = 1;\n```\n```php\n<?php\n$a = 1;\n$b = 2;\n```"
-        artifact = execute(ctx_with(seq(reply)), self.spec(), original_code)
+        artifact = execute(ctx_with(seq(reply)), a_task(), self.spec(), original_code)
         assert artifact.content == "<?php\n$a = 1;\n$b = 2;"
 
     def test_user_message_carries_code_and_directive(self, original_code):
         ctx = ctx_with(seq(CODE_REPLY))
-        execute(ctx, self.spec(), original_code)
+        execute(ctx, a_task(), self.spec(), original_code)
         user = ctx.transcript.entries[-1].request.messages[1].content
         assert original_code.content in user
         assert user.rstrip().endswith(RETURN_ONLY_CODE)
@@ -256,34 +257,34 @@ class TestExecute:
         ctx = ctx_with(seq(CODE_REPLY))
         empty = CodeArtifact("")
         with pytest.raises(ValueError):
-            execute(ctx, self.spec(), empty)
+            execute(ctx, a_task(), self.spec(), empty)
         assert ctx.transcript.entries == []
 
 
 class TestVerify:
     def test_accept(self, original_code):
         ctx = ctx_with(seq(ACCEPT_REPLY))
-        verdict = verify(ctx, a_task(), original_code, executor_artifact(), original=original_code)
+        verdict = verify(ctx, a_task(), original_code, executor_artifact(), original_code, 0)
         assert verdict.decision is Decision.ACCEPT
         assert verdict.feedback == ""
         assert "verdict_fallback" not in ctx.transcript.entries[-1].flags
 
     def test_revise_with_feedback(self, original_code):
         ctx = ctx_with(seq(REVISE_REPLY))
-        verdict = verify(ctx, a_task(), original_code, executor_artifact(), original=original_code)
+        verdict = verify(ctx, a_task(), original_code, executor_artifact(), original_code, 0)
         assert verdict.decision is Decision.REVISE
         assert verdict.feedback == "first() not used on the ORM object"
 
     def test_garbage_twice_falls_back_to_accept(self, original_code):
         ctx = ctx_with(seq("hmm", "not sure"))
-        verdict = verify(ctx, a_task(), original_code, executor_artifact(), original=original_code)
+        verdict = verify(ctx, a_task(), original_code, executor_artifact(), original_code, 0)
         assert verdict.decision is Decision.ACCEPT
         assert [e.agent for e in ctx.transcript.entries].count("verifier") == 2
         assert "verdict_fallback" in ctx.transcript.entries[-1].flags
 
     def test_revise_without_feedback_is_unparseable(self, original_code):
         ctx = ctx_with(seq("VERDICT: REVISE", ACCEPT_REPLY))
-        verdict = verify(ctx, a_task(), original_code, executor_artifact(), original=original_code)
+        verdict = verify(ctx, a_task(), original_code, executor_artifact(), original_code, 0)
         assert verdict.decision is Decision.ACCEPT
         assert "verdict_fallback" not in ctx.transcript.entries[-1].flags
 
@@ -291,15 +292,22 @@ class TestVerify:
         # single-line capture keeps the parser deaf to trailing prose
         reply = "VERDICT: REVISE\nFEEDBACK: first problem\ntrailing commentary"
         verdict = verify(
-            ctx_with(seq(reply)), a_task(), original_code, executor_artifact(), original=original_code
+            ctx_with(seq(reply)), a_task(), original_code, executor_artifact(), original_code, 0
         )
         assert verdict.feedback == "first problem"
+
+    @pytest.mark.parametrize("iteration", [0, 1, 3])
+    def test_records_the_iteration_it_is_given(self, original_code, iteration):
+        ctx = ctx_with(seq(ACCEPT_REPLY))
+        verify(ctx, a_task(ordinal=2), original_code, executor_artifact(), original_code, iteration)
+        entry = ctx.transcript.entries[-1]
+        assert (entry.agent, entry.task_ordinal, entry.iteration) == ("verifier", 2, iteration)
 
     def test_prompt_shows_original_before_and_after(self, original_code):
         ctx = ctx_with(seq(ACCEPT_REPLY))
         after = executor_artifact("<?php new version ?>")
         older = CodeArtifact("<?php ancient ?>")
-        verify(ctx, a_task(), original_code, after, original=older)
+        verify(ctx, a_task(), original_code, after, older, 0)
         user = ctx.transcript.entries[0].request.messages[1].content
         assert user.index("<?php ancient ?>") < user.index(original_code.content)
         assert user.index(original_code.content) < user.index("<?php new version ?>")
@@ -309,7 +317,7 @@ class TestVerify:
     def test_unchanged_file_is_shown_once(self, original_code, copy):
         ctx = ctx_with(seq(ACCEPT_REPLY))
         original = CodeArtifact(original_code.content) if copy else original_code
-        verify(ctx, a_task(), original_code, executor_artifact("<?php new version ?>"), original=original)
+        verify(ctx, a_task(), original_code, executor_artifact("<?php new version ?>"), original, 0)
         user = ctx.transcript.entries[0].request.messages[1].content
         assert user.count(original_code.content) == 1
         label = user.splitlines()[0]
@@ -318,21 +326,22 @@ class TestVerify:
 
 
 class TestFinalize:
-    def test_iteration_increments(self):
+    @pytest.mark.parametrize("iteration", [1, 2, 5])
+    def test_records_the_iteration_it_is_given(self, iteration):
         ctx = ctx_with(seq(CODE_REPLY))
-        artifact = finalize(ctx, a_task(), executor_artifact(), "use first()")
-        assert artifact.iteration == 1
-        again = finalize(ctx_with(seq(CODE_REPLY)), a_task(), artifact, "again")
-        assert again.iteration == 2
+        artifact = finalize(ctx, a_task(ordinal=3), executor_artifact(), "use first()", iteration)
+        assert artifact == CodeArtifact("<?php echo $this->Html->link('x'); ?>")
+        entry = ctx.transcript.entries[-1]
+        assert (entry.agent, entry.task_ordinal, entry.iteration) == ("finalizer", 3, iteration)
 
     def test_reply_without_code_fails_generation(self):
         with pytest.raises(FailedGeneration):
-            finalize(ctx_with(seq("cannot do")), a_task(), executor_artifact(), "fb")
+            finalize(ctx_with(seq("cannot do")), a_task(), executor_artifact(), "fb", 1)
 
     def test_empty_feedback_rejected_before_backend(self):
         ctx = ctx_with(seq(CODE_REPLY))
         with pytest.raises(ValueError):
-            finalize(ctx, a_task(), executor_artifact(), "   ")
+            finalize(ctx, a_task(), executor_artifact(), "   ", 1)
         assert ctx.transcript.entries == []
 
 
@@ -352,12 +361,12 @@ class TestParserProperties:
         assert len(ctx.transcript.entries) == 2
 
         ctx = ctx_with(seq("??", "??"))
-        verify(ctx, a_task(), original_code, executor_artifact(), original=original_code)
+        verify(ctx, a_task(), original_code, executor_artifact(), original_code, 0)
         assert len(ctx.transcript.entries) == 2
 
 
 PLANNED = TaskPlan((Task(1, "Update syntax to 4.5"), Task(2, "Fix ORM access")))
-PROMPT = PromptSpec("Update helpers.", "echo $html->link('x');", "echo $this->Html->link('x');", 1)
+PROMPT = executor_prompt("Update helpers.", "echo $html->link('x');", "echo $this->Html->link('x');")
 
 # Each role fed nothing but unparseable replies: the op, the agent it records,
 # how many exchanges it makes (a second one is the re-ask), the flag on its
@@ -379,15 +388,15 @@ UNPARSEABLE = [
         id="make_prompt",
     ),
     pytest.param(
-        lambda ctx, reqs, code: verify(ctx, a_task(), code, executor_artifact(), original=code), "verifier", 2,
+        lambda ctx, reqs, code: verify(ctx, a_task(), code, executor_artifact(), code, 0), "verifier", 2,
         "verdict_fallback", Verdict(Decision.ACCEPT), id="verify",
     ),
     pytest.param(
-        lambda ctx, reqs, code: execute(ctx, PROMPT, code), "executor", 1, "no_code",
+        lambda ctx, reqs, code: execute(ctx, a_task(), PROMPT, code), "executor", 1, "no_code",
         FailedGeneration("executor reply for task 1 contained no code"), id="execute",
     ),
     pytest.param(
-        lambda ctx, reqs, code: finalize(ctx, a_task(ordinal=2), code, "use first()"), "finalizer", 1,
+        lambda ctx, reqs, code: finalize(ctx, a_task(ordinal=2), code, "use first()", 1), "finalizer", 1,
         "no_code", FailedGeneration("finalizer reply for task 2 contained no code"), id="finalize",
     ),
     pytest.param(
@@ -418,8 +427,8 @@ def test_unparseable_replies_flag_the_last_exchange(
 @pytest.mark.parametrize(
     "op, prefix",
     [
-        pytest.param(lambda ctx, code: execute(ctx, PROMPT, code), "", id="execute"),
-        pytest.param(lambda ctx, code: finalize(ctx, a_task(), code, "use first()"), "", id="finalize"),
+        pytest.param(lambda ctx, code: execute(ctx, a_task(), PROMPT, code), "", id="execute"),
+        pytest.param(lambda ctx, code: finalize(ctx, a_task(), code, "use first()", 1), "", id="finalize"),
         pytest.param(
             lambda ctx, code: baseline(ctx, "Update this view.", code), "Update this view.\n\n", id="baseline"
         ),

@@ -82,6 +82,13 @@ class TestChatTypes:
             ChatResponse(content="x", latency_seconds=0.0, **{field: count})
 
 
+    # A bool is an int to math.isfinite, so it would be recorded as 1.0 s.
+    @pytest.mark.parametrize("latency", [True, False])
+    def test_latency_is_not_a_bool(self, latency):
+        with pytest.raises(ValueError, match=f"^latency must be finite and non-negative, not {latency!r}$"):
+            ChatResponse(content="x", latency_seconds=latency)
+
+
 class TestScriptedBackend:
     def test_sequence_entries_in_load_order_then_exhausted(self):
         backend = seq("one", "two", "three")

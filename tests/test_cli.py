@@ -17,6 +17,7 @@ from uplift.agents import DEFAULT_PROMPT_DIR as PROMPTS_DIR
 from uplift.backend import ScriptedBackend
 from uplift.cli import CliConfig, build_parser, main
 from uplift.errors import DanglingReference, PlanParseError, UpliftError
+from uplift.model import load_requirements, parse_requirements
 
 PLAN_SCRIPT = [
     {"match": "sequence", "response": "TASK 1: Update syntax to 4.5\nTASK 2: Fix ORM access"},
@@ -54,6 +55,15 @@ class TestPlan:
         assert code == 0
         assert "TASK 1: Update syntax to 4.5" in out
         assert "TASK 2: Fix ORM access" in out
+
+    def test_byte_order_mark_keeps_the_first_requirement(self, workdir):
+        path = workdir / "case_view" / "requirements.txt"
+        raw = path.read_text(encoding="utf-8")
+        path.write_text("\ufeff" + raw, encoding="utf-8")
+        loaded = load_requirements(path)
+        assert loaded == parse_requirements(raw) and len(loaded.requirements) == 2
+        script = write_script(workdir / "s.json", PLAN_SCRIPT)
+        assert main(["plan", "case_view/requirements.txt", "--script", script]) == 0
 
     def test_missing_requirements_file(self, workdir, capsys):
         script = write_script(workdir / "s.json", PLAN_SCRIPT)

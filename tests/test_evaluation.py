@@ -355,6 +355,19 @@ class TestRunBench:
         assert [o.failure for i, o in enumerate(outcomes) if i != 3] == [None] * 9
         assert not (tmp_path / "run-004.updated.php").exists()
 
+    def test_lone_surrogate_in_a_backend_error_is_recorded_escaped(self, fixtures_dir, tmp_path):
+        class Boom:
+            def complete(self, request):
+                raise RuntimeError("boom \ud800")
+
+        config = PipelineConfig(PipelineMode.BASELINE_ZSL, Boom())
+        outcomes = run_bench(fixtures_dir / "case_view_zsl", config, 2, out_dir=tmp_path)
+        assert [o.status for o in outcomes] == [RunStatus.FAILED_GENERATION] * 2
+        for run in ("run-001", "run-002"):
+            *exchanges, summary = read_transcript(tmp_path / f"{run}.jsonl")
+            assert (summary["record"], summary["failure"]) == ("summary", "RuntimeError: boom \\ud800")
+            assert [e["error"] for e in exchanges] == ["RuntimeError: boom \\ud800"]
+
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_a_scripted_backend_replays_in_every_repetition(self, fixtures_dir, tmp_path, parallelism):
         case = fixtures_dir / "case_view"

@@ -126,10 +126,10 @@ class TestRevisionLoop:
         )
         assert outcome.status is RunStatus.COMPLETED
         assert outcome.finalizer_invocations == 2
-        assert [e.agent for e in transcript.entries].count("finalizer") == 2
-        assert [e.agent for e in transcript.entries].count("verifier") == 3
-        assert outcome.final_code is not None
-        assert outcome.final_code.iteration == 2
+        iterations = {agent: [e.iteration for e in transcript.entries if e.agent == agent]
+                      for agent in ("verifier", "finalizer")}
+        assert iterations == {"verifier": [0, 1, 2], "finalizer": [1, 2]}
+        assert outcome.final_code == CodeArtifact(extract_code(CODE_REPLY))
 
     def test_revise_then_accept_stops_early(self, original_code, two_requirements):
         backend = seq(SECTIONS_REPLY, CODE_REPLY, REVISE_REPLY, CODE_REPLY, ACCEPT_REPLY)
@@ -138,6 +138,37 @@ class TestRevisionLoop:
         )
         assert outcome.finalizer_invocations == 1
         assert outcome.status is RunStatus.COMPLETED
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3])
+    def test_always_revise_runs_each_task_to_the_cap(self, original_code, two_requirements, cap):
+        per_task = [SECTIONS_REPLY, CODE_REPLY, REVISE_REPLY] + [CODE_REPLY, REVISE_REPLY] * cap
+        backend = seq(*per_task, *per_task)
+        transcript = Transcript("r1")
+        outcome = run_pipeline(
+            original_code, two_requirements,
+            config(backend, PipelineMode.SYSTEM_PER_REQUIREMENT, max_loop_iterations=cap),
+            transcript=transcript,
+        )
+        assert outcome.status is RunStatus.COMPLETED
+        for ordinal in (1, 2):
+            entries = [e for e in transcript.entries if e.task_ordinal == ordinal]
+            assert [e.iteration for e in entries if e.agent == "finalizer"] == list(range(1, cap + 1))
+            assert [e.iteration for e in entries if e.agent == "verifier"] == list(range(cap + 1))
+        assert outcome.finalizer_invocations == cap + cap
+
+    # The count is of finalizer passes that returned code, also when a later call ends the run.
+    @pytest.mark.parametrize(
+        "tail, counted",
+        [([], 1), ([REVISE_REPLY, "no code here"], 1), ([REVISE_REPLY, CODE_REPLY], 2)],
+        ids=["verify_fails", "finalize_fails", "second_verify_fails"],
+    )
+    def test_failed_run_counts_the_passes_that_returned(self, original_code, two_requirements, tail, counted):
+        backend = seq(SECTIONS_REPLY, CODE_REPLY, REVISE_REPLY, CODE_REPLY, *tail)
+        outcome = run_pipeline(
+            original_code, two_requirements, config(backend, max_loop_iterations=3), transcript=Transcript("r1")
+        )
+        assert outcome.status is RunStatus.FAILED_GENERATION
+        assert outcome.finalizer_invocations == counted
 
     def test_zero_cap_advances_rejected_code(self, original_code, two_requirements):
         backend = seq(SECTIONS_REPLY, CODE_REPLY, REVISE_REPLY)
