@@ -25,6 +25,7 @@ from .model import (
     TaskPlan,
     Verdict,
     extract_code,
+    marked_lines,
     render_requirements,
 )
 from .transcript import Transcript, error_text
@@ -189,7 +190,7 @@ def _ask_code(
 
 def parse_task_lines(text: str) -> list[str]:
     """Descriptions from ``TASK n:`` lines, in order of appearance."""
-    return [m.group(2).strip() for line in text.splitlines() if (m := _TASK_LINE_RE.match(line))]
+    return [match.group(2).strip() for match, _ in marked_lines(text, _TASK_LINE_RE)]
 
 
 def _parse_plan(text: str) -> TaskPlan | None:
@@ -227,15 +228,9 @@ def _parse_sections(text: str) -> dict[str, str] | None:
     order-insensitively, into the executor placeholders they fill. Returns
     None unless all three are present and non-empty."""
     sections: dict[str, list[str]] = {}
-    current: list[str] | None = None
-    for line in text.splitlines():
-        match = _SECTION_RE.match(line)
-        if match:
-            label = match.group(1).upper()
-            current = sections.setdefault(label, [])
-            current.append(match.group(2))
-        elif current is not None:
-            current.append(line)
+    for match, lines in marked_lines(text, _SECTION_RE):
+        # A repeated label extends the section its first use opened.
+        sections.setdefault(match.group(1).upper(), []).extend([match.group(2), *lines])
     parsed = {_SECTIONS[label]: "\n".join(lines).strip() for label, lines in sections.items()}
     return parsed if all(parsed.get(name) for name in _SECTIONS.values()) else None
 
@@ -299,20 +294,15 @@ def _parse_verdict(text: str) -> Verdict | None:
     leak into it: wrapping a well-formed reply in arbitrary marker-free text
     leaves the parse unchanged.
     """
-    decision: Decision | None = None
-    feedback = ""
-    for line in text.splitlines():
-        if decision is None:
-            match = _VERDICT_RE.match(line)
-            if match:
-                decision = Decision(match.group(1).lower())
-        else:
-            match = _FEEDBACK_RE.match(line)
-            if match:
-                feedback = match.group(1).strip()
-                break
-    if decision is None:
+    groups = marked_lines(text, _VERDICT_RE)
+    if not groups:
         return None
+    decision = Decision(groups[0][0].group(1).lower())
+    # Feedback may follow any VERDICT line after the first. The walk leaves
+    # those later VERDICT lines out, and none of them can match _FEEDBACK_RE.
+    feedback = next(
+        (m.group(1).strip() for _, lines in groups for line in lines if (m := _FEEDBACK_RE.match(line))), ""
+    )
     if decision is Decision.REVISE and not feedback:
         return None
     return Verdict(decision=decision, feedback=feedback)

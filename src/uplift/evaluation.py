@@ -340,7 +340,8 @@ def load_spec(path: str | Path, mode: PipelineMode) -> RequirementSet | str:
     """A run's spec: the prompt text in a baseline mode, else the requirements.
     A blank prompt file is rejected here, before any output exists."""
     if mode in BASELINE_MODES:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops a byte-order mark, which would reach the model.
+        text = Path(path).read_text(encoding="utf-8-sig")
         if not text.strip():
             raise ConfigError(f"{path}: baseline prompt text must be non-empty")
         return text
@@ -390,6 +391,8 @@ def run_bench(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
     case_dir = Path(case_dir)
     original_path = _find_original(case_dir)
     code = artifact_from_file(original_path)

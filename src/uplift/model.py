@@ -17,7 +17,8 @@ from .errors import ConfigError
 # still accepted.
 _CODE_SENTINELS = ("<?php", "<!DOCTYPE", "<html")
 
-_MARKER_RE = re.compile(r"^\s*requirement\s*([0-9]+)\s*:(.*)$", re.IGNORECASE)
+# Requirement0: is no marker, so it continues the requirement before it.
+_MARKER_RE = re.compile(r"^\s*requirement\s*(0*[1-9][0-9]*)\s*:(.*)$", re.IGNORECASE)
 _FENCE_RE = re.compile(r"^\s*```+([A-Za-z0-9_+.-]*)\s*$")
 
 
@@ -108,6 +109,20 @@ class Verdict:
             raise ValueError("a revise verdict requires non-empty feedback")
 
 
+def marked_lines(text: str, marker: re.Pattern[str]) -> list[tuple[re.Match[str], list[str]]]:
+    """(match, following lines) for each line of text that marker matches,
+    the following lines running up to the next match. Lines before the first
+    match are dropped. Lines split at every break str.splitlines() knows."""
+    groups: list[tuple[re.Match[str], list[str]]] = []
+    for line in text.splitlines():
+        match = marker.match(line)
+        if match:
+            groups.append((match, []))
+        elif groups:
+            groups[-1][1].append(line)
+    return groups
+
+
 def parse_requirements(raw: str, source_path: str = "") -> RequirementSet:
     """Parse ``Requirement<N>:`` marker lines into a RequirementSet.
 
@@ -118,15 +133,7 @@ def parse_requirements(raw: str, source_path: str = "") -> RequirementSet:
     Raises ConfigError when no marker line exists or when a marker
     introduces no text at all.
     """
-    segments: list[list[str]] = []
-    current: list[str] | None = None
-    for line in raw.splitlines():
-        match = _MARKER_RE.match(line)
-        if match and int(match.group(1)) > 0:
-            current = [match.group(2)]
-            segments.append(current)
-        elif current is not None:
-            current.append(line)
+    segments = [[match.group(2), *lines] for match, lines in marked_lines(raw, _MARKER_RE)]
     if not segments:
         raise ConfigError(f"no Requirement<N>: marker line found in {source_path or 'input'}")
 
@@ -173,20 +180,15 @@ def extract_code(response: str) -> str | None:
 
 def _fenced_blocks(response: str) -> list[str]:
     """Each non-empty fenced block as sent: its raw lines, less the break that
-    ends its last line. A fence line is found at every break splitlines()
-    knows, since _FENCE_RE's trailing \\s* absorbs the break."""
-    blocks: list[list[str]] = []
-    current: list[str] | None = None
-    for line in response.splitlines(keepends=True):
-        if _FENCE_RE.match(line):
-            if current is None:
-                current = []
-                blocks.append(current)
-            else:
-                current = None
-        elif current is not None:
-            current.append(line)
-    # An unterminated fence runs to the end of the reply.
+    ends its last line. Fence lines pair up in order; an odd count leaves the
+    last fence unterminated, and its block runs to the end of the reply. A
+    fence line is found at every break splitlines() knows, since _FENCE_RE's
+    trailing \\s* absorbs the break."""
+    lines = response.splitlines(keepends=True)
+    fences = [i for i, line in enumerate(lines) if "```" in line and _FENCE_RE.match(line)]
+    if len(fences) % 2:
+        fences.append(len(lines))
+    blocks = [lines[start + 1 : end] for start, end in zip(fences[::2], fences[1::2])]
     return ["".join(b[:-1]) + b[-1].splitlines()[0] for b in blocks if b]
 
 

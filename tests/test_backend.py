@@ -131,6 +131,16 @@ class TestLoadScript:
             load_script(path)
         assert str(exc.value) == f"{path}: line 1 column 3: Expecting property name enclosed in double quotes"
 
+    @pytest.mark.parametrize(
+        "data, reason", [({"response": "x"}, "expected a JSON array of entries"), (["x"], "entry 0 is not an object")]
+    )
+    def test_script_that_is_not_an_array_of_objects(self, tmp_path, data, reason):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError) as exc:
+            load_script(path)
+        assert str(exc.value) == f"{path}: {reason}"
+
     def test_bad_entry_shapes(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps([{"match": "sequence", "response": "x", "bogus": 1}]))

@@ -127,6 +127,16 @@ class TestRun:
         assert code == 0
         assert "status=completed" in capsys.readouterr().out
 
+    def test_byte_order_mark_stays_out_of_the_baseline_prompt(self, workdir):
+        path = workdir / "case_view_zsl" / "prompt.txt"
+        raw = path.read_text(encoding="utf-8")
+        path.write_text("\ufeff" + raw, encoding="utf-8")
+        argv = ["run", "case_view_zsl/original.php", "case_view_zsl/prompt.txt", "--mode", "baseline_zsl"]
+        assert main(argv + ["--script", "case_view_zsl/script.json"]) == 0
+        exchange = json.loads((workdir / "out/original/run-001.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        user = exchange["request"]["messages"][1]
+        assert user["role"] == "user" and user["content"].startswith(raw)
+
     def test_codeless_reply_exits_4_without_output_file(self, workdir, capsys):
         argv = ["run", "case_view/original.php", "case_view/requirements.txt", "--mode", "system_single_task"]
         # A completed run first writes run-001.updated.php into the same directory.
@@ -401,6 +411,38 @@ class TestExitCodes:
         assert main(argv + ["--config", "bad.json"]) == 2
         assert f"pipeline.{key}" in capsys.readouterr().err
         assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"backend": {"kind": "grpc"}}, "backend.kind must be http or script, got 'grpc'"),
+            (
+                {"backend": {"kind": "http", "script_path": "case_view/script.json"}},
+                "backend.script_path is only valid with backend.kind=script",
+            ),
+            ({"bench": {"parallelism": 0}}, "bench.parallelism must be >= 1"),
+            ([], "bad.json: expected a JSON object"),
+            ({"bogus": {}}, "bad.json: unknown section 'bogus'"),
+            ({"bench": 3}, "bad.json: section 'bench' must be an object"),
+        ],
+        ids=[
+            "unknown-kind",
+            "script-path-with-http",
+            "parallelism-0",
+            "not-an-object",
+            "unknown-section",
+            "section-not-an-object",
+        ],
+    )
+    def test_invalid_config_exits_2_with_its_message(self, workdir, capsys, config, message):
+        (workdir / "bad.json").write_text(json.dumps(config))
+        assert main(["bench", "case_view", "--reps", "1", "--config", "bad.json"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workdir / "out").exists()
+
+    def test_missing_config_file_exits_2(self, workdir, capsys):
+        assert main(["plan", "case_view/requirements.txt", "--config", "nope.json"]) == 2
+        assert capsys.readouterr().err == "error: config file not found: nope.json\n"
 
     @pytest.mark.parametrize(
         "endpoint", ["localhost:8080/v1/chat/completions", "ftp://host/v1", "http:///v1", "http://[::1/v1"]

@@ -119,6 +119,16 @@ class TestIngestLedger:
             read_ledger(io.StringIO(text))
         assert str(info.value) == "row 3: ledger: run_id and mistake_id must be non-empty"
 
+    def test_empty_file(self):
+        with pytest.raises(ConfigError) as info:
+            read_ledger(io.StringIO(""))
+        assert str(info.value) == "ledger: empty file, expected header run_id,mistake_id,category,description"
+
+    def test_wrong_field_count_names_its_row(self):
+        with pytest.raises(ConfigError) as info:
+            read_ledger(io.StringIO(self.HEADER + "run-001,m1,fatal\n"))
+        assert str(info.value) == "row 2: ledger: expected 4 fields"
+
     @pytest.mark.parametrize(
         "repeat, error", [("run-001,m1,bogus,y", DanglingReference), ("run-001,m1,fatal,", ConfigError)]
     )
@@ -184,6 +194,10 @@ class TestAggregate:
         assert metrics.mean_errors == pytest.approx(1.6)
         assert metrics.sd_errors == pytest.approx(0.490, abs=1e-3)
         assert metrics.runs_total == 10 and metrics.runs_failed == 0
+
+    def test_duplicate_run_id_rejected(self):
+        with pytest.raises(ValueError, match=r"^duplicate run_id among outcomes$"):
+            aggregate([completed("run-001"), failed("run-001")], [], [], "x")
 
     def test_failed_run_excluded_from_error_mean(self):
         outcomes = [completed(f"run-{i:03d}") for i in range(1, 10)] + [failed("run-010")]
@@ -386,6 +400,13 @@ class TestRunBench:
         )
         with pytest.raises(ValueError):
             run_bench(case, config, 0, out_dir=tmp_path)
+
+    def test_zero_parallelism_rejected(self, fixtures_dir, tmp_path):
+        case = fixtures_dir / "case_view"
+        config = PipelineConfig(mode=PipelineMode.SYSTEM_MANAGER, backend=load_script(case / "script.json"))
+        with pytest.raises(ValueError, match=r"^parallelism must be >= 1$"):
+            run_bench(case, config, 2, out_dir=tmp_path, parallelism=0)
+        assert list(tmp_path.iterdir()) == []
 
     def test_parallel_runs_stay_ordered(self, fixtures_dir, tmp_path):
         case = fixtures_dir / "case_view_zsl"

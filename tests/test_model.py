@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uplift import agents, model
 from uplift.errors import ConfigError
 from uplift.model import (
     CodeArtifact,
@@ -168,3 +172,146 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Verdict(decision=Decision.REVISE, feedback="")
         assert Verdict(decision=Decision.ACCEPT).feedback == ""
+
+
+# Reference oracles: each marked-reply parser as it stood when every one of
+# them walked its lines with its own state machine. The differential property
+# below holds the shared walker, model.marked_lines, to their results.
+ORACLE_MARKER_RE = re.compile(r"^\s*requirement\s*([0-9]+)\s*:(.*)$", re.IGNORECASE)
+
+
+def oracle_fenced_blocks(response):
+    blocks = []
+    current = None
+    for line in response.splitlines(keepends=True):
+        if model._FENCE_RE.match(line):
+            if current is None:
+                current = []
+                blocks.append(current)
+            else:
+                current = None
+        elif current is not None:
+            current.append(line)
+    return ["".join(b[:-1]) + b[-1].splitlines()[0] for b in blocks if b]
+
+
+def oracle_parse_requirements(raw):
+    segments = []
+    current = None
+    for line in raw.splitlines():
+        match = ORACLE_MARKER_RE.match(line)
+        if match and int(match.group(1)) > 0:
+            current = [match.group(2)]
+            segments.append(current)
+        elif current is not None:
+            current.append(line)
+    if not segments:
+        raise ConfigError("no Requirement<N>: marker line found in input")
+    requirements = []
+    for pos, seg in enumerate(segments, start=1):
+        text = "\n".join(seg).strip()
+        if not text:
+            raise ConfigError(f"requirement {pos} has a marker but no text")
+        requirements.append(Requirement(index=pos, text=text))
+    return RequirementSet(requirements=tuple(requirements))
+
+
+def oracle_parse_sections(text):
+    sections = {}
+    current = None
+    for line in text.splitlines():
+        match = agents._SECTION_RE.match(line)
+        if match:
+            current = sections.setdefault(match.group(1).upper(), [])
+            current.append(match.group(2))
+        elif current is not None:
+            current.append(line)
+    parsed = {agents._SECTIONS[label]: "\n".join(lines).strip() for label, lines in sections.items()}
+    return parsed if all(parsed.get(name) for name in agents._SECTIONS.values()) else None
+
+
+def oracle_parse_verdict(text):
+    decision = None
+    feedback = ""
+    for line in text.splitlines():
+        if decision is None:
+            match = agents._VERDICT_RE.match(line)
+            if match:
+                decision = Decision(match.group(1).lower())
+        else:
+            match = agents._FEEDBACK_RE.match(line)
+            if match:
+                feedback = match.group(1).strip()
+                break
+    if decision is None or (decision is Decision.REVISE and not feedback):
+        return None
+    return Verdict(decision=decision, feedback=feedback)
+
+
+def oracle_parse_task_lines(text):
+    return [m.group(2).strip() for line in text.splitlines() if (m := agents._TASK_LINE_RE.match(line))]
+
+
+FENCES = ["```", "```php", "  ```js  ", "````", "``` x", "a```", "```c++"]
+# Each parser with its oracle and the marker lines, near misses included,
+# that its replies are drawn from; fences turn up in every role's replies.
+PARSERS = {
+    "fenced_blocks": (model._fenced_blocks, oracle_fenced_blocks, FENCES),
+    "parse_requirements": (
+        model.parse_requirements,
+        oracle_parse_requirements,
+        ["Requirement1:", "requirement 2 : x", "Requirement0: zero", "REQUIREMENT007:", "Requirement 00:"],
+    ),
+    "parse_sections": (
+        agents._parse_sections,
+        oracle_parse_sections,
+        ["INSTRUCTION: do", "example before:", "EXAMPLE BEFORE: old()", "Example After:", "1. EXAMPLE AFTER: new()"],
+    ),
+    "parse_verdict": (
+        agents._parse_verdict,
+        oracle_parse_verdict,
+        [
+            "VERDICT: ACCEPT",
+            "verdict: revise",
+            "** VERDICT: REVISE",
+            "VERDICT: ACCEPTED",
+            "VERDICT: REV\u0130SE",
+            "FEEDBACK: fix it",
+            "feedback:",
+            "> FEEDBACK:  spaced ",
+        ],
+    ),
+    "parse_task_lines": (agents.parse_task_lines, oracle_parse_task_lines, ["TASK 1: a", "- task 2 : b", "TASK 3:"]),
+}
+
+# Every line break str.splitlines() knows.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# Prose, with the break-adjacent \x1f and \xa0, and \u0130 and \u0131: an
+# IGNORECASE pattern reads both as an i, but neither changes case to one.
+prose = st.text(alphabet="ab :-`\t\x1f\xa0\u0130\u0131", max_size=5)
+
+
+@st.composite
+def replies(draw, markers):
+    """Lines of prose and markers, each ended by a drawn break, or by none,
+    which runs it into the next line."""
+    line = st.tuples(st.one_of(st.just(""), prose), st.sampled_from(["", *markers, *FENCES]), prose).map("".join)
+    return "".join(text + draw(st.sampled_from(["", *LINE_BREAKS])) for text in draw(st.lists(line, max_size=12)))
+
+
+def parse_outcome(parse, text):
+    """The parser's result, or its exception's type and message."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestMarkedReplyParsersMatchTheirOracles:
+    @pytest.mark.parametrize("name", PARSERS)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_result_or_error(self, name, data):
+        parse, oracle, markers = PARSERS[name]
+        text = data.draw(replies(markers), label="reply")
+        assert parse_outcome(parse, text) == parse_outcome(oracle, text)
