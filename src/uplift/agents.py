@@ -26,6 +26,7 @@ from .model import (
     Verdict,
     extract_code,
     marked_lines,
+    read_text,
     render_requirements,
 )
 from .transcript import Transcript, error_text
@@ -73,11 +74,12 @@ T = TypeVar("T")
 
 _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
 _TASK_LINE_RE = re.compile(r"^[^A-Za-z]*TASK\s+([0-9]+)\s*:\s*(\S.*)$", re.IGNORECASE)
-_VERDICT_RE = re.compile(r"^[^A-Za-z]*VERDICT\s*:\s*(ACCEPT|REVISE)\b", re.IGNORECASE)
+# (?a:...): IGNORECASE alone matches İ, ı, ſ to I, I, S, and such a word names nothing.
+_VERDICT_RE = re.compile(r"^[^A-Za-z]*VERDICT\s*:\s*((?a:ACCEPT|REVISE))\b", re.IGNORECASE)
 _FEEDBACK_RE = re.compile(r"^[^A-Za-z]*FEEDBACK\s*:\s*(.*)$", re.IGNORECASE)
 # Each section label of a prompt-maker reply, with the executor placeholder it fills.
 _SECTIONS = {"INSTRUCTION": "instruction", "EXAMPLE BEFORE": "example_before", "EXAMPLE AFTER": "example_after"}
-_SECTION_RE = re.compile(r"^[^A-Za-z]*(" + "|".join(_SECTIONS) + r")\s*:\s*(.*)$", re.IGNORECASE)
+_SECTION_RE = re.compile(r"^[^A-Za-z]*((?a:" + "|".join(_SECTIONS) + r"))\s*:\s*(.*)$", re.IGNORECASE)
 
 
 class PromptLibrary:
@@ -91,7 +93,7 @@ class PromptLibrary:
             path = self.directory / f"{name}.txt"
             if not path.is_file():
                 raise ConfigError(f"missing prompt template {path}")
-            text = path.read_text(encoding="utf-8")
+            text = read_text(path)
             if not text.strip():
                 raise ConfigError(f"prompt template {path} is empty")
             unknown = sorted(set(_PLACEHOLDER_RE.findall(text)) - placeholders)

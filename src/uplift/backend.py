@@ -20,6 +20,7 @@ from threading import Lock
 from typing import Any, Callable, Iterable, Protocol
 
 from .errors import BackendExhausted, ConfigError, CredentialMissing, ScriptExhausted
+from .model import load_json
 
 DEFAULT_MODEL = "gpt-4o-mini"
 API_KEY_ENV = "LLM_API_KEY"
@@ -134,13 +135,7 @@ def load_script(path: str | Path) -> ScriptedBackend:
     """Load a JSON array of script entries into a fresh scripted backend.
     Each entry is an object with a non-empty string "response" and an
     optional "match", which must be "sequence"."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except RecursionError:
-        raise ConfigError(f"{path}: JSON nested too deeply") from None
+    data = load_json(path)
     if not isinstance(data, list):
         raise ConfigError(f"{path}: expected a JSON array of entries")
     replies = []

@@ -33,7 +33,7 @@ from .evaluation import (
     run_once,
     write_bench_index,
 )
-from .model import artifact_from_file, load_requirements
+from .model import artifact_from_file, load_json, load_requirements
 from .pipeline import MAX_LOOP_ITERATIONS, PipelineConfig, PipelineMode, RunStatus, build_plan
 from .transcript import Transcript
 
@@ -106,12 +106,7 @@ def load_config(path: str | None) -> CliConfig:
         return config
     if not chosen.is_file():
         raise ConfigError(f"config file not found: {chosen}")
-    try:
-        data = json.loads(chosen.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{chosen}: invalid JSON: {exc}") from None
-    except RecursionError:
-        raise ConfigError(f"{chosen}: invalid JSON: nested too deeply") from None
+    data = load_json(chosen)
     if not isinstance(data, dict):
         raise ConfigError(f"{chosen}: expected a JSON object")
     for section, keys in data.items():

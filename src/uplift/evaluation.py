@@ -10,6 +10,7 @@ code.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -20,7 +21,7 @@ from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, 
 
 from .backend import Backend, ScriptedBackend
 from .errors import ConfigError, DanglingReference
-from .model import CodeArtifact, RequirementSet, artifact_from_file, load_requirements
+from .model import CodeArtifact, RequirementSet, artifact_from_file, load_requirements, read_text
 from .pipeline import (
     BASELINE_MODES,
     PipelineConfig,
@@ -158,8 +159,6 @@ def _read_csv(
     _, header = next(rows, (1, None))
     if header is None:
         raise ConfigError(f"{source}: empty file, expected header {','.join(expected_header)}")
-    if header:  # spreadsheet "CSV UTF-8" exports start with a byte-order mark
-        header[0] = header[0].removeprefix("\ufeff")
     if [h.strip() for h in header] != expected_header:
         raise ConfigError(
             f"{source}: bad header {','.join(header)!r}, expected {','.join(expected_header)}"
@@ -211,8 +210,8 @@ def read_ledger(
 # Each ingest_* checks every row's run_id against runs, when given: the
 # run_ids of the bench index a report reads.
 def ingest_ledger(path: str | Path, runs: Collection[str] | None = None) -> list[ErrorRecord]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return read_ledger(fh, source=str(path), runs=runs)
+    stream = io.StringIO(read_text(path))
+    return read_ledger(stream, source=str(path), runs=runs)
 
 
 def _score_row(run_id: str, index: str, value: str) -> RequirementScoreRecord:
@@ -220,10 +219,10 @@ def _score_row(run_id: str, index: str, value: str) -> RequirementScoreRecord:
 
 
 def ingest_scores(path: str | Path, runs: Collection[str] | None = None) -> list[RequirementScoreRecord]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return _read_csv(
-            fh, SCORES_HEADER, str(path), _score_row, key=lambda r: (r.run_id, r.requirement_index), runs=runs
-        )
+    stream = io.StringIO(read_text(path))
+    return _read_csv(
+        stream, SCORES_HEADER, str(path), _score_row, key=lambda r: (r.run_id, r.requirement_index), runs=runs
+    )
 
 
 def _replaced_functions_row(run_id: str, count: str) -> tuple[str, int]:
@@ -233,8 +232,8 @@ def _replaced_functions_row(run_id: str, count: str) -> tuple[str, int]:
 
 
 def ingest_replaced_functions(path: str | Path, runs: Collection[str] | None = None) -> dict[str, int]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return dict(_read_csv(fh, RF_HEADER, str(path), _replaced_functions_row, key=lambda r: r[0], runs=runs))
+    stream = io.StringIO(read_text(path))
+    return dict(_read_csv(stream, RF_HEADER, str(path), _replaced_functions_row, key=lambda r: r[0], runs=runs))
 
 
 def aggregate(
@@ -340,8 +339,7 @@ def load_spec(path: str | Path, mode: PipelineMode) -> RequirementSet | str:
     """A run's spec: the prompt text in a baseline mode, else the requirements.
     A blank prompt file is rejected here, before any output exists."""
     if mode in BASELINE_MODES:
-        # utf-8-sig drops a byte-order mark, which would reach the model.
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = read_text(path)
         if not text.strip():
             raise ConfigError(f"{path}: baseline prompt text must be non-empty")
         return text
@@ -444,8 +442,8 @@ def _index_row(run_id: str, status: str, duration: str, loc: str) -> RunRecord:
 
 
 def read_bench_index(path: str | Path) -> list[RunRecord]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return _read_csv(fh, INDEX_HEADER, str(path), _index_row, key=lambda r: r.run_id)
+    stream = io.StringIO(read_text(path))
+    return _read_csv(stream, INDEX_HEADER, str(path), _index_row, key=lambda r: r.run_id)
 
 
 def _fmt(value: float | int | None) -> str:

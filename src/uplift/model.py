@@ -1,11 +1,10 @@
-"""Language-agnostic domain types plus pure parsing/counting utilities.
-
-Nothing in this module talks to a model backend; everything is a pure
-function over immutable values.
-"""
+"""Language-agnostic domain types, pure parsing/counting utilities, and the
+one reader of the files a user hands uplift. Nothing in this module talks to
+a model backend."""
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -151,10 +150,29 @@ def render_requirements(reqs: RequirementSet) -> str:
     return "\n".join(f"Requirement{r.index}: {r.text}" for r in reqs.requirements)
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a file a user hands uplift: UTF-8 less a leading byte-order
+    mark, which would hide a first marker or reach a model. Other bytes are a
+    ConfigError naming the file and their offset from its first byte."""
+    try:
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: byte {exc.start}: {exc.reason}") from None
+
+
+def load_json(path: str | Path) -> object:
+    """read_text(path) parsed as JSON; a parse error is a ConfigError naming the file."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
+
+
 def load_requirements(path: str | Path) -> RequirementSet:
-    p = Path(path)
-    # utf-8-sig drops a byte-order mark, which would hide the first marker line.
-    return parse_requirements(p.read_text(encoding="utf-8-sig"), source_path=str(p))
+    return parse_requirements(read_text(path), source_path=str(path))
 
 
 def count_loc(content: str) -> int:
@@ -195,7 +213,7 @@ def _fenced_blocks(response: str) -> list[str]:
 def artifact_from_file(path: str | Path) -> CodeArtifact:
     """Read a source file as the user-supplied input artifact. A file with no
     non-blank line is rejected: there is nothing to update."""
-    content = Path(path).read_text(encoding="utf-8")
+    content = read_text(path)
     if not count_loc(content):
         raise ConfigError(f"{path}: source file has no non-blank line")
     return CodeArtifact(content=content)

@@ -29,15 +29,6 @@ from .transcript import Transcript, error_text
 # Unused here, but perfbench reads uplift.pipeline.write_transcript and strip_timing.
 from .transcript import strip_timing, write_transcript  # noqa: F401
 
-__all__ = [
-    "PipelineMode",
-    "PipelineConfig",
-    "RunStatus",
-    "RunRecord",
-    "RunOutcome",
-    "run_pipeline",
-]
-
 # Finalizer passes allowed per task before the latest code advances anyway.
 MAX_LOOP_ITERATIONS = 2
 

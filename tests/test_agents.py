@@ -14,6 +14,8 @@ from uplift.agents import (
     PromptLibrary,
     RETURN_ONLY_CODE,
     TEMPLATE_PLACEHOLDERS,
+    _parse_sections,
+    _parse_verdict,
     baseline,
     execute,
     finalize,
@@ -349,6 +351,17 @@ class TestParserProperties:
     def test_parse_task_lines_tolerates_decoration(self):
         text = "- TASK 1: first\n* task 2: second\n3. TASK 3: third"
         assert parse_task_lines(text) == ["first", "second", "third"]
+
+    @pytest.mark.parametrize("ascii_letter, letter", [("I", "\u0130"), ("I", "\u0131"), ("S", "\u017f")])
+    def test_a_marker_word_with_a_non_ascii_letter_is_prose(self, ascii_letter, letter):
+        # re.IGNORECASE alone matches İ, ı and ſ to I, I and S, and such a
+        # word names no Decision or section.
+        revise = "REVISE".replace(ascii_letter, letter, 1)
+        assert _parse_verdict(REVISE_REPLY) is not None
+        assert _parse_verdict(REVISE_REPLY.replace("REVISE", revise)) is None
+        instruction = "INSTRUCTION".replace(ascii_letter, letter, 1)
+        assert _parse_sections(SECTIONS_REPLY) is not None
+        assert _parse_sections(SECTIONS_REPLY.replace("INSTRUCTION", instruction)) is None
 
     def test_every_op_issues_at_most_two_calls(self, two_requirements, original_code):
         # worst case: first reply unparseable, second fine

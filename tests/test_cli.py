@@ -89,7 +89,14 @@ class TestPlan:
         assert main(["plan", "case_view/requirements.txt", flag, "deep.json"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: deep.json: ") and "nested too deeply" in err
+        assert err == "error: deep.json: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize("flag", ["--script", "--config"])
+    def test_malformed_json_exits_2_naming_the_file_line_and_column(self, workdir, capsys, flag):
+        (workdir / "bad.json").write_text("{\n  'kind': 1}", encoding="utf-8")
+        assert main(["plan", "case_view/requirements.txt", flag, "bad.json"]) == 2
+        message = "line 2 column 3: Expecting property name enclosed in double quotes"
+        assert capsys.readouterr() == ("", f"error: bad.json: {message}\n")
 
 
 class TestRun:
@@ -678,7 +685,8 @@ class TestBench:
 
 
 class TestReport:
-    def bench(self, workdir, reps=10):
+    @staticmethod
+    def bench(workdir, reps=10):
         assert (
             main(
                 [
@@ -877,7 +885,8 @@ class TestReport:
         assert f"pipeline.{key}" in capsys.readouterr().err
         assert not (out_dir / "report.csv").exists()
 
-    def write_inputs(self, workdir, out_dir):
+    @staticmethod
+    def write_inputs(workdir, out_dir):
         """A ledger, scores and --rf file for a 2-run bench, and the report argv."""
         ledger, scores, rf = workdir / "ledger.csv", workdir / "scores.csv", workdir / "rf.csv"
         ledger.write_text("run_id,mistake_id,category,description\nrun-001,m1,fatal,bad\n", encoding="utf-8")
@@ -939,6 +948,65 @@ class TestReport:
         )
         assert code == 0
         assert "mean_replaced_functions=3.500" in capsys.readouterr().out
+
+
+RUN = ["run", "case_view/original.php", "case_view/requirements.txt", "--config", "cfg.json"]
+BASELINE = ["run", "case_view_zsl/original.php", "case_view_zsl/prompt.txt", "--mode", "baseline_zsl"]
+REPORT = ["report", "out/case_view_zsl", "ledger.csv", "--scores", "scores.csv", "--rf", "rf.csv", "--label", "x"]
+# Each kind of file a user hands uplift, and a command that reads it.
+USER_FILES = {
+    "requirements": ("case_view/requirements.txt", RUN),
+    "prompt": ("case_view_zsl/prompt.txt", BASELINE + ["--script", "case_view_zsl/script.json"]),
+    "source": ("case_view/original.php", RUN),
+    "template": ("prompts/manager.txt", RUN),
+    "config": ("cfg.json", RUN),
+    "script": ("case_view/script.json", RUN),
+    "ledger": ("ledger.csv", REPORT),
+    "scores": ("scores.csv", REPORT),
+    "rf": ("rf.csv", REPORT),
+    "index": ("out/case_view_zsl/index.csv", REPORT),
+}
+
+
+class TestUserFiles:
+    @pytest.fixture
+    def inputs(self, workdir):
+        """Every file of USER_FILES in the workdir: TestReport's inputs for a 2-run bench, the prompts and a config."""
+        TestReport.write_inputs(workdir, TestReport.bench(workdir, reps=2))
+        shutil.copytree(PROMPTS_DIR, workdir / "prompts")
+        backend = {"kind": "script", "script_path": "case_view/script.json"}
+        config = {"backend": backend, "prompts": {"dir": "prompts"}}
+        (workdir / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        return workdir
+
+    @staticmethod
+    def outputs(workdir, argv):
+        """The exit code of argv, then what it wrote: each stripped transcript and the report files."""
+        from uplift.transcript import read_transcript, strip_timing
+
+        code = main(argv)
+        transcripts = [strip_timing(read_transcript(p)) for p in sorted(workdir.glob("out/*/*.jsonl"))]
+        reports = [p.read_bytes() for p in sorted(workdir.glob("out/*/report.*"))]
+        return code, transcripts, reports
+
+    @pytest.mark.parametrize("name", USER_FILES)
+    def test_byte_order_mark_is_dropped(self, inputs, name):
+        path, argv = USER_FILES[name]
+        plain = self.outputs(inputs, argv)
+        assert plain[0] == 0
+        (inputs / path).write_bytes(b"\xef\xbb\xbf" + (inputs / path).read_bytes())
+        marked = self.outputs(inputs, argv)
+        assert marked == plain
+        assert "\ufeff" not in json.dumps(marked[1], ensure_ascii=False)
+
+    @pytest.mark.parametrize("name", USER_FILES)
+    def test_bytes_not_utf8_exit_2_naming_the_file(self, inputs, capsys, name):
+        path, argv = USER_FILES[name]
+        raw = (inputs / path).read_bytes()
+        (inputs / path).write_bytes(raw + b"\xff")
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8: byte {len(raw)}: ")
 
 
 def test_readme_config_block_lists_every_key_with_its_default():

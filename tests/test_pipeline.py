@@ -170,6 +170,20 @@ class TestRevisionLoop:
         assert outcome.status is RunStatus.FAILED_GENERATION
         assert outcome.finalizer_invocations == counted
 
+    def test_non_ascii_marker_words_are_re_asked(self, original_code, two_requirements):
+        backend = seq(
+            SECTIONS_REPLY.replace("INSTRUCTION", "\u0130NSTRUCTION"), SECTIONS_REPLY, CODE_REPLY,
+            REVISE_REPLY.replace("REVISE", "REV\u0130SE"), ACCEPT_REPLY,
+        )
+        transcript = Transcript("r1")
+        outcome = run_pipeline(original_code, two_requirements, config(backend), transcript=transcript)
+        assert outcome.status is RunStatus.COMPLETED
+        assert outcome.finalizer_invocations == 0
+        assert [(e.agent, e.flags) for e in transcript.entries] == [
+            ("prompt_maker", set()), ("prompt_maker", {"re_ask"}), ("executor", set()),
+            ("verifier", set()), ("verifier", {"re_ask"}),
+        ]
+
     def test_zero_cap_advances_rejected_code(self, original_code, two_requirements):
         backend = seq(SECTIONS_REPLY, CODE_REPLY, REVISE_REPLY)
         outcome = run_pipeline(
