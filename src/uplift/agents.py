@@ -18,15 +18,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 from .backend import ChatMessage, ChatRequest, ChatResponse, Role
 from .errors import ConfigError, FailedGeneration, PlanParseError, PromptSpecParseError
 from .model import (
-    CodeArtifact,
-    Decision,
-    RequirementSet,
-    Task,
-    TaskPlan,
-    Verdict,
-    extract_code,
-    marked_lines,
-    read_text,
+    CodeArtifact, Decision, RequirementSet, Task, TaskPlan, Verdict, extract_code, marked_lines, read_text,
     render_requirements,
 )
 from .transcript import Transcript, error_text

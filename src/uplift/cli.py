@@ -13,28 +13,23 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Sequence
 from urllib.parse import urlsplit
 
 from .agents import DEFAULT_PROMPT_DIR, AgentContext, PromptLibrary, render_tasks
 from .backend import DEFAULT_MODEL, HttpBackend, load_script, utf8_encodable
 from .errors import ConfigError, DanglingReference, PlanParseError, UpliftError
 from .evaluation import (
-    FAILED_ERROR_THRESHOLD,
-    aggregate,
-    emit_report,
-    ingest_ledger,
-    ingest_replaced_functions,
-    ingest_scores,
-    load_spec,
-    read_bench_index,
-    report_rows,
-    run_bench,
-    run_once,
-    write_bench_index,
+    FAILED_ERROR_THRESHOLD, aggregate, check_failed_error_threshold, check_parallelism, check_repetitions,
+    emit_report, ingest_ledger, ingest_replaced_functions, ingest_scores, load_spec, read_bench_index,
+    report_rows, run_bench, run_once, write_bench_index,
 )
 from .model import artifact_from_file, load_json, load_requirements
-from .pipeline import MAX_LOOP_ITERATIONS, PipelineConfig, PipelineMode, RunStatus, build_plan
+from .pipeline import (
+    MAX_LOOP_ITERATIONS, PipelineConfig, PipelineMode, RunStatus, build_plan, check_max_loop_iterations,
+    check_type,
+)
 from .transcript import Transcript
 
 EXIT_OK = 0
@@ -47,42 +42,69 @@ DEFAULT_CONFIG_NAME = "uplift.json"
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
 
 
-@dataclasses.dataclass
-class CliConfig:
-    backend_kind: str = "http"
-    backend_endpoint: str = DEFAULT_ENDPOINT
-    backend_model: str = DEFAULT_MODEL
-    backend_script_path: str | None = None
-    pipeline_mode: str = PipelineMode.SYSTEM_MANAGER.value
-    pipeline_max_loop_iterations: int = MAX_LOOP_ITERATIONS
-    pipeline_failed_error_threshold: int = FAILED_ERROR_THRESHOLD
-    prompts_dir: str = str(DEFAULT_PROMPT_DIR)
-    bench_repetitions: int = 10
-    bench_parallelism: int = 1
+@dataclasses.dataclass(frozen=True)
+class Setting:
+    """A config key `section.name`, written once: the type of its value (a
+    union with None where it may be null), its default, its rule, and the
+    flag that overrides it. Every subcommand checks every rule."""
 
-    def validate(self) -> None:
-        if self.backend_kind not in ("http", "script"):
-            raise ConfigError(f"backend.kind must be http or script, got {self.backend_kind!r}")
-        if self.backend_kind == "script" and not self.backend_script_path:
-            raise ConfigError("backend.kind=script requires backend.script_path")
-        if self.backend_kind == "http" and self.backend_script_path:
-            raise ConfigError("backend.script_path is only valid with backend.kind=script")
-        if self.backend_kind == "http" and not _is_http_url(self.backend_endpoint):
-            raise ConfigError(
-                f"backend.endpoint must be an http or https URL with a host, got {self.backend_endpoint!r}"
-            )
-        if self.bench_repetitions < 1:
-            raise ConfigError("bench.repetitions must be >= 1")
-        if self.bench_parallelism < 1:
-            raise ConfigError("bench.parallelism must be >= 1")
-        if self.pipeline_max_loop_iterations < 0:
-            raise ConfigError("pipeline.max_loop_iterations must be >= 0")
-        if self.pipeline_failed_error_threshold < 1:
-            raise ConfigError("pipeline.failed_error_threshold must be >= 1")
-        try:
-            PipelineMode(self.pipeline_mode)
-        except ValueError:
-            raise ConfigError(f"unknown pipeline.mode {self.pipeline_mode!r}") from None
+    key: str
+    type: Any
+    default: object
+    rule: Callable[[str, Any], None] | None = None  # rule(key, value) raises ValueError naming the key
+    choices: tuple[str, ...] = ()  # a rule too: the values the key takes
+    flag: str | None = None
+    help: str | None = None
+    implies: tuple[tuple[str, object], ...] = ()  # the (key, value) pairs the flag sets too
+
+    @property
+    def field(self) -> str:
+        """The config's attribute for the key."""
+        return self.key.replace(".", "_")
+
+    @property
+    def argument(self) -> dict[str, Any]:
+        """add_argument's options for the flag."""
+        kind = getattr(self.type, "__args__", (self.type,))[0]  # str for str | None
+        return {"dest": self.field, "type": kind, "choices": self.choices or None, "help": self.help}
+
+
+SETTINGS = (
+    Setting("backend.kind", str, "http", choices=("http", "script")),
+    Setting("backend.endpoint", str, DEFAULT_ENDPOINT),
+    Setting("backend.model", str, DEFAULT_MODEL),
+    Setting(
+        "backend.script_path", str | None, None,
+        flag="--script", help="scripted-backend JSON file", implies=(("backend.kind", "script"),),
+    ),
+    Setting(
+        "pipeline.mode", str, PipelineMode.SYSTEM_MANAGER.value,
+        choices=tuple(m.value for m in PipelineMode), flag="--mode",
+    ),
+    Setting("pipeline.max_loop_iterations", int, MAX_LOOP_ITERATIONS, check_max_loop_iterations, flag="--max-loop"),
+    Setting("pipeline.failed_error_threshold", int, FAILED_ERROR_THRESHOLD, check_failed_error_threshold),
+    Setting("prompts.dir", str, str(DEFAULT_PROMPT_DIR)),
+    Setting("bench.repetitions", int, 10, check_repetitions, flag="--reps", help="bench repetitions"),
+    Setting("bench.parallelism", int, 1, check_parallelism),
+)
+
+
+def validate(config: SimpleNamespace) -> None:
+    """Check each setting's rule, then the backend keys against each other."""
+    for setting in SETTINGS:
+        value = getattr(config, setting.field)
+        if setting.choices and value not in setting.choices:
+            raise ConfigError(f"{setting.key} must be {' or '.join(setting.choices)}, got {value!r}")
+        if setting.rule:
+            setting.rule(setting.key, value)
+    if config.backend_kind == "script" and not config.backend_script_path:
+        raise ConfigError("backend.kind=script requires backend.script_path")
+    if config.backend_kind == "http" and config.backend_script_path:
+        raise ConfigError("backend.script_path is only valid with backend.kind=script")
+    if config.backend_kind == "http" and not _is_http_url(config.backend_endpoint):
+        raise ConfigError(
+            f"backend.endpoint must be an http or https URL with a host, got {config.backend_endpoint!r}"
+        )
 
 
 def _is_http_url(url: str) -> bool:
@@ -93,14 +115,9 @@ def _is_http_url(url: str) -> bool:
         return False
 
 
-# Config key <section>.<key> is the CliConfig field <section>_<key>; the
-# field's default fixes the type of the key's value.
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(CliConfig)}
-_SECTIONS = {name.split("_", 1)[0] for name in _DEFAULTS}
-
-
-def load_config(path: str | None) -> CliConfig:
-    config = CliConfig()
+def load_config(path: str | None) -> SimpleNamespace:
+    """Each setting's default, or its value in the config file (uplift.json when path is None)."""
+    config = SimpleNamespace(**{s.field: s.default for s in SETTINGS})
     chosen = Path(path) if path else Path(DEFAULT_CONFIG_NAME)
     if path is None and not chosen.is_file():
         return config
@@ -109,33 +126,30 @@ def load_config(path: str | None) -> CliConfig:
     data = load_json(chosen)
     if not isinstance(data, dict):
         raise ConfigError(f"{chosen}: expected a JSON object")
+    settings = {s.key: s for s in SETTINGS}
     for section, keys in data.items():
-        if section not in _SECTIONS:
+        if section not in {key.split(".")[0] for key in settings}:
             raise ConfigError(f"{chosen}: unknown section {section!r}")
         if not isinstance(keys, dict):
             raise ConfigError(f"{chosen}: section {section!r} must be an object")
-        for key, value in keys.items():
-            name = f"{section}_{key}"
-            if name not in _DEFAULTS:
-                raise ConfigError(f"{chosen}: unknown key {section}.{key}")
-            default = _DEFAULTS[name]
-            # Only backend.script_path defaults to null; it takes a string too.
-            if type(value) is not type(default) and not (default is None and isinstance(value, str)):
-                want = "a string or null" if default is None else f"of type {type(default).__name__}"
-                raise ConfigError(f"{chosen}: {section}.{key} must be {want}, got {value!r}")
+        for name, value in keys.items():
+            setting = settings.get(f"{section}.{name}")
+            if setting is None:
+                raise ConfigError(f"{chosen}: unknown key {section}.{name}")
+            check_type(f"{chosen}: {setting.key}", value, setting.type)
             if isinstance(value, str) and not utf8_encodable(value):
-                raise ConfigError(f"{chosen}: {section}.{key} holds a lone surrogate escape")
-            setattr(config, name, value)
+                raise ConfigError(f"{chosen}: {setting.key} holds a lone surrogate escape")
+            setattr(config, setting.field, value)
     return config
 
 
-def pipeline_config(config: CliConfig) -> PipelineConfig:
+def pipeline_config(config: SimpleNamespace) -> PipelineConfig:
     if config.backend_kind == "script":
         backend = load_script(config.backend_script_path)
     else:
         backend = HttpBackend(config.backend_endpoint)
     return PipelineConfig(
-        mode=PipelineMode(config.pipeline_mode),
+        mode=config.pipeline_mode,
         backend=backend,
         prompts=PromptLibrary(config.prompts_dir),
         max_loop_iterations=config.pipeline_max_loop_iterations,
@@ -143,7 +157,7 @@ def pipeline_config(config: CliConfig) -> PipelineConfig:
     )
 
 
-def cmd_plan(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_plan(args: argparse.Namespace, config: SimpleNamespace) -> int:
     requirements = load_requirements(args.requirements)
     ctx = AgentContext(pipeline_config(config), Transcript("plan"))
     plan = build_plan(ctx, requirements, PipelineMode.SYSTEM_MANAGER)
@@ -151,7 +165,7 @@ def cmd_plan(args: argparse.Namespace, config: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_run(args: argparse.Namespace, config: SimpleNamespace) -> int:
     pconfig = pipeline_config(config)
     input_path = Path(args.input)
     code = artifact_from_file(input_path)
@@ -167,18 +181,14 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
     return EXIT_OK if outcome.failure is None else EXIT_FAILED_GENERATION
 
 
-def cmd_bench(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_bench(args: argparse.Namespace, config: SimpleNamespace) -> int:
     case_dir = Path(args.case_dir)
     if not case_dir.is_dir():
         raise ConfigError(f"case directory not found: {case_dir}")
     pconfig = pipeline_config(config)
     out_dir = Path(args.out or "out") / case_dir.name
     outcomes = run_bench(
-        case_dir,
-        pconfig,
-        config.bench_repetitions,
-        out_dir=out_dir,
-        parallelism=config.bench_parallelism,
+        case_dir, pconfig, config.bench_repetitions, out_dir=out_dir, parallelism=config.bench_parallelism
     )
     write_bench_index(outcomes, out_dir / "index.csv")
     failed = sum(1 for o in outcomes if o.status is RunStatus.FAILED_GENERATION)
@@ -186,7 +196,7 @@ def cmd_bench(args: argparse.Namespace, config: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_report(args: argparse.Namespace, config: SimpleNamespace) -> int:
     # Checked before any input is read, so a bad label leaves no output touched.
     if not utf8_encodable(args.label):
         raise ConfigError("--label is not valid UTF-8")
@@ -199,12 +209,8 @@ def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
     scores = ingest_scores(args.scores, runs) if args.scores else []
     replaced = ingest_replaced_functions(args.rf, runs) if args.rf else None
     metrics = aggregate(
-        records,
-        errors,
-        scores,
-        args.label,
-        replaced_functions=replaced,
-        failed_error_threshold=config.pipeline_failed_error_threshold,
+        records, errors, scores, args.label,
+        replaced_functions=replaced, failed_error_threshold=config.pipeline_failed_error_threshold,
     )
     out_dir = Path(args.out) if args.out else case_out
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -221,10 +227,7 @@ def _line_cell(cell: str) -> str:
 
 _FLAGS = {
     "--config": {"help": "JSON config file (default uplift.json)"},
-    "--script": {"dest": "backend_script_path", "help": "scripted-backend JSON file"},
-    "--mode": {"dest": "pipeline_mode", "choices": [m.value for m in PipelineMode]},
-    "--reps": {"dest": "bench_repetitions", "type": int, "help": "bench repetitions"},
-    "--max-loop": {"dest": "pipeline_max_loop_iterations", "type": int},
+    **{s.flag: s.argument for s in SETTINGS if s.flag},
     "--out": {"help": "output directory (default: out/, or the case output directory for report)"},
 }
 
@@ -270,22 +273,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        for name, value in vars(args).items():
-            if name in _DEFAULTS and value is not None:
-                setattr(config, name, value)
-                if name == "backend_script_path":
-                    config.backend_kind = "script"
-        config.validate()
+        for setting in SETTINGS:
+            if (value := getattr(args, setting.field, None)) is not None:
+                setattr(config, setting.field, value)
+                for key, implied in setting.implies:
+                    setattr(config, key.replace(".", "_"), implied)
+        validate(config)
         return args.func(args, config)
-    except DanglingReference as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REFERENCE
-    except PlanParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLAN
     except (UpliftError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return {DanglingReference: EXIT_REFERENCE, PlanParseError: EXIT_PLAN}.get(type(exc), EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -23,13 +23,7 @@ from .backend import Backend, ScriptedBackend
 from .errors import ConfigError, DanglingReference
 from .model import CodeArtifact, RequirementSet, artifact_from_file, load_requirements, read_text
 from .pipeline import (
-    BASELINE_MODES,
-    PipelineConfig,
-    PipelineMode,
-    RunOutcome,
-    RunRecord,
-    RunStatus,
-    run_pipeline,
+    BASELINE_MODES, PipelineConfig, PipelineMode, RunOutcome, RunRecord, RunStatus, at_least, run_pipeline,
 )
 from .transcript import Transcript, write_transcript
 
@@ -44,6 +38,9 @@ T = TypeVar("T")
 
 # A run with more distinct mistakes than this counts as failed.
 FAILED_ERROR_THRESHOLD = 7
+check_failed_error_threshold = at_least(1)
+check_repetitions = at_least(1)
+check_parallelism = at_least(1)
 
 
 class ErrorCategory(str, Enum):
@@ -207,11 +204,15 @@ def read_ledger(
     return _first_per_mistake(_read_csv(stream, LEDGER_HEADER, source, _ledger_row, runs=runs))
 
 
+def _csv_stream(path: str | Path) -> TextIO:
+    """The user's CSV file at path as model.read_text reads it, for csv.reader."""
+    return io.StringIO(read_text(path))
+
+
 # Each ingest_* checks every row's run_id against runs, when given: the
 # run_ids of the bench index a report reads.
 def ingest_ledger(path: str | Path, runs: Collection[str] | None = None) -> list[ErrorRecord]:
-    stream = io.StringIO(read_text(path))
-    return read_ledger(stream, source=str(path), runs=runs)
+    return read_ledger(_csv_stream(path), str(path), runs)
 
 
 def _score_row(run_id: str, index: str, value: str) -> RequirementScoreRecord:
@@ -219,9 +220,9 @@ def _score_row(run_id: str, index: str, value: str) -> RequirementScoreRecord:
 
 
 def ingest_scores(path: str | Path, runs: Collection[str] | None = None) -> list[RequirementScoreRecord]:
-    stream = io.StringIO(read_text(path))
     return _read_csv(
-        stream, SCORES_HEADER, str(path), _score_row, key=lambda r: (r.run_id, r.requirement_index), runs=runs
+        _csv_stream(path), SCORES_HEADER, str(path), _score_row, key=lambda r: (r.run_id, r.requirement_index),
+        runs=runs,
     )
 
 
@@ -232,8 +233,9 @@ def _replaced_functions_row(run_id: str, count: str) -> tuple[str, int]:
 
 
 def ingest_replaced_functions(path: str | Path, runs: Collection[str] | None = None) -> dict[str, int]:
-    stream = io.StringIO(read_text(path))
-    return dict(_read_csv(stream, RF_HEADER, str(path), _replaced_functions_row, key=lambda r: r[0], runs=runs))
+    return dict(
+        _read_csv(_csv_stream(path), RF_HEADER, str(path), _replaced_functions_row, key=lambda r: r[0], runs=runs)
+    )
 
 
 def aggregate(
@@ -257,6 +259,7 @@ def aggregate(
     requirement_total is the sum of those means, which equals the mean
     number of requirements passed per run, failed runs counting 0.
     """
+    check_failed_error_threshold("failed_error_threshold", failed_error_threshold)
     records = list(outcomes)
     known = {r.run_id for r in records}
     if len(known) != len(records):
@@ -387,10 +390,8 @@ def run_bench(
     run ends it as a failed outcome, with the reason in its summary; only a
     failure to write a run's files (or an interrupt) aborts the batch.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
+    check_repetitions("repetitions", repetitions)
+    check_parallelism("parallelism", parallelism)
     case_dir = Path(case_dir)
     original_path = _find_original(case_dir)
     code = artifact_from_file(original_path)
@@ -442,8 +443,7 @@ def _index_row(run_id: str, status: str, duration: str, loc: str) -> RunRecord:
 
 
 def read_bench_index(path: str | Path) -> list[RunRecord]:
-    stream = io.StringIO(read_text(path))
-    return _read_csv(stream, INDEX_HEADER, str(path), _index_row, key=lambda r: r.run_id)
+    return _read_csv(_csv_stream(path), INDEX_HEADER, str(path), _index_row, key=lambda r: r.run_id)
 
 
 def _fmt(value: float | int | None) -> str:

@@ -9,17 +9,10 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Any, Callable
 
 from .agents import (
-    AgentContext,
-    PromptLibrary,
-    baseline,
-    execute,
-    finalize,
-    make_prompt,
-    manager_confirm,
-    manager_plan,
-    verify,
+    AgentContext, PromptLibrary, baseline, execute, finalize, make_prompt, manager_confirm, manager_plan, verify,
 )
 from .backend import Backend, DEFAULT_MODEL
 from .model import CodeArtifact, Decision, RequirementSet, Task, TaskPlan
@@ -29,8 +22,31 @@ from .transcript import Transcript, error_text
 # Unused here, but perfbench reads uplift.pipeline.write_transcript and strip_timing.
 from .transcript import strip_timing, write_transcript  # noqa: F401
 
+def check_type(name: str, value: object, kind: Any) -> None:
+    """Raise ValueError naming the setting unless value's type is kind, or a
+    member of kind when it is a union such as str | None. The test is exact,
+    so no bool passes as an int; an int passes as a float."""
+    kinds = getattr(kind, "__args__", (kind,))
+    if type(value) not in kinds and not (type(value) is int and float in kinds):
+        base = kinds[0].__name__
+        want = f"a {'string' if base == 'str' else base} or null" if type(None) in kinds else f"of type {base}"
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+
+
+def at_least(minimum: int) -> Callable[[str, Any], None]:
+    """The rule of a count setting: rule(name, value) raises ValueError naming
+    the setting unless value is an int (not a bool) >= minimum. The library
+    names its parameter, the CLI the config key."""
+    def rule(name: str, value: Any) -> None:
+        check_type(name, value, int)
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}")
+    return rule
+
+
 # Finalizer passes allowed per task before the latest code advances anyway.
 MAX_LOOP_ITERATIONS = 2
+check_max_loop_iterations = at_least(0)
 
 
 class PipelineMode(str, Enum):
@@ -63,8 +79,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         self.mode = PipelineMode(self.mode)
-        if self.max_loop_iterations < 0:
-            raise ValueError("max_loop_iterations must be non-negative")
+        check_max_loop_iterations("max_loop_iterations", self.max_loop_iterations)
+        check_type("model", self.model, str)
 
     @property
     def prompt_dir(self) -> Path:

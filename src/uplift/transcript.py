@@ -138,11 +138,4 @@ def read_transcript(path: str | Path) -> list[dict[str, Any]]:
 
 def strip_timing(records: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
     """Copies of the records with wall-clock fields zeroed, for replay diffs."""
-    stripped = []
-    for record in records:
-        clone = dict(record)
-        for key in TIMING_FIELDS:
-            if key in clone:
-                clone[key] = 0.0
-        stripped.append(clone)
-    return stripped
+    return [{**record, **{key: 0.0 for key in TIMING_FIELDS if key in record}} for record in records]

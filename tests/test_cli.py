@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -15,7 +14,7 @@ import pytest
 from uplift import cli
 from uplift.agents import DEFAULT_PROMPT_DIR as PROMPTS_DIR
 from uplift.backend import ScriptedBackend
-from uplift.cli import CliConfig, build_parser, main
+from uplift.cli import build_parser, main
 from uplift.errors import DanglingReference, PlanParseError, UpliftError
 from uplift.model import load_requirements, parse_requirements
 
@@ -491,6 +490,73 @@ class TestExitCodes:
         assert main(argv) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, want",
+        [
+            ("backend.kind", None, "of type str"),
+            ("backend.endpoint", None, "of type str"),
+            ("backend.model", None, "of type str"),
+            ("backend.script_path", 5, "a string or null"),
+            ("backend.script_path", True, "a string or null"),
+            ("pipeline.mode", None, "of type str"),
+            ("prompts.dir", None, "of type str"),
+            *[
+                (key, value, "of type int")
+                for key in [
+                    "pipeline.max_loop_iterations",
+                    "pipeline.failed_error_threshold",
+                    "bench.repetitions",
+                    "bench.parallelism",
+                ]
+                for value in [True, 2.5]
+            ],
+        ],
+    )
+    def test_each_key_of_the_wrong_type_exits_2_with_its_message(self, workdir, capsys, key, value, want):
+        section, name = key.split(".")
+        (workdir / "bad.json").write_text(json.dumps({section: {name: value}}))
+        argv = ["bench", "case_view", "--script", "case_view/script.json", "--config", "bad.json"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: bad.json: {key} must be {want}, got {value!r}\n"
+        assert not (workdir / "out").exists()
+
+
+class TestFlags:
+    @staticmethod
+    def bench_config(workdir, monkeypatch, config, *flags):
+        """The settings cmd_bench gets from config, written to uplift.json, and flags."""
+        seen = []
+        monkeypatch.setattr(cli, "cmd_bench", lambda args, settings: seen.append(settings) or 0)
+        (workdir / "uplift.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["bench", "case_view", *flags]) == 0
+        return seen[0]
+
+    @pytest.mark.parametrize(
+        "flag, value, key, in_file, given",
+        [
+            ("--script", "b.json", "backend.script_path", "a.json", "b.json"),
+            ("--mode", "system_single_task", "pipeline.mode", "baseline_zsl", "system_single_task"),
+            ("--max-loop", "1", "pipeline.max_loop_iterations", 3, 1),
+            ("--reps", "2", "bench.repetitions", 5, 2),
+        ],
+    )
+    def test_each_flag_overrides_its_key_from_the_config_file(
+        self, workdir, monkeypatch, flag, value, key, in_file, given
+    ):
+        section, name = key.split(".")
+        config = {"backend": {"kind": "script", "script_path": "a.json"}}
+        config.setdefault(section, {})[name] = in_file
+        settings = self.bench_config(workdir, monkeypatch, config)
+        assert getattr(settings, f"{section}_{name}") == in_file
+        settings = self.bench_config(workdir, monkeypatch, config, flag, value)
+        assert getattr(settings, f"{section}_{name}") == given
+
+    def test_script_switches_the_backend_kind_to_script(self, workdir, monkeypatch):
+        config = {"backend": {"kind": "http", "endpoint": "http://127.0.0.1:9/v1"}}
+        assert self.bench_config(workdir, monkeypatch, config).backend_kind == "http"
+        settings = self.bench_config(workdir, monkeypatch, config, "--script", "s.json")
+        assert (settings.backend_kind, settings.backend_script_path) == ("script", "s.json")
 
 
 class TestDeterminism:
@@ -1009,12 +1075,82 @@ class TestUserFiles:
         assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8: byte {len(raw)}: ")
 
 
+COMMANDS = {
+    "plan": ["plan", "case_view/requirements.txt"],
+    "run": ["run", "case_view/original.php", "case_view/requirements.txt"],
+    "bench": ["bench", "case_view"],
+}
+# A value of each type that every rule in cli.SETTINGS rejects.
+BREAKS = {str: "no-such-value", int: -1}
+
+
+class TestSettings:
+    """Generated from cli.SETTINGS, so that a new row is covered with no new test code."""
+
+    @staticmethod
+    def files(root):
+        return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    @pytest.mark.parametrize(
+        "setting, command, case",
+        [
+            (setting, command, case)
+            for setting in cli.SETTINGS
+            for case in ["type", "rule"] if case == "type" or setting.rule or setting.choices
+            for command in COMMANDS
+        ],
+        ids=lambda param: getattr(param, "key", param),
+    )
+    def test_a_value_that_breaks_its_row_exits_2_naming_the_key_and_writes_nothing(
+        self, workdir, capsys, monkeypatch, setting, command, case
+    ):
+        # Should a check be missing, the run must fail for want of a key, not reach a network.
+        monkeypatch.delenv("LLM_API_KEY", raising=False)
+        value = [] if case == "type" else BREAKS[setting.type]
+        section, name = setting.key.split(".")
+        (workdir / "bad.json").write_text(json.dumps({section: {name: value}}), encoding="utf-8")
+        before = self.files(workdir)
+        assert main([*COMMANDS[command], "--config", "bad.json"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err.startswith("error: "), setting.key in err) == ("", True, True)
+        assert self.files(workdir) == before
+
+    def test_a_new_optional_number_is_one_row(self, workdir, capsys, monkeypatch):
+        temperature = cli.Setting("pipeline.temperature", float | None, None)
+        monkeypatch.setattr(cli, "SETTINGS", (*cli.SETTINGS, temperature))
+        config = workdir / "t.json"
+        assert cli.load_config(None).pipeline_temperature is None
+        config.write_text(json.dumps({"pipeline": {"temperature": 0.2}}), encoding="utf-8")
+        assert cli.load_config(str(config)).pipeline_temperature == 0.2
+        argv = ["plan", "case_view/requirements.txt", "--config", "t.json"]
+        assert main(argv + ["--script", "case_view/script.json"]) == 0
+        for value in ["0.2", True]:
+            config.write_text(json.dumps({"pipeline": {"temperature": value}}), encoding="utf-8")
+            capsys.readouterr()
+            assert main(argv) == 2
+            message = f"t.json: pipeline.temperature must be a float or null, got {value!r}"
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_readme_flag_table_names_each_setting_flag_and_its_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    table = next(block for block in section.split("\n\n") if block.startswith("| flag | key |"))
+    documented = re.findall(r"^\| `(--[a-z-]+) [A-Z]+` \| `([a-z_.]+)`(.*) \|$", table, re.MULTILINE)
+    assert documented == [
+        (s.flag, s.key, "".join(f", and sets `{key}` to `{value}`" for key, value in s.implies))
+        for s in cli.SETTINGS if s.flag
+    ]
+    checks = next(block for block in section.split("\n\n") if block.startswith("Every subcommand"))
+    assert [s.key for s in cli.SETTINGS if (s.rule or s.choices) and f"`{s.key}`" not in checks] == []
+
+
 def test_readme_config_block_lists_every_key_with_its_default():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration\n", 1)[1]
     block = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
-    documented = {f"{name}_{key}": value for name, keys in block.items() for key, value in keys.items()}
-    assert documented == {**dataclasses.asdict(CliConfig()), "prompts_dir": "<packaged prompts>"}
+    documented = {f"{name}.{key}": value for name, keys in block.items() for key, value in keys.items()}
+    assert documented == {**{s.key: s.default for s in cli.SETTINGS}, "prompts.dir": "<packaged prompts>"}
 
 
 def test_readme_errors_list_names_each_class_in_uplift_errors():

@@ -273,6 +273,10 @@ class TestAggregate:
         relaxed = aggregate(outcomes, errors, [], "x", failed_error_threshold=8)
         assert relaxed.runs_failed == 0
 
+    def test_threshold_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^failed_error_threshold must be >= 1$"):
+            aggregate([completed("r1")], [], [], "x", failed_error_threshold=0)
+
     def test_category_counts_cover_all_records(self):
         outcomes = [completed("run-001")]
         errors = [
@@ -407,6 +411,22 @@ class TestRunBench:
         with pytest.raises(ValueError, match=r"^parallelism must be >= 1$"):
             run_bench(case, config, 2, out_dir=tmp_path, parallelism=0)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "setting, value", [("repetitions", 2.5), ("repetitions", True), ("parallelism", 1.5), ("parallelism", True)]
+    )
+    def test_a_count_of_the_wrong_type_is_rejected_before_any_file_is_touched(
+        self, fixtures_dir, tmp_path, setting, value
+    ):
+        case = fixtures_dir / "case_view"
+        config = PipelineConfig(mode=PipelineMode.SYSTEM_MANAGER, backend=load_script(case / "script.json"))
+        run_bench(case, config, 3, out_dir=tmp_path)
+        earlier = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert {"run-003.jsonl", "run-003.updated.php"} <= set(earlier)
+        counts = {"repetitions": 2, "parallelism": 1, setting: value}
+        with pytest.raises(ValueError, match=f"^{setting} must be of type int, got {value!r}$"):
+            run_bench(case, config, counts["repetitions"], out_dir=tmp_path, parallelism=counts["parallelism"])
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == earlier
 
     def test_parallel_runs_stay_ordered(self, fixtures_dir, tmp_path):
         case = fixtures_dir / "case_view_zsl"

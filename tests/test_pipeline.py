@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import shutil
 from hashlib import sha256
 from pathlib import Path
@@ -48,6 +49,21 @@ class TestConfig:
     def test_prompt_dir_is_not_a_setting(self, tmp_path):
         with pytest.raises(TypeError):
             config(seq(), prompt_dir=tmp_path)
+
+    @pytest.mark.parametrize(
+        "setting, value, message",
+        [
+            *[
+                ("max_loop_iterations", value, f"max_loop_iterations must be of type int, got {value!r}")
+                for value in (1.5, True, "2", None)
+            ],
+            ("max_loop_iterations", -1, "max_loop_iterations must be >= 0"),
+            ("model", 3, "model must be of type str, got 3"),
+        ],
+    )
+    def test_a_setting_that_breaks_its_rule_is_rejected(self, setting, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config(seq(), **{setting: value})
 
 
 class TestSystemModes:
