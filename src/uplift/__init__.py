@@ -1,5 +1,5 @@
 """Multi-agent pipeline for updating legacy source files, with bare-prompt
-baseline modes and an evaluation harness for comparing them."""
+baseline modes and an evaluation harness, uplift.evaluation, for comparing them."""
 
 from .backend import (
     ChatMessage,
@@ -9,21 +9,8 @@ from .backend import (
     ScriptedBackend,
     load_script,
 )
-from .evaluation import (
-    AggregateMetrics,
-    ErrorCategory,
-    ErrorRecord,
-    RequirementScoreRecord,
-    aggregate,
-    emit_report,
-    ingest_ledger,
-    ingest_scores,
-    population_sd,
-    run_bench,
-)
 from .model import (
     CodeArtifact,
-    Requirement,
     RequirementSet,
     Task,
     TaskPlan,

@@ -189,11 +189,11 @@ def parse_task_lines(text: str) -> list[str]:
 
 def _parse_plan(text: str) -> TaskPlan | None:
     descriptions = parse_task_lines(text)
-    return TaskPlan(tuple(Task(i, d) for i, d in enumerate(descriptions, start=1))) if descriptions else None
+    return TaskPlan(tuple(descriptions)) if descriptions else None
 
 
 def render_tasks(plan: TaskPlan) -> str:
-    return "\n".join(f"TASK {t.ordinal}: {t.description}" for t in plan.tasks)
+    return "\n".join(f"TASK {t.ordinal}: {t.description}" for t in plan)
 
 
 def manager_plan(ctx: AgentContext, requirements: RequirementSet) -> TaskPlan:

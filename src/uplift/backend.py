@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from threading import Lock
+from threading import Lock, local
 from typing import Any, Callable, Iterable, Protocol
 
 from .errors import BackendExhausted, ConfigError, CredentialMissing, ScriptExhausted
@@ -161,22 +161,31 @@ def load_script(path: str | Path) -> ScriptedBackend:
 Transport = Callable[[str, dict[str, Any], str, float], tuple[int, dict[str, Any]]]
 
 
-def _requests_transport(endpoint: str, payload: dict[str, Any], api_key: str, timeout: float):
-    # Imported here so that scripted runs, reports and injected transports
-    # never load the HTTP stack.
-    import requests
+class _SessionTransport(local):
+    """The default transport: each thread posts through its own
+    requests.Session, so one backend's calls on a thread share a connection
+    (a Session is not safe to share across threads). A thread's session is
+    made at its first post, so scripted runs, reports and injected
+    transports never load the HTTP stack."""
 
-    resp = requests.post(
-        endpoint,
-        json=payload,
-        headers={"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"},
-        timeout=timeout,
-    )
-    try:
-        body = resp.json()
-    except (ValueError, RecursionError):  # RecursionError: a deeply nested body
-        body = {}
-    return resp.status_code, body
+    session = None  # a thread's own once set: the instance is a threading.local
+
+    def __call__(self, endpoint: str, payload: dict[str, Any], api_key: str, timeout: float):
+        if self.session is None:
+            import requests
+
+            self.session = requests.Session()
+        resp = self.session.post(
+            endpoint,
+            json=payload,
+            headers={"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"},
+            timeout=timeout,
+        )
+        try:
+            body = resp.json()
+        except (ValueError, RecursionError):  # RecursionError: a deeply nested body
+            body = {}
+        return resp.status_code, body
 
 
 class HttpBackend:
@@ -198,7 +207,7 @@ class HttpBackend:
     ):
         self.endpoint = endpoint
         self.backoff_base = backoff_base
-        self._transport = transport or _requests_transport
+        self._transport = transport or _SessionTransport()
         self._sleep = sleep
 
     def complete(self, request: ChatRequest) -> ChatResponse:

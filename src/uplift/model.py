@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 from .errors import ConfigError
 
 # Replies that skip the code fence but plainly start with source code are
@@ -22,33 +23,17 @@ _FENCE_RE = re.compile(r"^\s*```+([A-Za-z0-9_+.-]*)\s*$")
 
 
 @dataclass(frozen=True)
-class Requirement:
-    """One user requirement, 1-indexed within its set."""
-
-    index: int
-    text: str
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"requirement index must be positive, got {self.index}")
-        if not self.text or self.text != self.text.strip():
-            raise ValueError("requirement text must be non-empty and stripped")
-
-
-@dataclass(frozen=True)
 class RequirementSet:
-    """Ordered requirements parsed from a requirements file."""
+    """Requirement texts parsed from a requirements file, in file order:
+    requirement k is the k-th text."""
 
-    requirements: tuple[Requirement, ...]
+    requirements: tuple[str, ...]
 
     def __post_init__(self):
         if not self.requirements:
             raise ValueError("a RequirementSet must contain at least one requirement")
-        for pos, req in enumerate(self.requirements, start=1):
-            if req.index != pos:
-                raise ValueError(
-                    f"requirement indices must be contiguous from 1, got {req.index} at position {pos}"
-                )
+        if not all(text and text == text.strip() for text in self.requirements):
+            raise ValueError("requirement text must be non-empty and stripped")
 
 
 @dataclass(frozen=True)
@@ -67,16 +52,13 @@ class Task:
 
 @dataclass(frozen=True)
 class TaskPlan:
-    """Ordered tasks, numbered contiguously from 1."""
+    """Task descriptions in order: task k is the k-th, with ordinal k."""
 
-    tasks: tuple[Task, ...]
+    descriptions: tuple[str, ...]
 
-    def __post_init__(self):
-        for pos, task in enumerate(self.tasks, start=1):
-            if task.ordinal != pos:
-                raise ValueError(
-                    f"task ordinals must be contiguous from 1, got {task.ordinal} at position {pos}"
-                )
+    def __iter__(self) -> Iterator[Task]:
+        for ordinal, description in enumerate(self.descriptions, start=1):
+            yield Task(ordinal, description)
 
 
 @dataclass(frozen=True)
@@ -126,8 +108,8 @@ def parse_requirements(raw: str, source_path: str = "") -> RequirementSet:
     """Parse ``Requirement<N>:`` marker lines into a RequirementSet.
 
     Continuation lines up to the next marker belong to the current
-    requirement. Indices are renumbered 1..K in file order regardless of the
-    literal numbers in the file.
+    requirement. Requirements are numbered 1..K by their place in the file,
+    regardless of the literal numbers in it.
 
     Raises ConfigError when no marker line exists or when a marker
     introduces no text at all.
@@ -136,18 +118,15 @@ def parse_requirements(raw: str, source_path: str = "") -> RequirementSet:
     if not segments:
         raise ConfigError(f"no Requirement<N>: marker line found in {source_path or 'input'}")
 
-    requirements = []
-    for pos, seg in enumerate(segments, start=1):
-        text = "\n".join(seg).strip()
-        if not text:
-            raise ConfigError(f"requirement {pos} has a marker but no text")
-        requirements.append(Requirement(index=pos, text=text))
-    return RequirementSet(requirements=tuple(requirements))
+    texts = tuple("\n".join(seg).strip() for seg in segments)
+    if "" in texts:
+        raise ConfigError(f"requirement {texts.index('') + 1} has a marker but no text")
+    return RequirementSet(texts)
 
 
 def render_requirements(reqs: RequirementSet) -> str:
     """Inverse of parse_requirements: one ``RequirementN: text`` segment per entry."""
-    return "\n".join(f"Requirement{r.index}: {r.text}" for r in reqs.requirements)
+    return "\n".join(f"Requirement{k}: {text}" for k, text in enumerate(reqs.requirements, start=1))
 
 
 def read_text(path: str | Path) -> str:

@@ -15,7 +15,7 @@ from .agents import (
     AgentContext, PromptLibrary, baseline, execute, finalize, make_prompt, manager_confirm, manager_plan, verify,
 )
 from .backend import Backend, DEFAULT_MODEL
-from .model import CodeArtifact, Decision, RequirementSet, Task, TaskPlan
+from .model import CodeArtifact, Decision, RequirementSet, TaskPlan
 # Unused here, but perfbench/tracing.py patches pipeline.extract_code by name.
 from .model import extract_code  # noqa: F401
 from .transcript import Transcript, error_text
@@ -65,9 +65,10 @@ class RunStatus(str, Enum):
     FAILED_GENERATION = "failed_generation"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """A run's settings, the one place an agent call reads them from."""
+    """A run's settings, the one place an agent call reads them from. Frozen,
+    so every setting passes the checks: dataclasses.replace runs them again."""
 
     mode: PipelineMode
     backend: Backend
@@ -78,7 +79,7 @@ class PipelineConfig:
     prompts: PromptLibrary = field(default_factory=PromptLibrary, repr=False, compare=False)
 
     def __post_init__(self):
-        self.mode = PipelineMode(self.mode)
+        object.__setattr__(self, "mode", PipelineMode(self.mode))
         check_max_loop_iterations("max_loop_iterations", self.max_loop_iterations)
         check_type("model", self.model, str)
 
@@ -132,9 +133,8 @@ def build_plan(ctx: AgentContext, requirements: RequirementSet, mode: PipelineMo
         plan = manager_plan(ctx, requirements)
         return manager_confirm(ctx, plan, requirements)
     if mode is PipelineMode.SYSTEM_PER_REQUIREMENT:
-        return TaskPlan(tuple(Task(r.index, r.text) for r in requirements.requirements))
-    merged = " ".join(r.text for r in requirements.requirements)
-    return TaskPlan((Task(1, merged),))
+        return TaskPlan(requirements.requirements)
+    return TaskPlan((" ".join(requirements.requirements),))
 
 
 def run_pipeline(
@@ -174,9 +174,9 @@ def run_pipeline(
             final = baseline(ctx, spec, code)
         else:
             plan = build_plan(ctx, spec, config.mode)
-            task_count = len(plan.tasks)
+            task_count = len(plan.descriptions)
             current = code
-            for task in plan.tasks:
+            for task in plan:
                 prompt = make_prompt(ctx, task, current)
                 candidate = execute(ctx, task, prompt, current)
                 iteration = 0  # finalizer passes that returned code for this task

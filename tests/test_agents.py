@@ -125,13 +125,12 @@ class TestManagerPlan:
     def test_parses_task_lines_in_order(self, two_requirements):
         ctx = ctx_with(seq("TASK 1: Update syntax to 4.5\nTASK 2: Fix ORM access"))
         plan = manager_plan(ctx, two_requirements)
-        assert [t.description for t in plan.tasks] == ["Update syntax to 4.5", "Fix ORM access"]
-        assert [t.ordinal for t in plan.tasks] == [1, 2]
+        assert list(plan) == [Task(1, "Update syntax to 4.5"), Task(2, "Fix ORM access")]
 
     def test_prose_around_tasks_is_ignored(self, two_requirements):
         ctx = ctx_with(seq("Sure! Here is the plan.\nTASK 1: x\nHope this helps."))
         plan = manager_plan(ctx, two_requirements)
-        assert [t.description for t in plan.tasks] == ["x"]
+        assert plan.descriptions == ("x",)
 
     def test_reask_then_error(self, two_requirements):
         ctx = ctx_with(seq("no tasks", "still no tasks"))
@@ -142,7 +141,7 @@ class TestManagerPlan:
     def test_reask_recovers(self, two_requirements):
         ctx = ctx_with(seq("no tasks", PLAN_REPLY))
         plan = manager_plan(ctx, two_requirements)
-        assert len(plan.tasks) == 2
+        assert len(plan.descriptions) == 2
         assert "re_ask" in ctx.transcript.entries[-1].flags
 
     def test_requirements_rendered_into_user_message(self, two_requirements):
@@ -155,33 +154,28 @@ class TestManagerPlan:
     def test_llm_numbering_is_renumbered(self, two_requirements):
         ctx = ctx_with(seq("TASK 3: late\nTASK 1: early"))
         plan = manager_plan(ctx, two_requirements)
-        assert [(t.ordinal, t.description) for t in plan.tasks] == [(1, "late"), (2, "early")]
+        assert list(plan) == [Task(1, "late"), Task(2, "early")]
 
 
 class TestManagerConfirm:
     def plan(self) -> TaskPlan:
-        return TaskPlan(
-            tasks=(
-                Task(1, "Update syntax to 4.5"),
-                Task(2, "Fix ORM access"),
-            )
-        )
+        return TaskPlan(("Update syntax to 4.5", "Fix ORM access"))
 
     def test_identical_confirmation_is_fixed_point(self, two_requirements):
         ctx = ctx_with(seq(PLAN_REPLY))
         confirmed = manager_confirm(ctx, self.plan(), two_requirements)
-        assert [t.description for t in confirmed.tasks] == [t.description for t in self.plan().tasks]
+        assert confirmed == self.plan()
         assert [e.agent for e in ctx.transcript.entries].count("manager") == 1
 
     def test_reordered_confirmation_replaces_plan(self, two_requirements):
         ctx = ctx_with(seq("TASK 1: Fix ORM access\nTASK 2: Update syntax to 4.5"))
         confirmed = manager_confirm(ctx, self.plan(), two_requirements)
-        assert [t.description for t in confirmed.tasks] == ["Fix ORM access", "Update syntax to 4.5"]
+        assert confirmed.descriptions == ("Fix ORM access", "Update syntax to 4.5")
 
     def test_prose_confirmation_keeps_original_and_flags(self, two_requirements):
         ctx = ctx_with(seq("looks good to me!"))
         confirmed = manager_confirm(ctx, self.plan(), two_requirements)
-        assert [t.description for t in confirmed.tasks] == [t.description for t in self.plan().tasks]
+        assert confirmed == self.plan()
         assert "confirm_fallback" in ctx.transcript.entries[-1].flags
 
 
@@ -378,7 +372,7 @@ class TestParserProperties:
         assert len(ctx.transcript.entries) == 2
 
 
-PLANNED = TaskPlan((Task(1, "Update syntax to 4.5"), Task(2, "Fix ORM access")))
+PLANNED = TaskPlan(("Update syntax to 4.5", "Fix ORM access"))
 PROMPT = executor_prompt("Update helpers.", "echo $html->link('x');", "echo $this->Html->link('x');")
 
 # Each role fed nothing but unparseable replies: the op, the agent it records,

@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from hashlib import sha256
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from unittest import mock
 
@@ -336,7 +338,7 @@ class FakeHttpResponse:
 
 
 class TestRequestsTransport:
-    """The default transport, with ``requests.post`` patched: no network."""
+    """The default transport, with ``requests.Session.post`` patched: no network."""
 
     @staticmethod
     def patch_post(monkeypatch, *outcomes):
@@ -344,14 +346,14 @@ class TestRequestsTransport:
 
         calls = []
 
-        def post(url, **kwargs):
+        def post(session, url, **kwargs):
             calls.append(url)
             outcome = outcomes[len(calls) - 1]
             if isinstance(outcome, Exception):
                 raise outcome
             return outcome
 
-        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr(requests.Session, "post", post)
         monkeypatch.setenv("LLM_API_KEY", "k")
         return calls
 
@@ -387,9 +389,87 @@ class TestRequestsTransport:
             HttpBackend("http://x", sleep=lambda _: None).complete(request_with())
 
 
+class OneReplyHandler(BaseHTTPRequestHandler):
+    """Answers every POST with one completion on a kept-alive connection, and
+    notes each connection its server accepts in server.connections."""
+
+    protocol_version = "HTTP/1.1"
+    # One write per reply: written unbuffered, the headers and the body go
+    # out apart and each reply stalls on the client's delayed ACK.
+    wbufsize = -1
+    timeout = 30
+
+    def setup(self):
+        super().setup()
+        self.server.connections.append(self.client_address)
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.dumps(ok_body("over loopback")[1]).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """The URL of a loopback HTTP server and the list of connections it has
+    accepted. Every requests.Session made meanwhile is closed afterwards."""
+    import requests
+
+    sessions = []
+
+    class ClosedAfterwards(requests.Session):
+        def __init__(self):
+            super().__init__()
+            sessions.append(self)
+
+    monkeypatch.setattr(requests, "Session", ClosedAfterwards)
+    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("LLM_API_KEY", "k")
+    server = ThreadingHTTPServer(("127.0.0.1", 0), OneReplyHandler)
+    server.connections = []
+    serving = threading.Thread(target=server.serve_forever)
+    serving.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", server.connections
+    finally:
+        for session in sessions:
+            session.close()
+        server.shutdown()
+        server.server_close()
+        serving.join()
+
+
+def test_a_backend_keeps_one_connection_per_thread(loopback):
+    url, connections = loopback
+    backend = HttpBackend(url)
+    assert [backend.complete(request_with()).content for _ in range(5)] == ["over loopback"] * 5
+    assert len(connections) == 1
+
+    backend = HttpBackend(url)
+    replies = []
+    threads = [
+        threading.Thread(target=lambda: replies.extend(backend.complete(request_with()).content for _ in range(4)))
+        for _ in range(2)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert replies == ["over loopback"] * 8
+    assert len(connections) == 1 + 2
+
+
 LAZY_IMPORT_CHILD = """
 import json, sys
-watched = ("requests", "logging", "uuid", "statistics", "concurrent.futures")
+watched = ("requests", "logging", "uuid", "statistics", "concurrent.futures", "uplift.evaluation", "csv")
 steps = {"site": [m for m in watched if m in sys.modules]}
 src, case = sys.argv[1:]
 sys.path.insert(0, src)
@@ -447,6 +527,15 @@ def test_import_and_serial_run_load_no_unused_stdlib_module(offline_imports, mod
         assert module not in offline_imports[step], step
     if module != "statistics":  # report's standard deviation may load it
         assert module not in offline_imports["report"]
+
+
+@pytest.mark.parametrize("module", ["uplift.evaluation", "csv"])
+def test_import_uplift_loads_only_the_run_path(offline_imports, module):
+    if module in offline_imports["site"]:
+        pytest.skip(f"the interpreter's site setup imports {module}")
+    assert module not in offline_imports["import"]
+    assert module in offline_imports["bench"]
+    assert module in offline_imports["report"]
 
 
 json_values = st.recursive(

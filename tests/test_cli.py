@@ -666,7 +666,7 @@ class TestBench:
         import requests
 
         posts = []
-        monkeypatch.setattr(requests, "post", lambda url, **kwargs: posts.append(url))
+        monkeypatch.setattr(requests.Session, "post", lambda session, url, **kwargs: posts.append(url))
         monkeypatch.setenv("LLM_API_KEY", key)
         config = workdir / "local.json"
         config.write_text(json.dumps({"backend": {"endpoint": "http://127.0.0.1:9/v1/chat/completions"}}))
@@ -725,13 +725,13 @@ class TestBench:
     def test_deeply_nested_reply_fails_its_runs_not_the_bench(self, workdir, monkeypatch):
         import requests
 
-        def post(url, **kwargs):
+        def post(session, url, **kwargs):
             response = requests.Response()
             response.status_code = 200
             response._content = b"[" * 2000 + b"]" * 2000
             return response
 
-        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr(requests.Session, "post", post)
         monkeypatch.setenv("LLM_API_KEY", "k")
         config = workdir / "local.json"
         config.write_text(json.dumps({"backend": {"endpoint": "http://127.0.0.1:9/v1/chat/completions"}}))

@@ -13,10 +13,7 @@ from uplift.errors import ConfigError
 from uplift.model import (
     CodeArtifact,
     Decision,
-    Requirement,
     RequirementSet,
-    Task,
-    TaskPlan,
     Verdict,
     count_loc,
     extract_code,
@@ -38,14 +35,12 @@ class TestParseRequirements:
         )
         reqs = parse_requirements(raw)
         assert len(reqs.requirements) == 2
-        assert reqs.requirements[0].index == 1
-        assert reqs.requirements[0].text.startswith("Update whole CakePHP view file")
-        assert reqs.requirements[1].text.startswith("ORM Arrays must be accessed")
+        assert reqs.requirements[0].startswith("Update whole CakePHP view file")
+        assert reqs.requirements[1].startswith("ORM Arrays must be accessed")
 
     def test_minimal(self):
         reqs = parse_requirements("Requirement1: a")
-        assert len(reqs.requirements) == 1
-        assert reqs.requirements[0].text == "a"
+        assert reqs.requirements == ("a",)
 
     def test_no_marker_is_an_error(self):
         with pytest.raises(ConfigError, match=r"^no Requirement<N>: marker line found in input$"):
@@ -57,17 +52,16 @@ class TestParseRequirements:
 
     def test_continuation_lines_join_current_requirement(self):
         reqs = parse_requirements("Requirement1: first line\nsecond line\nRequirement2: b")
-        assert reqs.requirements[0].text == "first line\nsecond line"
-        assert reqs.requirements[1].text == "b"
+        assert reqs.requirements == ("first line\nsecond line", "b")
 
     def test_indices_renumbered_in_file_order(self):
         reqs = parse_requirements("Requirement7: late\nRequirement2: early")
-        assert [r.index for r in reqs.requirements] == [1, 2]
-        assert [r.text for r in reqs.requirements] == ["late", "early"]
+        assert reqs.requirements == ("late", "early")
+        assert render_requirements(reqs) == "Requirement1: late\nRequirement2: early"
 
     def test_case_insensitive_marker_and_whitespace(self):
         reqs = parse_requirements("  requirement 3 :  spaced out  ")
-        assert reqs.requirements[0].text == "spaced out"
+        assert reqs.requirements == ("spaced out",)
 
     def test_zero_is_not_a_marker(self):
         with pytest.raises(ConfigError, match=r"^no Requirement<N>: marker line found in input$"):
@@ -158,15 +152,14 @@ class TestDomainTypes:
         assert calls == ["a\n\nb"]
         assert artifact == CodeArtifact(content="a\n\nb")
 
-    def test_requirement_set_contiguity(self):
-        with pytest.raises(ValueError):
-            RequirementSet(requirements=(Requirement(2, "x"),))
-        with pytest.raises(ValueError):
+    def test_requirement_set_needs_a_requirement(self):
+        with pytest.raises(ValueError, match="^a RequirementSet must contain at least one requirement$"):
             RequirementSet(requirements=())
 
-    def test_task_plan_ordinals(self):
-        with pytest.raises(ValueError):
-            TaskPlan(tasks=(Task(2, "x"),))
+    @pytest.mark.parametrize("texts", [("",), (" x",), ("x\n",), ("a", "")], ids=repr)
+    def test_requirement_set_rejects_an_empty_or_unstripped_text(self, texts):
+        with pytest.raises(ValueError, match="^requirement text must be non-empty and stripped$"):
+            RequirementSet(texts)
 
     def test_revise_verdict_needs_feedback(self):
         with pytest.raises(ValueError):
@@ -207,13 +200,13 @@ def oracle_parse_requirements(raw):
             current.append(line)
     if not segments:
         raise ConfigError("no Requirement<N>: marker line found in input")
-    requirements = []
+    texts = []
     for pos, seg in enumerate(segments, start=1):
         text = "\n".join(seg).strip()
         if not text:
             raise ConfigError(f"requirement {pos} has a marker but no text")
-        requirements.append(Requirement(index=pos, text=text))
-    return RequirementSet(requirements=tuple(requirements))
+        texts.append(text)
+    return RequirementSet(requirements=tuple(texts))
 
 
 def oracle_parse_sections(text):

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from uplift.agents import DEFAULT_PROMPT_DIR, PromptLibrary
+from uplift.agents import DEFAULT_PROMPT_DIR, AgentContext, PromptLibrary
 from uplift.backend import ChatResponse
 from uplift.evaluation import run_bench
-from uplift.model import CodeArtifact, extract_code, parse_requirements
-from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, run_pipeline
+from uplift.model import CodeArtifact, Task, extract_code, parse_requirements
+from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, build_plan, run_pipeline
 from uplift.transcript import (
     Transcript,
     TranscriptEntry,
@@ -65,6 +65,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             config(seq(), **{setting: value})
 
+    def test_settings_cannot_change_after_the_checks(self):
+        base = config(seq(), mode="system_manager")
+        assert base.mode is PipelineMode.SYSTEM_MANAGER
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            base.max_loop_iterations = 1.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            base.mode = "bogus"
+        assert dataclasses.replace(base, mode="baseline_osl").mode is PipelineMode.BASELINE_OSL
+        with pytest.raises(ValueError, match=r"^max_loop_iterations must be of type int, got 1\.5$"):
+            dataclasses.replace(base, max_loop_iterations=1.5)
+        with pytest.raises(ValueError, match="'bogus' is not a valid PipelineMode"):
+            dataclasses.replace(base, mode="bogus")
+
 
 class TestSystemModes:
     def test_manager_mode_plans_confirms_then_runs(self, original_code, two_requirements):
@@ -101,7 +114,7 @@ class TestSystemModes:
         )
         assert outcome.task_count == 2
         first_system = transcript.entries[0].request.messages[0].content
-        assert two_requirements.requirements[0].text in first_system
+        assert two_requirements.requirements[0] in first_system
 
     def test_single_task_mode_concatenates(self, original_code, two_requirements):
         transcript = Transcript("r1")
@@ -112,8 +125,21 @@ class TestSystemModes:
             transcript=transcript,
         )
         assert outcome.task_count == 1
-        merged = " ".join(r.text for r in two_requirements.requirements)
+        merged = " ".join(two_requirements.requirements)
         assert merged in transcript.entries[0].request.messages[0].content
+
+    @pytest.mark.parametrize(
+        "mode, tasks",
+        [
+            (PipelineMode.SYSTEM_PER_REQUIREMENT, [Task(1, "late"), Task(2, "early"), Task(3, "two\nlines")]),
+            (PipelineMode.SYSTEM_SINGLE_TASK, [Task(1, "late early two\nlines")]),
+        ],
+    )
+    def test_plans_number_tasks_by_requirement_position(self, mode, tasks):
+        requirements = parse_requirements("Requirement7: late\nRequirement2: early\nRequirement2: two\nlines")
+        ctx = AgentContext(config(seq(), mode), Transcript("r1"))
+        assert list(build_plan(ctx, requirements, mode)) == tasks
+        assert ctx.transcript.entries == []
 
     def test_baseline_mode_rejected(self, original_code, two_requirements):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from uplift.evaluation import (
     population_sd,
     read_ledger,
 )
-from uplift.model import count_loc, extract_code, parse_requirements, render_requirements
+from uplift.model import RequirementSet, count_loc, extract_code, parse_requirements, render_requirements
 from uplift.pipeline import RunStatus
 from uplift.transcript import TranscriptEntry, dump_record
 
@@ -79,11 +79,10 @@ class TestCountLocProperties:
 
 
 class TestParseRequirementsProperties:
-    @given(st.lists(req_text, min_size=1, max_size=6))
+    @given(st.lists(req_text.map(str.strip), min_size=1, max_size=6))
     def test_render_parse_idempotent(self, texts):
-        source = "\n".join(f"Requirement{i}: {t}" for i, t in enumerate(texts, start=1))
-        parsed = parse_requirements(source)
-        assert parse_requirements(render_requirements(parsed)) == parsed
+        reqs = RequirementSet(tuple(texts))
+        assert parse_requirements(render_requirements(reqs)) == reqs
 
 
 class TestExtractCodeProperties:
