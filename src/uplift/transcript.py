@@ -4,8 +4,8 @@ Transcripts are written as JSONL with full prompt/response bodies inline;
 the digests make it cheap to diff runs. Every line is dump_record of its
 record. An exchange line is written from one template in that same form,
 with ChatRequest.to_json() as its request. Two runs against the same script
-produce byte-identical files except for the timing fields, so replay tests
-compare records through strip_timing().
+write the same bytes but for the values of the timing fields, so a replay is
+checked by comparing bytes with those values masked.
 """
 
 from __future__ import annotations
@@ -123,17 +123,6 @@ def write_transcript(run: "RunOutcome", entries: Iterable[TranscriptEntry], path
         for entry in entries:
             print(entry.to_line(run.run_id), file=out)
         print(dump_record(summary), file=out)
-
-
-def read_transcript(path: str | Path) -> list[dict[str, Any]]:
-    """Load a transcript back as raw records (exchanges + summary), reading
-    the file one line at a time.
-
-    Records are split on "\\n" alone, as iterating a text file does: bodies
-    are written with ensure_ascii=False, so U+2028, U+2029 and U+0085, which
-    splitlines() breaks on, may stand raw inside a record's strings."""
-    with open(path, encoding="utf-8") as lines:
-        return [json.loads(line) for line in lines if line.strip()]
 
 
 def strip_timing(records: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,23 @@ class FakeTransport:
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
+
+
+# A timing key and its value in a run file. Quotes inside a string are
+# escaped, so only a key can match.
+TIMING = re.compile(rb'"(latency_seconds|duration_seconds)": [^,}]+')
+
+
+def untimed(path: Path) -> bytes:
+    """A run file's bytes with each timing value set to 0.0: two runs of one
+    script give the same bytes."""
+    return TIMING.sub(rb'"\1": 0.0', path.read_bytes())
+
+
+def run_records(path: Path) -> list[dict]:
+    """A run file's records, one JSON record per line. Lines end at "\\n"
+    alone: U+2028, U+2029 and U+0085 may stand raw inside a string."""
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n") if line]
 
 
 def seq(*responses: str) -> ScriptedBackend:

@@ -31,9 +31,9 @@ from uplift.evaluation import (
 )
 from uplift.model import artifact_from_file, load_requirements, parse_requirements
 from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, run_pipeline
-from uplift.transcript import Transcript, read_transcript, strip_timing, write_transcript
+from uplift.transcript import Transcript, write_transcript
 
-from conftest import CODE_REPLY, PLAN_REPLY, REVISE_REPLY, SECTIONS_REPLY, ACCEPT_REPLY, seq
+from conftest import CODE_REPLY, PLAN_REPLY, REVISE_REPLY, SECTIONS_REPLY, ACCEPT_REPLY, seq, untimed
 
 
 def test_criterion_01_loop_cap(original_code):
@@ -181,7 +181,7 @@ def test_criterion_07_randomized_property_suite():
 
 
 def test_criterion_08_deterministic_replay(fixtures_dir, tmp_path):
-    """Same script, same run id: transcripts identical once timing is stripped."""
+    """Same script, same run id: run files byte-identical but for the timing values."""
     case = fixtures_dir / "case_view"
     code = artifact_from_file(case / "original.php")
     requirements = load_requirements(case / "requirements.txt")
@@ -198,10 +198,7 @@ def test_criterion_08_deterministic_replay(fixtures_dir, tmp_path):
 
     first = run_once(tmp_path / "a.jsonl")
     second = run_once(tmp_path / "b.jsonl")
-    stripped_a = strip_timing(read_transcript(first))
-    stripped_b = strip_timing(read_transcript(second))
-    assert stripped_a == stripped_b
-    assert json.dumps(stripped_a, sort_keys=True) == json.dumps(stripped_b, sort_keys=True)
+    assert untimed(first) == untimed(second)
 
 
 def test_criterion_09_failed_generation_detection(fixtures_dir, tmp_path, monkeypatch, capsys):

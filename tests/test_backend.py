@@ -34,9 +34,9 @@ from uplift.errors import (
 from uplift.evaluation import run_bench, run_once
 from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, run_pipeline
 from uplift.model import CodeArtifact
-from uplift.transcript import Transcript, dump_record, read_transcript
+from uplift.transcript import Transcript, dump_record
 
-from conftest import ACCEPT_REPLY, CODE_REPLY, SECTIONS_REPLY, FakeTransport, seq
+from conftest import ACCEPT_REPLY, CODE_REPLY, SECTIONS_REPLY, FakeTransport, run_records, seq
 
 
 def request_with(user: str = "hello") -> ChatRequest:
@@ -663,7 +663,7 @@ class TestNullContentRun:
         config = PipelineConfig(mode=PipelineMode.SYSTEM_SINGLE_TASK, backend=backend)
         outcome = run_once(original_code, two_requirements, config, "run-001", tmp_path, ".php")
         assert outcome.failure.startswith("BackendExhausted: malformed completion body")
-        *exchanges, summary = read_transcript(tmp_path / "run-001.jsonl")
+        *exchanges, summary = run_records(tmp_path / "run-001.jsonl")
         assert [e["agent"] for e in exchanges] == ["prompt_maker", "executor"]
         assert exchanges[-1]["error"] == summary["failure"] == outcome.failure
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run-001.jsonl"]
@@ -679,7 +679,7 @@ class TestNullContentRun:
         outcomes = run_bench(fixtures_dir / "case_view_zsl", config, 2, out_dir=tmp_path)
         assert [o.status for o in outcomes] == [RunStatus.FAILED_GENERATION] * 2
         for outcome in outcomes:
-            *exchanges, summary = read_transcript(tmp_path / f"{outcome.run_id}.jsonl")
+            *exchanges, summary = run_records(tmp_path / f"{outcome.run_id}.jsonl")
             assert summary["record"] == "summary"
             assert summary["failure"].startswith("ValueError: response content must be a str")
             assert [e["error"] for e in exchanges] == [summary["failure"]]
@@ -692,7 +692,7 @@ class TestNullContentRun:
         config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=Text())
         (outcome,) = run_bench(fixtures_dir / "case_view_zsl", config, 1, out_dir=tmp_path)
         assert outcome.status is RunStatus.FAILED_GENERATION
-        *exchanges, summary = read_transcript(tmp_path / "run-001.jsonl")
+        *exchanges, summary = run_records(tmp_path / "run-001.jsonl")
         assert [e["error"] for e in exchanges] == [summary["failure"]] == [outcome.failure]
         assert outcome.failure == "TypeError: complete() returned a str, not a ChatResponse"
 

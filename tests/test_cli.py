@@ -18,6 +18,8 @@ from uplift.cli import build_parser, main
 from uplift.errors import DanglingReference, PlanParseError, UpliftError
 from uplift.model import load_requirements, parse_requirements
 
+from conftest import run_records, untimed
+
 PLAN_SCRIPT = [
     {"match": "sequence", "response": "TASK 1: Update syntax to 4.5\nTASK 2: Fix ORM access"},
     {"match": "sequence", "response": "TASK 1: Update syntax to 4.5\nTASK 2: Fix ORM access"},
@@ -179,8 +181,6 @@ class TestRun:
         assert code == 0
 
     def test_flags_override_the_config_file(self, workdir, capsys):
-        from uplift.transcript import read_transcript
-
         revise = {"match": "sequence", "response": "VERDICT: REVISE\nFEEDBACK: again"}
         code = {"match": "sequence", "response": "```php\n<?php echo 'revised'; ?>\n```"}
         # Enough replies for three finalizer passes; --max-loop 1 consumes the first five.
@@ -201,7 +201,7 @@ class TestRun:
         index = (workdir / "out/case_view/index.csv").read_text().strip().splitlines()
         assert len(index) == 1 + 2
         for run_id in ("run-001", "run-002"):
-            records = read_transcript(workdir / f"out/case_view/{run_id}.jsonl")
+            records = run_records(workdir / f"out/case_view/{run_id}.jsonl")
             calls, summary = records[:-1], records[-1]
             assert [r["agent"] for r in calls] == ["prompt_maker", "executor", "verifier", "finalizer", "verifier"]
             assert (summary["status"], summary["task_count"], summary["finalizer_invocations"]) == ("completed", 1, 1)
@@ -561,8 +561,6 @@ class TestFlags:
 
 class TestDeterminism:
     def test_rerun_reproduces_transcript_modulo_timing(self, workdir):
-        from uplift.transcript import read_transcript, strip_timing
-
         write_script(workdir / "s.json", SINGLE_TASK_RUN_SCRIPT)
         args = [
             "run",
@@ -575,9 +573,8 @@ class TestDeterminism:
         ]
         assert main(args + ["--out", "out1"]) == 0
         assert main(args + ["--out", "out2"]) == 0
-        first = strip_timing(read_transcript(workdir / "out1/original/run-001.jsonl"))
-        second = strip_timing(read_transcript(workdir / "out2/original/run-001.jsonl"))
-        assert first == second
+        run_file = "original/run-001.jsonl"
+        assert untimed(workdir / "out1" / run_file) == untimed(workdir / "out2" / run_file)
         updated_1 = (workdir / "out1/original/run-001.updated.php").read_bytes()
         updated_2 = (workdir / "out2/original/run-001.updated.php").read_bytes()
         assert updated_1 == updated_2
@@ -590,15 +587,11 @@ class TestDeterminism:
         ],
     )
     def test_run_writes_what_a_one_rep_bench_writes(self, workdir, case, spec, mode):
-        from uplift.transcript import read_transcript, strip_timing
-
         shared = ["--script", f"{case}/script.json", "--mode", mode]
         assert main(["run", f"{case}/original.php", f"{case}/{spec}", *shared, "--out", "ran"]) == 0
         assert main(["bench", case, *shared, "--reps", "1", "--out", "benched"]) == 0
         ran, benched = workdir / "ran/original", workdir / f"benched/{case}"
-        assert strip_timing(read_transcript(ran / "run-001.jsonl")) == strip_timing(
-            read_transcript(benched / "run-001.jsonl")
-        )
+        assert untimed(ran / "run-001.jsonl") == untimed(benched / "run-001.jsonl")
         updated = (ran / "run-001.updated.php").read_bytes()
         assert updated == (benched / "run-001.updated.php").read_bytes()
 
@@ -697,7 +690,7 @@ class TestBench:
     def test_script_and_templates_are_read_once(self, workdir, monkeypatch):
         import uplift.agents
         import uplift.cli
-        from uplift.transcript import read_transcript, strip_timing
+        from uplift.transcript import strip_timing
 
         calls = {"load_script": 0, "PromptLibrary": 0}
         load_script, init = uplift.cli.load_script, uplift.agents.PromptLibrary.__init__
@@ -717,7 +710,7 @@ class TestBench:
         assert main(argv + ["--config", "two.json"]) == 0
         assert calls == {"load_script": 1, "PromptLibrary": 1}
         out = workdir / "out/case_view"
-        runs = [strip_timing(read_transcript(out / f"run-{i:03d}.jsonl")) for i in range(1, 6)]
+        runs = [strip_timing(run_records(out / f"run-{i:03d}.jsonl")) for i in range(1, 6)]
         assert runs[0][-1]["status"] == "completed"
         without_ids = [[{**r, "run_id": ""} for r in run] for run in runs]
         assert all(run == without_ids[0] for run in without_ids)
@@ -973,21 +966,35 @@ class TestReport:
         assert (out_dir / "report.csv").read_bytes() == plain
 
     @pytest.mark.parametrize(
-        "name, repeat, message",
+        "name, row, message",
         [
             ("scores", "run-002,1,1", "repeats row 3's key ('run-002', 1)"),
             ("rf", "run-001,5", "repeats row 2's key 'run-001'"),
             ("index", "run-001,completed,1.000,3", "repeats row 2's key 'run-001'"),
+            ("scores", "run-001,0,1", "requirement_index must be positive"),
         ],
     )
-    def test_repeated_key_exits_2_naming_its_row(self, workdir, capsys, name, repeat, message):
+    def test_bad_row_exits_2_naming_its_row(self, workdir, capsys, name, row, message):
         out_dir = self.bench(workdir, reps=2)
         paths, argv = self.write_inputs(workdir, out_dir)
         with open(paths[name], "a", encoding="utf-8") as fh:
-            fh.write(repeat + "\n")
+            fh.write(row + "\n")
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: row 4: {paths[name]}: {message}\n"
         assert not (out_dir / "report.csv").exists()
+
+    @pytest.mark.parametrize("name", ["ledger", "scores", "rf", "index"])
+    def test_blank_rows_are_skipped(self, workdir, capsys, name):
+        out_dir = self.bench(workdir, reps=2)
+        paths, argv = self.write_inputs(workdir, out_dir)
+        capsys.readouterr()
+        assert main(argv) == 0
+        plain = (out_dir / "report.csv").read_bytes(), capsys.readouterr().out
+        header, rows = paths[name].read_bytes().split(b"\n", 1)
+        blank_cells = b" ," * header.count(b",") + b" "
+        paths[name].write_bytes(header + b"\n\n" + blank_cells + b"\n" + rows)
+        assert main(argv) == 0
+        assert ((out_dir / "report.csv").read_bytes(), capsys.readouterr().out) == plain
 
     @pytest.mark.parametrize(
         "name, row, dangling",
@@ -1047,11 +1054,9 @@ class TestUserFiles:
 
     @staticmethod
     def outputs(workdir, argv):
-        """The exit code of argv, then what it wrote: each stripped transcript and the report files."""
-        from uplift.transcript import read_transcript, strip_timing
-
+        """The exit code of argv, then what it wrote: each run file with its timing masked, and the reports."""
         code = main(argv)
-        transcripts = [strip_timing(read_transcript(p)) for p in sorted(workdir.glob("out/*/*.jsonl"))]
+        transcripts = [untimed(p) for p in sorted(workdir.glob("out/*/*.jsonl"))]
         reports = [p.read_bytes() for p in sorted(workdir.glob("out/*/report.*"))]
         return code, transcripts, reports
 
@@ -1063,7 +1068,7 @@ class TestUserFiles:
         (inputs / path).write_bytes(b"\xef\xbb\xbf" + (inputs / path).read_bytes())
         marked = self.outputs(inputs, argv)
         assert marked == plain
-        assert "\ufeff" not in json.dumps(marked[1], ensure_ascii=False)
+        assert not any("\ufeff".encode() in transcript for transcript in marked[1])
 
     @pytest.mark.parametrize("name", USER_FILES)
     def test_bytes_not_utf8_exit_2_naming_the_file(self, inputs, capsys, name):

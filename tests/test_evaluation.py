@@ -27,7 +27,8 @@ from uplift.evaluation import (
     write_bench_index,
 )
 from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus
-from uplift.transcript import read_transcript
+
+from conftest import run_records
 
 
 def brute_force_sd(values):
@@ -382,7 +383,7 @@ class TestRunBench:
         outcomes = run_bench(fixtures_dir / "case_view_zsl", config, 2, out_dir=tmp_path)
         assert [o.status for o in outcomes] == [RunStatus.FAILED_GENERATION] * 2
         for run in ("run-001", "run-002"):
-            *exchanges, summary = read_transcript(tmp_path / f"{run}.jsonl")
+            *exchanges, summary = run_records(tmp_path / f"{run}.jsonl")
             assert (summary["record"], summary["failure"]) == ("summary", "RuntimeError: boom \\ud800")
             assert [e["error"] for e in exchanges] == ["RuntimeError: boom \\ud800"]
 
@@ -394,7 +395,7 @@ class TestRunBench:
         outcomes = run_bench(case, config, 3, out_dir=tmp_path, parallelism=parallelism)
         assert [o.status for o in outcomes] == [RunStatus.COMPLETED] * 3
         for outcome in outcomes:
-            *exchanges, _summary = read_transcript(tmp_path / f"{outcome.run_id}.jsonl")
+            *exchanges, _summary = run_records(tmp_path / f"{outcome.run_id}.jsonl")
             assert [e["response"] for e in exchanges] == list(backend.replies)
 
     def test_zero_repetitions_rejected(self, fixtures_dir, tmp_path):

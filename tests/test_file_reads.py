@@ -1,8 +1,7 @@
 """Every file a user hands uplift is read by model.read_text, so one rule
 decides its decoding: UTF-8, a leading byte-order mark dropped, other bytes
-an error naming the file. No other function of the package reads a file;
-transcript.read_transcript, which reads uplift's own output, is the one
-exception."""
+an error naming the file. No other function of the package reads a file:
+uplift writes its run files and reads none back."""
 
 from __future__ import annotations
 
@@ -13,7 +12,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "uplift"
 MODULES = sorted(PACKAGE.glob("*.py"))
-READERS = {("model.py", "read_text"), ("transcript.py", "read_transcript")}
+READERS = {("model.py", "read_text")}
 
 
 def _reads(call: ast.Call) -> bool:

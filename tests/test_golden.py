@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import os
-import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -34,7 +33,7 @@ from uplift.evaluation import run_once, write_bench_index
 from uplift.model import artifact_from_file
 from uplift.pipeline import PipelineConfig, PipelineMode
 
-from conftest import FIXTURES, FakeTransport
+from conftest import FIXTURES, FakeTransport, untimed
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -168,14 +167,9 @@ def produce(name: str, work: Path) -> dict[str, bytes]:
     return files
 
 
-# A timing key and its value. Quotes inside a string are escaped, so only a
-# key can match.
-TIMING = re.compile(rb'"(latency_seconds|duration_seconds)": [^,}]+')
-
-
 def _normalized(path: Path) -> bytes:
     if path.suffix == ".jsonl":
-        return TIMING.sub(rb'"\1": 0.0', path.read_bytes())
+        return untimed(path)
     if path.name == "index.csv":
         with open(path, encoding="utf-8", newline="") as fh:
             header, *rows = csv.reader(fh)

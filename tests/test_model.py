@@ -14,6 +14,7 @@ from uplift.model import (
     CodeArtifact,
     Decision,
     RequirementSet,
+    Task,
     Verdict,
     count_loc,
     extract_code,
@@ -160,6 +161,15 @@ class TestDomainTypes:
     def test_requirement_set_rejects_an_empty_or_unstripped_text(self, texts):
         with pytest.raises(ValueError, match="^requirement text must be non-empty and stripped$"):
             RequirementSet(texts)
+
+    @pytest.mark.parametrize(
+        "ordinal, description, message",
+        [(0, "x", "^task ordinal must be positive, got 0$"), (1, "  ", "^task description must be non-empty$")],
+        ids=["ordinal", "description"],
+    )
+    def test_task_needs_a_positive_ordinal_and_a_description(self, ordinal, description, message):
+        with pytest.raises(ValueError, match=message):
+            Task(ordinal, description)
 
     def test_revise_verdict_needs_feedback(self):
         with pytest.raises(ValueError):

@@ -13,10 +13,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "uplift"
 
-# ROADMAP item 11 rebuilds read_transcript on a typed reader of run files, or removes it.
-EXEMPT = ["transcript.read_transcript"]
-
-
 def public_names(source: str) -> list[str]:
     """The public names a module defines at its top level."""
     names = []
@@ -60,4 +56,4 @@ def test_the_scan_finds_a_name_only_its_definition_holds():
 def test_every_public_name_is_used_outside_the_tests():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"}
     elsewhere = [PACKAGE / "__init__.py", ROOT / "README.md", *sorted((ROOT / "perfbench").glob("*.py"))]
-    assert unused_public_names(modules, "\n".join(p.read_text(encoding="utf-8") for p in elsewhere)) == EXEMPT
+    assert unused_public_names(modules, "\n".join(p.read_text(encoding="utf-8") for p in elsewhere)) == []
