@@ -121,9 +121,11 @@ class AgentContext:
         flags: Iterable[str] = (),
     ) -> ChatResponse:
         """Send one request and record exactly one transcript exchange,
-        whether the backend succeeds or fails. A failed exchange keeps its
-        wall-clock latency and its error; the same exception is re-raised.
-        A reply that is not a ChatResponse fails as a TypeError."""
+        whether the backend succeeds or fails. The exchange's latency is the
+        wall-clock time of the backend call, retries and backoff included: the
+        one clock every exchange is timed by. A failed exchange keeps its error;
+        the same exception is re-raised. A reply that is not a ChatResponse
+        fails as a TypeError."""
         request = ChatRequest(messages=tuple(messages), model=self.config.model)
         where = {"task_ordinal": task_ordinal, "iteration": iteration, "flags": set(flags)}
         start = time.perf_counter()
@@ -137,9 +139,8 @@ class AgentContext:
                 agent, request, response=None, latency_seconds=latency, error=error_text(exc), **where
             )
             raise
-        self.transcript.record(
-            agent, request, response=response.content, latency_seconds=response.latency_seconds, **where
-        )
+        latency = time.perf_counter() - start
+        self.transcript.record(agent, request, response=response.content, latency_seconds=latency, **where)
         return response
 
 

@@ -8,7 +8,6 @@ replays canned responses for deterministic offline runs.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import time
@@ -82,22 +81,16 @@ class ChatRequest:
 @dataclass(frozen=True)
 class ChatResponse:
     """A backend's reply. Its checks are the one rule for what a reply may hold:
-    one that breaks them raises ValueError, or TypeError for a latency that is
-    not a number (from HttpBackend, BackendExhausted)."""
+    one that breaks them raises ValueError (from HttpBackend, BackendExhausted).
+    How long the reply took is not part of it: AgentContext.call times each call."""
 
     content: str
-    latency_seconds: float
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
 
     def __post_init__(self):
         if not (isinstance(self.content, str) and utf8_encodable(self.content)):
             raise ValueError("response content must be a str with no lone surrogate")
-        # NaN passes a "< 0" test, and a transcript cannot hold it or an infinity as JSON.
-        # isfinite takes a bool as an int, but a bool is not a time.
-        latency = self.latency_seconds
-        if type(latency) is bool or not (math.isfinite(latency) and latency >= 0):
-            raise ValueError(f"latency must be finite and non-negative, not {latency!r}")
         for field in ("prompt_tokens", "completion_tokens"):
             value = getattr(self, field)
             if not (value is None or (type(value) is int and value >= 0)):  # a bool is not a count
@@ -120,7 +113,6 @@ class ScriptedBackend:
         self._lock = Lock()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        start = time.perf_counter()
         with self._lock:
             index = self._next
             if index == len(self.replies):
@@ -128,7 +120,7 @@ class ScriptedBackend:
                     f"no unconsumed script entry matches the request ({len(self.replies)} loaded)"
                 )
             self._next += 1
-        return ChatResponse(content=self.replies[index], latency_seconds=time.perf_counter() - start)
+        return ChatResponse(content=self.replies[index])
 
 
 def load_script(path: str | Path) -> ScriptedBackend:
@@ -216,31 +208,27 @@ class HttpBackend:
             problem = "holds a character other than visible ASCII" if api_key else "is not set"
             raise CredentialMissing(f"environment variable {API_KEY_ENV} {problem}")
         payload = request.to_payload()
-        latency = 0.0  # transport time summed over attempts; backoff sleeps excluded
         failures: list[str] = []
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 self._sleep(self.backoff_base * 2 ** (attempt - 1))
-            start = time.perf_counter()
             try:
                 status, body = self._transport(self.endpoint, payload, api_key, TIMEOUT_S)
             except OSError as exc:  # every requests.RequestException is one
                 failures.append(f"attempt {attempt + 1}: {exc}")
                 continue
-            finally:
-                latency += time.perf_counter() - start
             if status == 429 or 500 <= status < 600:
                 failures.append(f"attempt {attempt + 1}: HTTP {status}")
                 continue
             if status != 200:
                 raise BackendExhausted(f"non-retryable HTTP {status} from {self.endpoint}")
-            return self._parse_body(body, latency)
+            return self._parse_body(body)
         raise BackendExhausted(
             f"{MAX_ATTEMPTS} attempts failed against {self.endpoint}: " + "; ".join(failures)
         )
 
     @staticmethod
-    def _parse_body(body: dict[str, Any], latency: float) -> ChatResponse:
+    def _parse_body(body: dict[str, Any]) -> ChatResponse:
         """The reply a 200 body holds. A body that lacks one, or whose reply
         ChatResponse rejects (refusals and tool-call replies carry "content":
         null), is malformed: BackendExhausted."""
@@ -250,7 +238,6 @@ class HttpBackend:
                 usage = {}
             return ChatResponse(
                 content=body["choices"][0]["message"]["content"],
-                latency_seconds=latency,
                 prompt_tokens=usage.get("prompt_tokens"),
                 completion_tokens=usage.get("completion_tokens"),
             )

@@ -32,8 +32,13 @@ def _digest(text: str) -> str:
 
 def error_text(exc: BaseException) -> str:
     """How an exception is recorded: an exchange's error, a run's failure. A
-    lone surrogate, which no UTF-8 file can hold, is written as its \\uXXXX escape."""
-    text = f"{type(exc).__name__}: {exc}"
+    lone surrogate, which no UTF-8 file can hold, is written as its \\uXXXX escape.
+    Never raises: an exception whose str() raises is written by its type name."""
+    try:
+        message = str(exc)
+    except Exception:
+        message = "<str() failed>"
+    text = f"{type(exc).__name__}: {message}"
     return text if utf8_encodable(text) else text.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
@@ -71,8 +76,7 @@ class TranscriptEntry:
             f'"error": {"null" if error is None else _quote(error)}, '
             f'"flags": [{", ".join([_quote(flag) for flag in sorted(self.flags)])}], '
             f'"iteration": {"null" if iteration is None else int.__repr__(iteration)}, '
-            # float() writes a custom backend's int latency as a float.
-            f'"latency_seconds": {float.__repr__(float(self.latency_seconds))}, '
+            f'"latency_seconds": {float.__repr__(self.latency_seconds)}, '
             '"record": "exchange", '
             f'"request": {request}, '
             f'"request_digest": "{_digest(request)}", '

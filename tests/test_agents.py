@@ -53,15 +53,16 @@ class TestCall:
     MESSAGES = (ChatMessage(Role.SYSTEM, "be brief"), ChatMessage(Role.USER, "hello"))
 
     def test_success_records_the_backend_latency(self):
-        class Instant:
+        class Slow:
             def complete(self, request):
-                return ChatResponse(content="hi", latency_seconds=5.0)
+                time.sleep(0.05)
+                return ChatResponse(content="hi")
 
-        ctx = ctx_with(Instant())
+        ctx = ctx_with(Slow())
         response = ctx.call("manager", self.MESSAGES, task_ordinal=2, iteration=1, flags=("re_ask",))
         [entry] = ctx.transcript.entries
         assert entry.response == response.content == "hi"
-        assert entry.latency_seconds == 5.0
+        assert entry.latency_seconds >= 0.05
         assert (entry.step, entry.agent, entry.task_ordinal, entry.iteration) == (1, "manager", 2, 1)
         assert entry.error is None and entry.flags == {"re_ask"}
 

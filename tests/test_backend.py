@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from hashlib import sha256
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -74,21 +73,19 @@ class TestChatTypes:
     @pytest.mark.parametrize("content", [5, None, b"x", "\ud800"], ids=repr)
     def test_response_content_must_be_a_str_a_transcript_can_hold(self, content):
         with pytest.raises(ValueError, match="^response content must be a str with no lone surrogate$"):
-            ChatResponse(content=content, latency_seconds=0.0)
+            ChatResponse(content=content)
 
     @pytest.mark.parametrize(
         "field, count", [("prompt_tokens", True), ("prompt_tokens", 1.5), ("completion_tokens", False)]
     )
     def test_token_counts_are_none_or_non_bool_ints(self, field, count):
         with pytest.raises(ValueError, match=f"^{field} must be None or an int >= 0, not {count!r}$"):
-            ChatResponse(content="x", latency_seconds=0.0, **{field: count})
+            ChatResponse(content="x", **{field: count})
 
-
-    # A bool is an int to math.isfinite, so it would be recorded as 1.0 s.
-    @pytest.mark.parametrize("latency", [True, False])
-    def test_latency_is_not_a_bool(self, latency):
-        with pytest.raises(ValueError, match=f"^latency must be finite and non-negative, not {latency!r}$"):
-            ChatResponse(content="x", latency_seconds=latency)
+    # An exchange's latency is timed by AgentContext.call, not reported by a backend.
+    def test_a_reply_carries_no_latency(self):
+        with pytest.raises(TypeError, match="latency_seconds"):
+            ChatResponse(content="x", latency_seconds=0.0)
 
 
 class TestScriptedBackend:
@@ -241,7 +238,6 @@ class TestHttpBackend:
         response = backend.complete(request_with())
         assert response.content == "hello"
         assert response.prompt_tokens == 7 and response.completion_tokens == 3
-        assert response.latency_seconds >= 0
 
     def test_retries_on_429_and_5xx_then_succeeds(self, monkeypatch):
         monkeypatch.setenv("LLM_API_KEY", "k")
@@ -286,13 +282,18 @@ class TestHttpBackend:
         str(exc.value).encode("utf-8")  # the message a transcript records is writable
         assert transport.calls == 1
 
-    def test_latency_excludes_backoff_sleeps(self, monkeypatch):
+    # k 503s, then a 200: the exchange's latency holds the k real backoff sleeps.
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_latency_includes_backoff_sleeps(self, monkeypatch, original_code, k):
         monkeypatch.setenv("LLM_API_KEY", "k")
-        transport = FakeTransport((503, {}), ok_body())
-        backend = HttpBackend("http://x", transport=transport, sleep=lambda _: time.sleep(0.2))
-        response = backend.complete(request_with())
-        assert transport.calls == 2
-        assert response.latency_seconds < 0.1
+        transport = FakeTransport(*[(503, {})] * k, ok_body(CODE_REPLY))
+        backend = HttpBackend("http://x", backoff_base=0.02, transport=transport)
+        config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=backend)
+        transcript = Transcript("r1")
+        outcome = run_pipeline(original_code, "Upgrade the code.", config, transcript=transcript)
+        assert outcome.status is RunStatus.COMPLETED and transport.calls == k + 1
+        [entry] = transcript.entries
+        assert sum(0.02 * 2**i for i in range(k)) <= entry.latency_seconds <= outcome.duration_seconds
 
     @pytest.mark.parametrize(
         "usage",
@@ -673,7 +674,7 @@ class TestNullContentRun:
     def test_reply_a_transcript_cannot_hold_is_a_recorded_failed_run(self, fixtures_dir, tmp_path, content):
         class Reply:
             def complete(self, request):
-                return ChatResponse(content=content, latency_seconds=0.0)
+                return ChatResponse(content=content)
 
         config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=Reply())
         outcomes = run_bench(fixtures_dir / "case_view_zsl", config, 2, out_dir=tmp_path)
