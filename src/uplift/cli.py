@@ -21,9 +21,9 @@ from .agents import DEFAULT_PROMPT_DIR, AgentContext, PromptLibrary, render_task
 from .backend import DEFAULT_MODEL, HttpBackend, load_script, utf8_encodable
 from .errors import ConfigError, DanglingReference, PlanParseError, UpliftError
 from .evaluation import (
-    FAILED_ERROR_THRESHOLD, aggregate, check_failed_error_threshold, check_parallelism, check_repetitions,
-    emit_report, ingest_ledger, ingest_replaced_functions, ingest_scores, load_spec, read_bench_index,
-    report_rows, run_bench, run_once, write_bench_index,
+    FAILED_ERROR_THRESHOLD, aggregate, check_failed_error_threshold, check_label, check_parallelism,
+    check_repetitions, emit_report, ingest_ledger, ingest_replaced_functions, ingest_scores, load_spec,
+    read_bench_index, report_rows, run_bench, run_once, write_bench_index,
 )
 from .model import artifact_from_file, load_json, load_requirements
 from .pipeline import (
@@ -183,8 +183,6 @@ def cmd_run(args: argparse.Namespace, config: SimpleNamespace) -> int:
 
 def cmd_bench(args: argparse.Namespace, config: SimpleNamespace) -> int:
     case_dir = Path(args.case_dir)
-    if not case_dir.is_dir():
-        raise ConfigError(f"case directory not found: {case_dir}")
     pconfig = pipeline_config(config)
     out_dir = Path(args.out or "out") / case_dir.name
     outcomes = run_bench(
@@ -197,11 +195,7 @@ def cmd_bench(args: argparse.Namespace, config: SimpleNamespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace, config: SimpleNamespace) -> int:
-    # Checked before any input is read, so a bad label leaves no output touched.
-    if not utf8_encodable(args.label):
-        raise ConfigError("--label is not valid UTF-8")
-    if not args.label.strip():
-        raise ConfigError("--label must hold a non-whitespace character")
+    check_label("--label", args.label)  # before any input is read, so a bad label leaves no output touched
     case_out = Path(args.case_out_dir)
     records = read_bench_index(case_out / "index.csv")
     runs = {r.run_id for r in records}

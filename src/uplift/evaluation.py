@@ -19,11 +19,12 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
-from .backend import Backend, ScriptedBackend
+from .backend import Backend, ScriptedBackend, utf8_encodable
 from .errors import ConfigError, DanglingReference
 from .model import CodeArtifact, RequirementSet, artifact_from_file, load_requirements, read_text
 from .pipeline import (
-    BASELINE_MODES, PipelineConfig, PipelineMode, RunOutcome, RunRecord, RunStatus, at_least, run_pipeline,
+    BASELINE_MODES, PipelineConfig, PipelineMode, RunOutcome, RunRecord, RunStatus, at_least, check_type,
+    run_pipeline,
 )
 from .transcript import Transcript, write_transcript
 
@@ -41,6 +42,16 @@ FAILED_ERROR_THRESHOLD = 7
 check_failed_error_threshold = at_least(1)
 check_repetitions = at_least(1)
 check_parallelism = at_least(1)
+
+
+def check_label(name: str, value: str) -> None:
+    """The rule of a report's method label: raise ValueError naming it unless
+    it is UTF-8 text with a non-whitespace character."""
+    check_type(name, value, str)
+    if not utf8_encodable(value):
+        raise ValueError(f"{name} is not valid UTF-8")
+    if not value.strip():
+        raise ValueError(f"{name} must hold a non-whitespace character")
 
 
 class ErrorCategory(str, Enum):
@@ -107,6 +118,9 @@ class AggregateMetrics:
     # run, over all runs, with a failed run counting 0.
     requirement_total: float | None = None
     mean_replaced_functions: float | None = None
+
+    def __post_init__(self):
+        check_label("method_label", self.method_label)
 
 
 def population_sd(values: Sequence[float]) -> float:
@@ -332,6 +346,8 @@ def aggregate(
 
 
 def _find_original(case_dir: Path) -> Path:
+    if not case_dir.is_dir():
+        raise ConfigError(f"case directory not found: {case_dir}")
     candidates = sorted(p for p in case_dir.glob("original.*") if p.is_file())
     if len(candidates) != 1:
         raise ConfigError(f"{case_dir}: expected exactly one original.<ext> file, found {len(candidates)}")

@@ -14,8 +14,9 @@ from typing import Iterator
 from .errors import ConfigError
 
 # Replies that skip the code fence but plainly start with source code are
-# still accepted.
-_CODE_SENTINELS = ("<?php", "<!DOCTYPE", "<html")
+# still accepted. The match ignores case, as PHP and HTML do for the open
+# tag, the doctype and tag names.
+_CODE_SENTINEL_RE = re.compile(r"<\?php|<!doctype|<html", re.IGNORECASE)
 
 # Requirement0: is no marker, so it continues the requirement before it.
 _MARKER_RE = re.compile(r"^\s*requirement\s*(0*[1-9][0-9]*)\s*:(.*)$", re.IGNORECASE)
@@ -172,7 +173,7 @@ def extract_code(response: str) -> str | None:
     if blocks:
         return max(blocks, key=len)
     trimmed = response.strip()
-    return trimmed if trimmed.startswith(_CODE_SENTINELS) else None
+    return trimmed if _CODE_SENTINEL_RE.match(trimmed) else None
 
 
 def _fenced_blocks(response: str) -> list[str]:

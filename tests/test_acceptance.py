@@ -24,13 +24,12 @@ from uplift.evaluation import (
     ErrorCategory,
     ErrorRecord,
     RequirementScoreRecord,
-    RunRecord,
     aggregate,
     population_sd,
     read_ledger,
 )
 from uplift.model import artifact_from_file, load_requirements, parse_requirements
-from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, run_pipeline
+from uplift.pipeline import PipelineConfig, PipelineMode, RunRecord, RunStatus, run_pipeline
 from uplift.transcript import Transcript, write_transcript
 
 from conftest import CODE_REPLY, PLAN_REPLY, REVISE_REPLY, SECTIONS_REPLY, ACCEPT_REPLY, seq, untimed

@@ -615,8 +615,10 @@ class TestBench:
         assert len(index) == 11  # header + 10 rows
         assert index[1].startswith("run-001,completed,")
 
-    def test_bad_case_dir_exits_2(self, workdir):
+    def test_bad_case_dir_exits_2(self, workdir, capsys):
         assert main(["bench", "missing_case", "--script", "case_view/script.json"]) == 2
+        assert capsys.readouterr().err == "error: case directory not found: missing_case\n"
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("missing", ["original.php", "requirements.txt"])
     def test_incomplete_case_exits_2_before_output(self, workdir, capsys, missing):

@@ -13,7 +13,6 @@ from uplift.evaluation import (
     ErrorCategory,
     ErrorRecord,
     RequirementScoreRecord,
-    RunRecord,
     aggregate,
     emit_report,
     ingest_ledger,
@@ -26,7 +25,7 @@ from uplift.evaluation import (
     run_bench,
     write_bench_index,
 )
-from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus
+from uplift.pipeline import PipelineConfig, PipelineMode, RunRecord, RunStatus
 
 from conftest import run_records
 
@@ -448,6 +447,14 @@ class TestRunBench:
         with pytest.raises(ConfigError):
             run_bench(tmp_path, config, 1, out_dir=tmp_path / "out")
 
+    def test_missing_case_directory_is_named_as_such(self, tmp_path):
+        config = PipelineConfig(mode=PipelineMode.SYSTEM_MANAGER, backend=None)
+        case = tmp_path / "no_case"
+        with pytest.raises(ConfigError) as raised:
+            run_bench(case, config, 1, out_dir=tmp_path / "out")
+        assert str(raised.value) == f"case directory not found: {case}"
+        assert not (tmp_path / "out").exists()
+
 
 class TestBenchIndex:
     def test_round_trip(self, tmp_path):
@@ -545,3 +552,18 @@ class TestEmitReport:
     def test_empty_metrics_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report([], tmp_path / "report.csv")
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("bad \ud800", "method_label is not valid UTF-8"),
+            ("", "method_label must hold a non-whitespace character"),
+            (" \t", "method_label must hold a non-whitespace character"),
+            (None, "method_label must be of type str, got None"),
+        ],
+    )
+    def test_a_bad_label_is_refused_before_any_report_file_exists(self, tmp_path, label, message):
+        with pytest.raises(ValueError) as raised:
+            emit_report([aggregate([completed("run-1")], [], [], label)], tmp_path / "report.csv")
+        assert str(raised.value) == message
+        assert list(tmp_path.iterdir()) == []

@@ -104,8 +104,12 @@ class TestExtractCode:
     def test_single_fenced_block(self):
         assert extract_code("Here you go:\n```php\n<?php echo 1;\n```") == "<?php echo 1;"
 
-    def test_sentinel_fallback(self):
-        assert extract_code("<?php echo 1;") == "<?php echo 1;"
+    # The sentinels match in any case, and the code stays as sent.
+    @pytest.mark.parametrize(
+        "reply", ["<?php echo 1;", "<!doctype html>\n<p>x</p>", "<?PHP echo 1; ?>", "<HTML><body></body></HTML>"]
+    )
+    def test_sentinel_fallback(self, reply):
+        assert extract_code(reply) == reply
 
     def test_no_code_is_none(self):
         assert extract_code("I cannot update this file.") is None

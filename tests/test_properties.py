@@ -17,14 +17,13 @@ from uplift.backend import ChatMessage, ChatRequest, Role, utf8_encodable
 from uplift.evaluation import (
     ErrorCategory,
     RequirementScoreRecord,
-    RunRecord,
     _mean,
     aggregate,
     population_sd,
     read_ledger,
 )
 from uplift.model import RequirementSet, count_loc, extract_code, parse_requirements, render_requirements
-from uplift.pipeline import RunStatus
+from uplift.pipeline import RunRecord, RunStatus
 from uplift.transcript import TranscriptEntry, dump_record
 
 # Requirement texts that cannot collide with marker lines: no colons.
