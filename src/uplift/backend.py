@@ -80,21 +80,15 @@ class ChatRequest:
 
 @dataclass(frozen=True)
 class ChatResponse:
-    """A backend's reply. Its checks are the one rule for what a reply may hold:
-    one that breaks them raises ValueError (from HttpBackend, BackendExhausted).
-    How long the reply took is not part of it: AgentContext.call times each call."""
+    """A backend's reply: its content alone. Its check is the one rule for what
+    a reply may hold: one that breaks it raises ValueError (from HttpBackend,
+    BackendExhausted). AgentContext.call, not the reply, times each call."""
 
     content: str
-    prompt_tokens: int | None = None
-    completion_tokens: int | None = None
 
     def __post_init__(self):
         if not (isinstance(self.content, str) and utf8_encodable(self.content)):
             raise ValueError("response content must be a str with no lone surrogate")
-        for field in ("prompt_tokens", "completion_tokens"):
-            value = getattr(self, field)
-            if not (value is None or (type(value) is int and value >= 0)):  # a bool is not a count
-                raise ValueError(f"{field} must be None or an int >= 0, not {value!r}")
 
 
 class Backend(Protocol):
@@ -233,13 +227,6 @@ class HttpBackend:
         ChatResponse rejects (refusals and tool-call replies carry "content":
         null), is malformed: BackendExhausted."""
         try:
-            usage = body.get("usage")
-            if usage is None:  # not `or {}`: a falsy usage such as [] or 0 is malformed
-                usage = {}
-            return ChatResponse(
-                content=body["choices"][0]["message"]["content"],
-                prompt_tokens=usage.get("prompt_tokens"),
-                completion_tokens=usage.get("completion_tokens"),
-            )
-        except (KeyError, IndexError, TypeError, AttributeError, ValueError):
+            return ChatResponse(content=body["choices"][0]["message"]["content"])
+        except (KeyError, IndexError, TypeError, ValueError):
             raise BackendExhausted(f"malformed completion body: {json.dumps(body)[:200]}") from None

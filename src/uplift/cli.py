@@ -21,9 +21,9 @@ from .agents import DEFAULT_PROMPT_DIR, AgentContext, PromptLibrary, render_task
 from .backend import DEFAULT_MODEL, HttpBackend, load_script, utf8_encodable
 from .errors import ConfigError, DanglingReference, PlanParseError, UpliftError
 from .evaluation import (
-    FAILED_ERROR_THRESHOLD, aggregate, check_failed_error_threshold, check_label, check_parallelism,
-    check_repetitions, emit_report, ingest_ledger, ingest_replaced_functions, ingest_scores, load_spec,
-    read_bench_index, report_rows, run_bench, run_once, write_bench_index,
+    aggregate, check_label, check_parallelism, check_repetitions, emit_report, ingest_ledger,
+    ingest_replaced_functions, ingest_scores, load_spec, read_bench_index, report_rows, run_bench, run_once,
+    write_bench_index,
 )
 from .model import artifact_from_file, load_json, load_requirements
 from .pipeline import (
@@ -82,7 +82,6 @@ SETTINGS = (
         choices=tuple(m.value for m in PipelineMode), flag="--mode",
     ),
     Setting("pipeline.max_loop_iterations", int, MAX_LOOP_ITERATIONS, check_max_loop_iterations, flag="--max-loop"),
-    Setting("pipeline.failed_error_threshold", int, FAILED_ERROR_THRESHOLD, check_failed_error_threshold),
     Setting("prompts.dir", str, str(DEFAULT_PROMPT_DIR)),
     Setting("bench.repetitions", int, 10, check_repetitions, flag="--reps", help="bench repetitions"),
     Setting("bench.parallelism", int, 1, check_parallelism),
@@ -202,10 +201,7 @@ def cmd_report(args: argparse.Namespace, config: SimpleNamespace) -> int:
     errors = ingest_ledger(args.ledger, runs)
     scores = ingest_scores(args.scores, runs) if args.scores else []
     replaced = ingest_replaced_functions(args.rf, runs) if args.rf else None
-    metrics = aggregate(
-        records, errors, scores, args.label,
-        replaced_functions=replaced, failed_error_threshold=config.pipeline_failed_error_threshold,
-    )
+    metrics = aggregate(records, errors, scores, args.label, replaced_functions=replaced)
     out_dir = Path(args.out) if args.out else case_out
     out_dir.mkdir(parents=True, exist_ok=True)
     emit_report([metrics], out_dir / "report.csv")

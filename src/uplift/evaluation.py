@@ -39,7 +39,6 @@ T = TypeVar("T")
 
 # A run with more distinct mistakes than this counts as failed.
 FAILED_ERROR_THRESHOLD = 7
-check_failed_error_threshold = at_least(1)
 check_repetitions = at_least(1)
 check_parallelism = at_least(1)
 
@@ -259,12 +258,11 @@ def aggregate(
     label: str,
     *,
     replaced_functions: Mapping[str, int] | None = None,
-    failed_error_threshold: int = FAILED_ERROR_THRESHOLD,
 ) -> AggregateMetrics:
     """Cross-run aggregation for one method label.
 
     A run counts as failed when its status says so or when it carries more
-    than failed_error_threshold distinct mistakes. Failed runs are excluded
+    than FAILED_ERROR_THRESHOLD distinct mistakes. Failed runs are excluded
     from the error/LOC/duration means but score 0 on every requirement and
     still count toward runs_total.
 
@@ -273,11 +271,13 @@ def aggregate(
     requirement_total is the sum of those means, which equals the mean
     number of requirements passed per run, failed runs counting 0.
     """
-    check_failed_error_threshold("failed_error_threshold", failed_error_threshold)
     records = list(outcomes)
     known = {r.run_id for r in records}
     if len(known) != len(records):
         raise ValueError("duplicate run_id among outcomes")
+    score_map = {(s.run_id, s.requirement_index): s.value for s in scores}
+    if len(score_map) != len(scores):
+        raise ValueError("duplicate (run_id, requirement_index) among scores")
     for collection, kind in ((errors, "error"), (scores, "score")):
         for item in collection:
             if item.run_id not in known:
@@ -294,14 +294,13 @@ def aggregate(
     def is_failed(rec: RunRecord) -> bool:
         return (
             rec.status is RunStatus.FAILED_GENERATION
-            or len(distinct.get(rec.run_id, ())) > failed_error_threshold
+            or len(distinct.get(rec.run_id, ())) > FAILED_ERROR_THRESHOLD
         )
 
     completed = [r for r in records if not is_failed(r)]
     completed_ids = {r.run_id for r in completed}
     error_counts = [len(distinct.get(r.run_id, ())) for r in completed]
 
-    score_map = {(s.run_id, s.requirement_index): s.value for s in scores}
     indices = range(1, max((s.requirement_index for s in scores), default=0) + 1)
     requirement_means: tuple[float, ...] | None = None
     requirement_total: float | None = None
@@ -504,6 +503,10 @@ def emit_report(metrics: Sequence[AggregateMetrics], path: str | Path) -> None:
     """
     if not metrics:
         raise ValueError("emit_report needs at least one aggregate")
+    labels = [m.method_label for m in metrics]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:  # the sidecar holds one entry per label
+            raise ValueError(f"emit_report: method label {label!r} repeats")
     path = Path(path)
     rows = report_rows(metrics)
     with open(path, "w", encoding="utf-8", newline="") as fh:

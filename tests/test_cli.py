@@ -235,7 +235,6 @@ class TestRun:
                     "pipeline": {
                         "mode": "system_single_task",
                         "max_loop_iterations": 1,
-                        "failed_error_threshold": 5,
                     },
                     "prompts": {"dir": str(PROMPTS_DIR)},
                     "bench": {"repetitions": 2, "parallelism": 2},
@@ -400,22 +399,18 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "argv, key, value",
+        "argv",
         [
-            (argv, key, value)
-            for key, value in [("failed_error_threshold", 0), ("max_loop_iterations", -1)]
-            for argv in [
-                ["plan", "case_view/requirements.txt", "--script", "case_view/script.json"],
-                ["run", "case_view/original.php", "case_view/requirements.txt", "--script", "case_view/script.json"],
-                ["bench", "case_view", "--script", "case_view/script.json", "--reps", "1"],
-            ]
+            ["plan", "case_view/requirements.txt", "--script", "case_view/script.json"],
+            ["run", "case_view/original.php", "case_view/requirements.txt", "--script", "case_view/script.json"],
+            ["bench", "case_view", "--script", "case_view/script.json", "--reps", "1"],
         ],
-        ids=["plan", "run", "bench", "plan-max_loop", "run-max_loop", "bench-max_loop"],
+        ids=["plan", "run", "bench"],
     )
-    def test_threshold_below_one_exits_2(self, workdir, capsys, argv, key, value):
-        (workdir / "bad.json").write_text(json.dumps({"pipeline": {key: value}}))
+    def test_max_loop_below_zero_exits_2(self, workdir, capsys, argv):
+        (workdir / "bad.json").write_text(json.dumps({"pipeline": {"max_loop_iterations": -1}}))
         assert main(argv + ["--config", "bad.json"]) == 2
-        assert f"pipeline.{key}" in capsys.readouterr().err
+        assert "pipeline.max_loop_iterations" in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize(
@@ -430,6 +425,7 @@ class TestExitCodes:
             ([], "bad.json: expected a JSON object"),
             ({"bogus": {}}, "bad.json: unknown section 'bogus'"),
             ({"bench": 3}, "bad.json: section 'bench' must be an object"),
+            ({"pipeline": {"failed_error_threshold": 7}}, "bad.json: unknown key pipeline.failed_error_threshold"),
         ],
         ids=[
             "unknown-kind",
@@ -438,6 +434,7 @@ class TestExitCodes:
             "not-an-object",
             "unknown-section",
             "section-not-an-object",
+            "removed-threshold-key",
         ],
     )
     def test_invalid_config_exits_2_with_its_message(self, workdir, capsys, config, message):
@@ -480,7 +477,6 @@ class TestExitCodes:
             ("bench", "repetitions", 2.5),
             ("bench", "parallelism", 1.5),
             ("pipeline", "max_loop_iterations", 1.5),
-            ("pipeline", "failed_error_threshold", 2.5),
             ("backend", "model", 5),
         ],
     )
@@ -505,7 +501,6 @@ class TestExitCodes:
                 (key, value, "of type int")
                 for key in [
                     "pipeline.max_loop_iterations",
-                    "pipeline.failed_error_threshold",
                     "bench.repetitions",
                     "bench.parallelism",
                 ]
@@ -930,20 +925,15 @@ class TestReport:
         assert capsys.readouterr().err == f"error: row 3: {ledger}: {expected}\n"
         assert not (out_dir / "report.csv").exists()
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [("failed_error_threshold", 0), ("failed_error_threshold", -3), ("max_loop_iterations", -1)],
-        ids=["0", "-3", "max_loop"],
-    )
-    def test_threshold_below_one_exits_2(self, workdir, capsys, key, value):
+    def test_max_loop_below_zero_exits_2(self, workdir, capsys):
         out_dir = self.bench(workdir, reps=2)
         ledger = workdir / "ledger.csv"
         ledger.write_text("run_id,mistake_id,category,description\n", encoding="utf-8")
         config = workdir / "bad.json"
-        config.write_text(json.dumps({"pipeline": {key: value}}))
+        config.write_text(json.dumps({"pipeline": {"max_loop_iterations": -1}}))
         argv = ["report", str(out_dir), str(ledger), "--label", "x", "--config", str(config)]
         assert main(argv) == 2
-        assert f"pipeline.{key}" in capsys.readouterr().err
+        assert "pipeline.max_loop_iterations" in capsys.readouterr().err
         assert not (out_dir / "report.csv").exists()
 
     @staticmethod

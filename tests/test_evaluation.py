@@ -199,6 +199,13 @@ class TestAggregate:
         with pytest.raises(ValueError, match=r"^duplicate run_id among outcomes$"):
             aggregate([completed("run-001"), failed("run-001")], [], [], "x")
 
+    # Keeping either row would make the means depend on record order.
+    @pytest.mark.parametrize("values", [(0, 1), (1, 0), (1, 1)], ids=["0-then-1", "1-then-0", "1-then-1"])
+    def test_duplicate_score_rejected(self, values):
+        scores = [RequirementScoreRecord("run-1", 1, v) for v in values]
+        with pytest.raises(ValueError, match=r"^duplicate \(run_id, requirement_index\) among scores$"):
+            aggregate([completed("run-1")], [], scores, "x")
+
     def test_failed_run_excluded_from_error_mean(self):
         outcomes = [completed(f"run-{i:03d}") for i in range(1, 10)] + [failed("run-010")]
         per_run = [2, 2, 2, 1, 1, 1, 1, 1, 0]
@@ -267,15 +274,11 @@ class TestAggregate:
     def test_over_threshold_run_counts_as_failed(self):
         outcomes = [completed("run-001"), completed("run-002")]
         errors = [error("run-001", f"m{i}") for i in range(8)]
-        metrics = aggregate(outcomes, errors, [], "x", failed_error_threshold=7)
+        metrics = aggregate(outcomes, errors, [], "x")
         assert metrics.runs_failed == 1
         assert metrics.mean_errors == 0.0
-        relaxed = aggregate(outcomes, errors, [], "x", failed_error_threshold=8)
-        assert relaxed.runs_failed == 0
-
-    def test_threshold_below_one_rejected(self):
-        with pytest.raises(ValueError, match="^failed_error_threshold must be >= 1$"):
-            aggregate([completed("r1")], [], [], "x", failed_error_threshold=0)
+        at_threshold = aggregate(outcomes, errors[:7], [], "x")
+        assert at_threshold.runs_failed == 0 and at_threshold.mean_errors == 3.5
 
     def test_category_counts_cover_all_records(self):
         outcomes = [completed("run-001")]
@@ -566,4 +569,11 @@ class TestEmitReport:
         with pytest.raises(ValueError) as raised:
             emit_report([aggregate([completed("run-1")], [], [], label)], tmp_path / "report.csv")
         assert str(raised.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+    # The sidecar is keyed by label: a second "A" would overwrite the first's counts.
+    def test_a_repeated_label_is_refused_before_any_report_file_exists(self, tmp_path):
+        metrics = [self.make_metrics("A"), self.make_metrics("B"), aggregate([completed("run-1")], [], [], "A")]
+        with pytest.raises(ValueError, match="^emit_report: method label 'A' repeats$"):
+            emit_report(metrics, tmp_path / "report.csv")
         assert list(tmp_path.iterdir()) == []
