@@ -296,6 +296,8 @@ class TestHttpBackend:
                 (value,)
                 for value in [
                     None,
+                    {"prompt_tokens": 12, "completion_tokens": 3},
+                    {"prompt_tokens": 12},
                     {"prompt_tokens": "12"},
                     {"prompt_tokens": -1},
                     {"completion_tokens": True},
@@ -623,9 +625,13 @@ class TestNullContentRun:
         assert last.error.startswith("BackendExhausted: malformed completion body")
         assert outcome.failure == last.error
 
-    def test_malformed_usage_run_completes(self, monkeypatch, original_code, two_requirements):
+    @pytest.mark.parametrize(
+        "usage",
+        [{"prompt_tokens": "12"}, {"prompt_tokens": 12.0}, {"prompt_tokens": True}, {"prompt_tokens": -1}, [], "n/a"],
+    )
+    def test_malformed_usage_run_completes(self, monkeypatch, original_code, two_requirements, usage):
         monkeypatch.setenv("LLM_API_KEY", "k")
-        executor_reply = usage_body({"prompt_tokens": "12"}, content=CODE_REPLY)
+        executor_reply = usage_body(usage, content=CODE_REPLY)
         transport = FakeTransport(ok_body(SECTIONS_REPLY), executor_reply, ok_body(ACCEPT_REPLY))
         backend = HttpBackend("http://x", transport=transport, sleep=lambda _: None)
         config = PipelineConfig(mode=PipelineMode.SYSTEM_SINGLE_TASK, backend=backend)

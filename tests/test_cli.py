@@ -414,6 +414,20 @@ class TestExitCodes:
         assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "case_view/requirements.txt", "--script", "case_view/script.json"],
+            ["run", "case_view/original.php", "case_view/requirements.txt", "--script", "case_view/script.json"],
+        ],
+        ids=["plan", "run"],
+    )
+    def test_the_removed_threshold_key_exits_2(self, workdir, capsys, argv):
+        (workdir / "old.json").write_text(json.dumps({"pipeline": {"failed_error_threshold": 7}}))
+        assert main(argv + ["--config", "old.json"]) == 2
+        assert capsys.readouterr().err == "error: old.json: unknown key pipeline.failed_error_threshold\n"
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize(
         "config, message",
         [
             ({"backend": {"kind": "grpc"}}, "backend.kind must be http or script, got 'grpc'"),
@@ -935,6 +949,27 @@ class TestReport:
         assert main(argv) == 2
         assert "pipeline.max_loop_iterations" in capsys.readouterr().err
         assert not (out_dir / "report.csv").exists()
+
+    def test_the_removed_threshold_key_exits_2(self, workdir, capsys):
+        out_dir = self.bench(workdir, reps=2)
+        ledger = workdir / "ledger.csv"
+        ledger.write_text("run_id,mistake_id,category,description\n", encoding="utf-8")
+        config = workdir / "old.json"
+        config.write_text(json.dumps({"pipeline": {"failed_error_threshold": 20}}))
+        argv = ["report", str(out_dir), str(ledger), "--label", "x", "--config", str(config)]
+        assert main(argv) == 2
+        assert "unknown key pipeline.failed_error_threshold" in capsys.readouterr().err
+        assert not (out_dir / "report.csv").exists()
+
+    # More than 7 distinct mistakes fail a run: 8 on run-001 fail it, 7 do not.
+    @pytest.mark.parametrize("mistakes, failed", [(7, "0"), (8, "1")])
+    def test_a_run_with_more_than_seven_distinct_mistakes_is_failed(self, workdir, capsys, mistakes, failed):
+        out_dir = self.bench(workdir, reps=2)
+        ledger = workdir / "ledger.csv"
+        rows = [f"run-001,m{i},fatal,mistake {i}" for i in range(mistakes)]
+        ledger.write_text("run_id,mistake_id,category,description\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["report", str(out_dir), str(ledger), "--label", "x"]) == 0
+        assert f"runs_failed={failed}" in capsys.readouterr().out.split()
 
     @staticmethod
     def write_inputs(workdir, out_dir):

@@ -280,6 +280,12 @@ class TestAggregate:
         at_threshold = aggregate(outcomes, errors[:7], [], "x")
         assert at_threshold.runs_failed == 0 and at_threshold.mean_errors == 3.5
 
+    def test_a_repeated_mistake_counts_once_toward_the_threshold(self):
+        outcomes = [completed("run-001")]
+        errors = [error("run-001", f"m{i}") for i in range(7)] + [error("run-001", "m0", ErrorCategory.RUNTIME)]
+        metrics = aggregate(outcomes, errors, [], "x")
+        assert metrics.runs_failed == 0 and metrics.mean_errors == 7.0
+
     def test_category_counts_cover_all_records(self):
         outcomes = [completed("run-001")]
         errors = [
