@@ -225,8 +225,14 @@ class HttpBackend:
     def _parse_body(body: dict[str, Any]) -> ChatResponse:
         """The reply a 200 body holds. A body that lacks one, or whose reply
         ChatResponse rejects (refusals and tool-call replies carry "content":
-        null), is malformed: BackendExhausted."""
+        null), is malformed: BackendExhausted. So is a reply the endpoint cut
+        off at its output limit or filtered, by its first choice's
+        "finish_reason": a shorter file is not an updated one."""
         try:
-            return ChatResponse(content=body["choices"][0]["message"]["content"])
+            choice = body["choices"][0]
+            reply = ChatResponse(content=choice["message"]["content"])
         except (KeyError, IndexError, TypeError, ValueError):
             raise BackendExhausted(f"malformed completion body: {json.dumps(body)[:200]}") from None
+        if (reason := choice.get("finish_reason")) in ("length", "content_filter"):
+            raise BackendExhausted(f"incomplete reply: finish_reason {reason!r}")
+        return reply

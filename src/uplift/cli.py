@@ -13,7 +13,6 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Any, Callable, Sequence
 from urllib.parse import urlsplit
 
@@ -58,15 +57,10 @@ class Setting:
     implies: tuple[tuple[str, object], ...] = ()  # the (key, value) pairs the flag sets too
 
     @property
-    def field(self) -> str:
-        """The config's attribute for the key."""
-        return self.key.replace(".", "_")
-
-    @property
     def argument(self) -> dict[str, Any]:
         """add_argument's options for the flag."""
         kind = getattr(self.type, "__args__", (self.type,))[0]  # str for str | None
-        return {"dest": self.field, "type": kind, "choices": self.choices or None, "help": self.help}
+        return {"dest": self.key, "type": kind, "choices": self.choices or None, "help": self.help}
 
 
 SETTINGS = (
@@ -88,21 +82,21 @@ SETTINGS = (
 )
 
 
-def validate(config: SimpleNamespace) -> None:
+def validate(config: dict[str, Any]) -> None:
     """Check each setting's rule, then the backend keys against each other."""
     for setting in SETTINGS:
-        value = getattr(config, setting.field)
+        value = config[setting.key]
         if setting.choices and value not in setting.choices:
             raise ConfigError(f"{setting.key} must be {' or '.join(setting.choices)}, got {value!r}")
         if setting.rule:
             setting.rule(setting.key, value)
-    if config.backend_kind == "script" and not config.backend_script_path:
+    if config["backend.kind"] == "script" and not config["backend.script_path"]:
         raise ConfigError("backend.kind=script requires backend.script_path")
-    if config.backend_kind == "http" and config.backend_script_path:
+    if config["backend.kind"] == "http" and config["backend.script_path"]:
         raise ConfigError("backend.script_path is only valid with backend.kind=script")
-    if config.backend_kind == "http" and not _is_http_url(config.backend_endpoint):
+    if config["backend.kind"] == "http" and not _is_http_url(config["backend.endpoint"]):
         raise ConfigError(
-            f"backend.endpoint must be an http or https URL with a host, got {config.backend_endpoint!r}"
+            f"backend.endpoint must be an http or https URL with a host, got {config['backend.endpoint']!r}"
         )
 
 
@@ -114,9 +108,9 @@ def _is_http_url(url: str) -> bool:
         return False
 
 
-def load_config(path: str | None) -> SimpleNamespace:
-    """Each setting's default, or its value in the config file (uplift.json when path is None)."""
-    config = SimpleNamespace(**{s.field: s.default for s in SETTINGS})
+def load_config(path: str | None) -> dict[str, Any]:
+    """Each setting's key and default, or its value in the config file (uplift.json when path is None)."""
+    config = {s.key: s.default for s in SETTINGS}
     chosen = Path(path) if path else Path(DEFAULT_CONFIG_NAME)
     if path is None and not chosen.is_file():
         return config
@@ -138,25 +132,25 @@ def load_config(path: str | None) -> SimpleNamespace:
             check_type(f"{chosen}: {setting.key}", value, setting.type)
             if isinstance(value, str) and not utf8_encodable(value):
                 raise ConfigError(f"{chosen}: {setting.key} holds a lone surrogate escape")
-            setattr(config, setting.field, value)
+            config[setting.key] = value
     return config
 
 
-def pipeline_config(config: SimpleNamespace) -> PipelineConfig:
-    if config.backend_kind == "script":
-        backend = load_script(config.backend_script_path)
+def pipeline_config(config: dict[str, Any]) -> PipelineConfig:
+    if config["backend.kind"] == "script":
+        backend = load_script(config["backend.script_path"])
     else:
-        backend = HttpBackend(config.backend_endpoint)
+        backend = HttpBackend(config["backend.endpoint"])
     return PipelineConfig(
-        mode=config.pipeline_mode,
+        mode=config["pipeline.mode"],
         backend=backend,
-        prompts=PromptLibrary(config.prompts_dir),
-        max_loop_iterations=config.pipeline_max_loop_iterations,
-        model=config.backend_model,
+        prompts=PromptLibrary(config["prompts.dir"]),
+        max_loop_iterations=config["pipeline.max_loop_iterations"],
+        model=config["backend.model"],
     )
 
 
-def cmd_plan(args: argparse.Namespace, config: SimpleNamespace) -> int:
+def cmd_plan(args: argparse.Namespace, config: dict[str, Any]) -> int:
     requirements = load_requirements(args.requirements)
     ctx = AgentContext(pipeline_config(config), Transcript("plan"))
     plan = build_plan(ctx, requirements, PipelineMode.SYSTEM_MANAGER)
@@ -164,7 +158,7 @@ def cmd_plan(args: argparse.Namespace, config: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-def cmd_run(args: argparse.Namespace, config: SimpleNamespace) -> int:
+def cmd_run(args: argparse.Namespace, config: dict[str, Any]) -> int:
     pconfig = pipeline_config(config)
     input_path = Path(args.input)
     code = artifact_from_file(input_path)
@@ -180,12 +174,12 @@ def cmd_run(args: argparse.Namespace, config: SimpleNamespace) -> int:
     return EXIT_OK if outcome.failure is None else EXIT_FAILED_GENERATION
 
 
-def cmd_bench(args: argparse.Namespace, config: SimpleNamespace) -> int:
+def cmd_bench(args: argparse.Namespace, config: dict[str, Any]) -> int:
     case_dir = Path(args.case_dir)
     pconfig = pipeline_config(config)
     out_dir = Path(args.out or "out") / case_dir.name
     outcomes = run_bench(
-        case_dir, pconfig, config.bench_repetitions, out_dir=out_dir, parallelism=config.bench_parallelism
+        case_dir, pconfig, config["bench.repetitions"], out_dir=out_dir, parallelism=config["bench.parallelism"]
     )
     write_bench_index(outcomes, out_dir / "index.csv")
     failed = sum(1 for o in outcomes if o.status is RunStatus.FAILED_GENERATION)
@@ -193,7 +187,7 @@ def cmd_bench(args: argparse.Namespace, config: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace, config: SimpleNamespace) -> int:
+def cmd_report(args: argparse.Namespace, config: dict[str, Any]) -> int:
     check_label("--label", args.label)  # before any input is read, so a bad label leaves no output touched
     case_out = Path(args.case_out_dir)
     records = read_bench_index(case_out / "index.csv")
@@ -264,10 +258,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         for setting in SETTINGS:
-            if (value := getattr(args, setting.field, None)) is not None:
-                setattr(config, setting.field, value)
-                for key, implied in setting.implies:
-                    setattr(config, key.replace(".", "_"), implied)
+            if (value := getattr(args, setting.key, None)) is not None:
+                config[setting.key] = value
+                config.update(setting.implies)
         validate(config)
         return args.func(args, config)
     except (UpliftError, OSError, ValueError, TypeError) as exc:

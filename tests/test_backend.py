@@ -274,6 +274,26 @@ class TestHttpBackend:
         str(exc.value).encode("utf-8")  # the message a transcript records is writable
         assert transport.calls == 1
 
+    @pytest.mark.parametrize("reason", ["length", "content_filter"])
+    def test_a_cut_off_or_filtered_reply_fails_without_a_retry(self, monkeypatch, reason):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        status, body = ok_body("```php\n<?php")
+        body["choices"][0]["finish_reason"] = reason
+        transport = FakeTransport((status, body), ok_body())
+        backend = HttpBackend("http://x", transport=transport, sleep=lambda _: None)
+        with pytest.raises(BackendExhausted) as exc:
+            backend.complete(request_with())
+        assert str(exc.value) == f"incomplete reply: finish_reason {reason!r}"
+        assert transport.calls == 1
+
+    @pytest.mark.parametrize("reason", ["stop", "tool_calls", None, 5, ["length"], {"length": 1}], ids=repr)
+    def test_any_other_finish_reason_is_not_read(self, monkeypatch, reason):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        status, body = ok_body("hello")
+        body["choices"][0]["finish_reason"] = reason
+        backend = HttpBackend("http://x", transport=FakeTransport((status, body)))
+        assert backend.complete(request_with()) == ChatResponse("hello")
+
     # k 503s, then a 200: the exchange's latency holds the k real backoff sleeps.
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_latency_includes_backoff_sleeps(self, monkeypatch, original_code, k):
@@ -541,6 +561,7 @@ usages = json_values | st.fixed_dictionaries({}, optional={"prompt_tokens": coun
 # Text that may hold a lone surrogate, as a "\ud800" escape in a body decodes to.
 lone_surrogates = st.sampled_from("\ud800\udbff\udc00\udfff")
 replies = st.text(max_size=20) | st.text(st.characters() | lone_surrogates, max_size=20)
+finish_reasons = st.sampled_from(["stop", "length", "content_filter", "tool_calls"]) | json_values
 
 
 @st.composite
@@ -552,22 +573,30 @@ def completion_bodies(draw):
     wrappers = (lambda n: {"content": n}, lambda n: {"message": n}, lambda n: [n], lambda n: {"choices": n})
     for wrap in wrappers[4 - min(depth, 4) :]:
         node = wrap(node)
+    if depth >= 3 and draw(st.booleans()):  # the first choice is an object
+        node["choices"][0]["finish_reason"] = draw(finish_reasons)
     if depth and draw(st.booleans()):
         node["usage"] = draw(usages)
     return node
 
 
 def reply_content(body):
-    """The oracle: the content when a 200 body is a reply, None when it is
-    malformed. A reply's content is a str with no lone surrogate; its usage,
-    whatever it holds, is never read."""
+    """The oracle: the content when a 200 body is a whole reply, else the
+    error it fails with. A reply's content is a str with no lone surrogate;
+    a reply whose first choice ends for "length" or "content_filter" is
+    incomplete; any other finish_reason, and its usage, whatever it holds,
+    are never read."""
+    malformed = f"malformed completion body: {json.dumps(body)[:200]}"
     choices = body.get("choices") if isinstance(body, dict) else None
     if not (isinstance(choices, list) and choices and isinstance(choices[0], dict)):
-        return None
+        return BackendExhausted(malformed)
     message = choices[0].get("message")
     content = message.get("content") if isinstance(message, dict) else None
     if not isinstance(content, str) or any("\ud800" <= c <= "\udfff" for c in content):
-        return None
+        return BackendExhausted(malformed)
+    reason = choices[0].get("finish_reason")
+    if reason in ("length", "content_filter"):
+        return BackendExhausted(f"incomplete reply: finish_reason {reason!r}")
     return content
 
 
@@ -580,8 +609,8 @@ class TestCompletionBodyFuzz:
             try:
                 response = backend.complete(request_with())
             except BackendExhausted as exc:
-                assert expected is None
-                assert str(exc) == f"malformed completion body: {json.dumps(body)[:200]}"
+                assert isinstance(expected, BackendExhausted)
+                assert str(exc) == str(expected)
                 return
         assert response == ChatResponse(expected)
 
@@ -680,6 +709,20 @@ class TestNullContentRun:
         *exchanges, summary = run_records(tmp_path / "run-001.jsonl")
         assert [e["error"] for e in exchanges] == [summary["failure"]] == [outcome.failure]
         assert outcome.failure == "TypeError: complete() returned a str, not a ChatResponse"
+
+    def test_a_reply_cut_off_at_the_output_limit_is_a_failed_run_not_a_shorter_file(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        lines = [f"echo {i};" for i in range(50)]
+        status, body = ok_body("```php\n" + "\n".join(lines[:10]))
+        body["choices"][0]["finish_reason"] = "length"
+        backend = HttpBackend("http://x", transport=FakeTransport((status, body)), sleep=lambda _: None)
+        config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=backend)
+        outcome = run_once(CodeArtifact("\n".join(lines)), "Upgrade the code.", config, "run-001", tmp_path, ".php")
+        assert (outcome.status, outcome.loc) == (RunStatus.FAILED_GENERATION, None)
+        assert outcome.failure == "BackendExhausted: incomplete reply: finish_reason 'length'"
+        *exchanges, summary = run_records(tmp_path / "run-001.jsonl")
+        assert [e["error"] for e in exchanges] == [summary["failure"]] == [outcome.failure]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run-001.jsonl"]
 
     def test_bench_returns_every_outcome(self, monkeypatch, fixtures_dir, tmp_path):
         monkeypatch.setenv("LLM_API_KEY", "k")

@@ -556,16 +556,14 @@ class TestFlags:
         section, name = key.split(".")
         config = {"backend": {"kind": "script", "script_path": "a.json"}}
         config.setdefault(section, {})[name] = in_file
-        settings = self.bench_config(workdir, monkeypatch, config)
-        assert getattr(settings, f"{section}_{name}") == in_file
-        settings = self.bench_config(workdir, monkeypatch, config, flag, value)
-        assert getattr(settings, f"{section}_{name}") == given
+        assert self.bench_config(workdir, monkeypatch, config)[key] == in_file
+        assert self.bench_config(workdir, monkeypatch, config, flag, value)[key] == given
 
     def test_script_switches_the_backend_kind_to_script(self, workdir, monkeypatch):
         config = {"backend": {"kind": "http", "endpoint": "http://127.0.0.1:9/v1"}}
-        assert self.bench_config(workdir, monkeypatch, config).backend_kind == "http"
+        assert self.bench_config(workdir, monkeypatch, config)["backend.kind"] == "http"
         settings = self.bench_config(workdir, monkeypatch, config, "--script", "s.json")
-        assert (settings.backend_kind, settings.backend_script_path) == ("script", "s.json")
+        assert (settings["backend.kind"], settings["backend.script_path"]) == ("script", "s.json")
 
 
 class TestDeterminism:
@@ -1151,9 +1149,9 @@ class TestSettings:
         temperature = cli.Setting("pipeline.temperature", float | None, None)
         monkeypatch.setattr(cli, "SETTINGS", (*cli.SETTINGS, temperature))
         config = workdir / "t.json"
-        assert cli.load_config(None).pipeline_temperature is None
+        assert cli.load_config(None)["pipeline.temperature"] is None
         config.write_text(json.dumps({"pipeline": {"temperature": 0.2}}), encoding="utf-8")
-        assert cli.load_config(str(config)).pipeline_temperature == 0.2
+        assert cli.load_config(str(config))["pipeline.temperature"] == 0.2
         argv = ["plan", "case_view/requirements.txt", "--config", "t.json"]
         assert main(argv + ["--script", "case_view/script.json"]) == 0
         for value in ["0.2", True]:
