@@ -95,12 +95,8 @@ class PromptLibrary:
             self._templates[name] = text
 
     def render(self, name: str, **values: str) -> str:
-        def substitute(match: re.Match) -> str:
-            if match.group(1) not in values:
-                raise ConfigError(f"no value for placeholder {match.group(0)}")
-            return values[match.group(1)]
-
-        return _PLACEHOLDER_RE.sub(substitute, self._templates[name])
+        """The template, filled: its caller passes every placeholder of the role."""
+        return _PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], self._templates[name])
 
 
 @dataclass
@@ -247,8 +243,6 @@ def make_prompt(ctx: AgentContext, task: Task, code: CodeArtifact) -> str:
 
 def execute(ctx: AgentContext, task: Task, prompt: str, code: CodeArtifact) -> CodeArtifact:
     """Run the one-shot prompt, as the system message, against the current file."""
-    if not code.content:
-        raise ValueError("cannot execute against an empty file")
     return _ask_code(ctx, "executor", prompt, code.content, task.ordinal, 0)
 
 
@@ -304,9 +298,7 @@ def _parse_verdict(text: str) -> Verdict | None:
 
 
 def finalize(ctx: AgentContext, task: Task, code: CodeArtifact, feedback: str, iteration: int) -> CodeArtifact:
-    """Revise rejected code according to the verifier's feedback, as pass ``iteration`` of the task."""
-    if not feedback.strip():
-        raise ValueError("finalize requires non-empty feedback")
+    """Revise rejected code according to a REVISE verdict's feedback, as pass ``iteration`` of the task."""
     system = ctx.config.prompts.render("finalizer", task=task.description, feedback=feedback)
     return _ask_code(ctx, "finalizer", system, code.content, task.ordinal, iteration)
 

@@ -81,8 +81,8 @@ class ChatRequest:
 @dataclass(frozen=True)
 class ChatResponse:
     """A backend's reply: its content alone. Its check is the one rule for what
-    a reply may hold: one that breaks it raises ValueError (from HttpBackend,
-    BackendExhausted). AgentContext.call, not the reply, times each call."""
+    a reply may hold: HttpBackend turns its ValueError into BackendExhausted,
+    load_script into ConfigError. AgentContext.call, not the reply, times calls."""
 
     content: str
 
@@ -119,8 +119,8 @@ class ScriptedBackend:
 
 def load_script(path: str | Path) -> ScriptedBackend:
     """Load a JSON array of script entries into a fresh scripted backend.
-    Each entry is an object with a non-empty string "response" and an
-    optional "match", which must be "sequence"."""
+    Each entry is an object with a non-empty "response" that passes
+    ChatResponse's check and an optional "match", which must be "sequence"."""
     data = load_json(path)
     if not isinstance(data, list):
         raise ConfigError(f"{path}: expected a JSON array of entries")
@@ -134,12 +134,12 @@ def load_script(path: str | Path) -> ScriptedBackend:
         if item.get("match", "sequence") != "sequence":
             raise ConfigError(f"{path}: entry {i}: match must be \"sequence\", got {item['match']!r}")
         response = item.get("response", "")
-        if not isinstance(response, str):
-            raise ConfigError(f"{path}: entry {i}: response must be a string")
+        try:
+            ChatResponse(response)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: entry {i}: {exc}") from None
         if not response:
             raise ConfigError(f"{path}: entry {i}: script entry response must be non-empty")
-        if not utf8_encodable(response):
-            raise ConfigError(f"{path}: entry {i}: response holds a lone surrogate escape")
         replies.append(response)
     return ScriptedBackend(replies)
 

@@ -177,7 +177,7 @@ def cmd_run(args: argparse.Namespace, config: dict[str, Any]) -> int:
 def cmd_bench(args: argparse.Namespace, config: dict[str, Any]) -> int:
     case_dir = Path(args.case_dir)
     pconfig = pipeline_config(config)
-    out_dir = Path(args.out or "out") / case_dir.name
+    out_dir = Path(args.out or "out") / case_dir.resolve().name  # "." and ".." name no directory
     outcomes = run_bench(
         case_dir, pconfig, config["bench.repetitions"], out_dir=out_dir, parallelism=config["bench.parallelism"]
     )

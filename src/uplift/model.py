@@ -23,6 +23,15 @@ _MARKER_RE = re.compile(r"^\s*requirement\s*(0*[1-9][0-9]*)\s*:(.*)$", re.IGNORE
 _FENCE_RE = re.compile(r"^\s*```+([A-Za-z0-9_+.-]*)\s*$")
 
 
+def _check_texts(owner: str, item: str, texts: tuple[str, ...]) -> None:
+    """The rule of a RequirementSet's texts and a TaskPlan's descriptions: at
+    least one, each non-empty and stripped."""
+    if not texts:
+        raise ValueError(f"a {owner} must contain at least one {item}")
+    if not all(text and text == text.strip() for text in texts):
+        raise ValueError(f"{item} text must be non-empty and stripped")
+
+
 @dataclass(frozen=True)
 class RequirementSet:
     """Requirement texts parsed from a requirements file, in file order:
@@ -31,24 +40,15 @@ class RequirementSet:
     requirements: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.requirements:
-            raise ValueError("a RequirementSet must contain at least one requirement")
-        if not all(text and text == text.strip() for text in self.requirements):
-            raise ValueError("requirement text must be non-empty and stripped")
+        _check_texts("RequirementSet", "requirement", self.requirements)
 
 
 @dataclass(frozen=True)
 class Task:
-    """One executable operation in a plan."""
+    """One executable operation in a plan: its ordinal is its position."""
 
     ordinal: int
     description: str
-
-    def __post_init__(self):
-        if self.ordinal < 1:
-            raise ValueError(f"task ordinal must be positive, got {self.ordinal}")
-        if not self.description.strip():
-            raise ValueError("task description must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,9 @@ class TaskPlan:
     """Task descriptions in order: task k is the k-th, with ordinal k."""
 
     descriptions: tuple[str, ...]
+
+    def __post_init__(self):
+        _check_texts("TaskPlan", "task", self.descriptions)
 
     def __iter__(self) -> Iterator[Task]:
         for ordinal, description in enumerate(self.descriptions, start=1):
@@ -193,7 +196,7 @@ def _fenced_blocks(response: str) -> list[str]:
 def artifact_from_file(path: str | Path) -> CodeArtifact:
     """Read a source file as the user-supplied input artifact. A file with no
     non-blank line is rejected: there is nothing to update."""
-    content = read_text(path)
-    if not count_loc(content):
+    code = CodeArtifact(read_text(path))
+    if not code.loc:
         raise ConfigError(f"{path}: source file has no non-blank line")
-    return CodeArtifact(content=content)
+    return code

@@ -153,16 +153,20 @@ def run_pipeline(
     execute it, verify; on a revise verdict, loop finalize/verify until
     accept or until the finalizer has been invoked max_loop_iterations times
     for the task, after which the latest code advances to the next task
-    unconditionally. Once the spec is checked, any exception inside the run
-    (a reply without code, an unparseable plan or prompt, a backend error, a
-    fault in this package) ends it as failed_generation, with failure set to
-    "<Type>: <message>". KeyboardInterrupt and SystemExit still propagate.
+    unconditionally. A spec of the wrong kind, a blank prompt and a file with
+    no non-blank line raise ValueError before any call. After that, any
+    exception inside the run (a reply without code, an unparseable plan or
+    prompt, a backend error, a fault in this package) ends it as
+    failed_generation, with failure set to "<Type>: <message>".
+    KeyboardInterrupt and SystemExit still propagate.
     """
     prompted = config.mode in BASELINE_MODES
     if isinstance(spec, str) is not prompted:
         raise ValueError(f"{config.mode.value} mode cannot run a {type(spec).__name__} spec")
     if prompted and not spec.strip():
         raise ValueError("baseline prompt text must be non-empty")
+    if not code.loc:  # counted once: the artifact caches it across runs
+        raise ValueError("the source file has no non-blank line")
     ctx = AgentContext(config, transcript)
     start = time.perf_counter()
     final: CodeArtifact | None = None

@@ -27,8 +27,8 @@ from uplift.agents import (
 )
 from uplift.backend import ChatMessage, ChatResponse, Role
 from uplift.errors import BackendExhausted, ConfigError, PlanParseError, PromptSpecParseError, FailedGeneration
-from uplift.model import CodeArtifact, Decision, Task, TaskPlan, Verdict
-from uplift.pipeline import PipelineConfig, PipelineMode
+from uplift.model import CodeArtifact, Decision, Task, TaskPlan, Verdict, parse_requirements
+from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, run_pipeline
 from uplift.transcript import Transcript
 
 from conftest import ACCEPT_REPLY, CODE_REPLY, PLAN_REPLY, REVISE_REPLY, SECTIONS_REPLY, seq
@@ -109,13 +109,26 @@ class TestTemplates:
         library = PromptLibrary(tmp_path / "prompts")
         assert library.render("finalizer", task="t", feedback="f") == "Fix: t"
 
-    def test_unfilled_placeholder_is_an_error(self, tmp_path):
-        shutil.copytree(DEFAULT_PROMPT_DIR, tmp_path / "prompts")
-        (tmp_path / "prompts" / "finalizer.txt").write_text("hello {{task}}", encoding="utf-8")
-        library = PromptLibrary(tmp_path / "prompts")
-        with pytest.raises(ConfigError, match=r"^no value for placeholder \{\{task\}\}$"):
-            library.render("finalizer")
-        assert library.render("finalizer", task="world") == "hello world"
+    def test_every_caller_fills_every_placeholder_of_its_role(self, tmp_path, original_code):
+        # render trusts its callers: over a run through every role, templates
+        # that name every placeholder of their role render with none left.
+        prompts = tmp_path / "prompts"
+        prompts.mkdir()
+        for name, placeholders in TEMPLATE_PLACEHOLDERS.items():
+            text = name + "".join(f" {{{{{p}}}}}" for p in sorted(placeholders))
+            (prompts / f"{name}.txt").write_text(text, encoding="utf-8")
+        one_task = "TASK 1: Fix ORM access"
+        backend = seq(one_task, one_task, SECTIONS_REPLY, CODE_REPLY, REVISE_REPLY, CODE_REPLY, ACCEPT_REPLY)
+        transcript = Transcript("t")
+        config = PipelineConfig(PipelineMode.SYSTEM_MANAGER, backend, prompts=PromptLibrary(prompts))
+        outcome = run_pipeline(original_code, parse_requirements("Requirement1: x"), config, transcript=transcript)
+        assert outcome.status is RunStatus.COMPLETED and outcome.finalizer_invocations == 1
+        systems = [entry.request.messages[0].content for entry in transcript.entries]
+        assert [s.split(" ", 1)[0] for s in systems] == [
+            "manager", "manager_confirm", "prompt_maker", "executor", "verifier", "finalizer", "verifier"
+        ]
+        assert not any("{{" in s for s in systems)
+        assert systems[5] == "finalizer first() not used on the ORM object Fix ORM access"
 
     def test_missing_template_dir(self, tmp_path):
         with pytest.raises(ConfigError, match=r"^missing prompt template .*manager\.txt$"):
@@ -250,13 +263,6 @@ class TestExecute:
         assert original_code.content in user
         assert user.rstrip().endswith(RETURN_ONLY_CODE)
 
-    def test_empty_input_rejected_before_backend(self, original_code):
-        ctx = ctx_with(seq(CODE_REPLY))
-        empty = CodeArtifact("")
-        with pytest.raises(ValueError):
-            execute(ctx, a_task(), self.spec(), empty)
-        assert ctx.transcript.entries == []
-
 
 class TestVerify:
     def test_accept(self, original_code):
@@ -334,12 +340,6 @@ class TestFinalize:
     def test_reply_without_code_fails_generation(self):
         with pytest.raises(FailedGeneration):
             finalize(ctx_with(seq("cannot do")), a_task(), executor_artifact(), "fb", 1)
-
-    def test_empty_feedback_rejected_before_backend(self):
-        ctx = ctx_with(seq(CODE_REPLY))
-        with pytest.raises(ValueError):
-            finalize(ctx, a_task(), executor_artifact(), "   ", 1)
-        assert ctx.transcript.entries == []
 
 
 class TestParserProperties:

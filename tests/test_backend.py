@@ -164,7 +164,7 @@ class TestLoadScript:
         assert "\\ud800" in path.read_text()
         with pytest.raises(ConfigError) as exc:
             load_script(path)
-        assert str(exc.value) == f"{path}: entry 0: response holds a lone surrogate escape"
+        assert str(exc.value) == f"{path}: entry 0: response content must be a str with no lone surrogate"
 
     def test_readme_example_replays_in_order(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -188,7 +188,7 @@ class TestLoadScript:
     def test_non_string_values_rejected(self, tmp_path, entry):
         path = tmp_path / "s.json"
         path.write_text(json.dumps([entry]))
-        with pytest.raises(ConfigError, match=r"^.*: entry 0: response must be a string$"):
+        with pytest.raises(ConfigError, match=r"^.*: entry 0: response content must be a str with no lone surrogate$"):
             load_script(path)
 
 

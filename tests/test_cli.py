@@ -622,6 +622,24 @@ class TestBench:
         assert len(index) == 11  # header + 10 rows
         assert index[1].startswith("run-001,completed,")
 
+    @pytest.mark.parametrize("cwd, case_dir", [("case_view", "."), ("case_view/sub", ".."), (".", "latest")])
+    def test_a_case_dir_writes_under_its_resolved_name(self, workdir, monkeypatch, capsys, cwd, case_dir):
+        (workdir / "case_view/sub").mkdir()
+        (workdir / "latest").symlink_to("case_view")
+        monkeypatch.chdir(workdir / cwd)
+        # Run files of another bench where out/ and ./ stand: none is another case's to delete.
+        for keep in (Path("run-002.jsonl"), Path("out/run-002.jsonl")):
+            keep.parent.mkdir(exist_ok=True)
+            keep.write_text("{}\n", encoding="utf-8")
+        argv = ["bench", case_dir, "--script", str(workdir / "case_view/script.json"), "--reps", "1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"1 runs (0 failed) -> {Path('out/case_view/index.csv')}\n"
+        assert sorted(p.name for p in Path("out/case_view").iterdir()) == [
+            "index.csv", "run-001.jsonl", "run-001.updated.php"
+        ]
+        assert Path("run-002.jsonl").is_file() and Path("out/run-002.jsonl").is_file()
+        assert sorted(p.name for p in Path("out").iterdir()) == ["case_view", "run-002.jsonl"]
+
     def test_bad_case_dir_exits_2(self, workdir, capsys):
         assert main(["bench", "missing_case", "--script", "case_view/script.json"]) == 2
         assert capsys.readouterr().err == "error: case directory not found: missing_case\n"
@@ -638,7 +656,7 @@ class TestBench:
         write_script(workdir / "s.json", [{"match": "sequence", "response": 5}])
         assert main(["bench", "case_view", "--script", "s.json", "--reps", "1"]) == 2
         err = capsys.readouterr().err
-        assert "response must be a string" in err and "Traceback" not in err
+        assert "entry 0: response content must be a str" in err and "Traceback" not in err
         assert not (workdir / "out").exists()
 
     def test_substring_script_exits_2_before_output(self, workdir, capsys):
@@ -653,7 +671,7 @@ class TestBench:
         write_script(workdir / "s.json", [{"response": "```php\n<?php echo 1; // \ud800\n```"}])
         assert main(["bench", "case_view_zsl", "--mode", "baseline_zsl", "--script", "s.json"]) == 2
         err = capsys.readouterr().err
-        assert "entry 0: response holds a lone surrogate escape" in err and "Traceback" not in err
+        assert "entry 0: response content must be a str with no lone surrogate" in err and "Traceback" not in err
         assert not (workdir / "out").exists()
 
     def test_lone_surrogate_config_value_exits_2_before_output(self, workdir, capsys):

@@ -14,7 +14,7 @@ from uplift.model import (
     CodeArtifact,
     Decision,
     RequirementSet,
-    Task,
+    TaskPlan,
     Verdict,
     count_loc,
     extract_code,
@@ -166,14 +166,20 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="^requirement text must be non-empty and stripped$"):
             RequirementSet(texts)
 
-    @pytest.mark.parametrize(
-        "ordinal, description, message",
-        [(0, "x", "^task ordinal must be positive, got 0$"), (1, "  ", "^task description must be non-empty$")],
-        ids=["ordinal", "description"],
-    )
-    def test_task_needs_a_positive_ordinal_and_a_description(self, ordinal, description, message):
-        with pytest.raises(ValueError, match=message):
-            Task(ordinal, description)
+    def test_task_plan_needs_a_task(self):
+        with pytest.raises(ValueError, match="^a TaskPlan must contain at least one task$"):
+            TaskPlan(())
+
+    @pytest.mark.parametrize("descriptions", [("",), ("  ",), (" x",), ("x\n",), ("a", "")], ids=repr)
+    def test_task_plan_rejects_an_empty_or_unstripped_description(self, descriptions):
+        with pytest.raises(ValueError, match="^task text must be non-empty and stripped$"):
+            TaskPlan(descriptions)
+
+    @given(st.lists(st.sampled_from(["TASK 1:", "x", " ", "\t", "\n", "\x1c", "\x85", "\u2028", "\xa0"])).map("".join))
+    def test_task_lines_always_make_a_plan(self, text):
+        # The manager's reply parser yields only what TaskPlan accepts.
+        descriptions = tuple(agents.parse_task_lines(text))
+        assert not descriptions or TaskPlan(descriptions).descriptions == descriptions
 
     def test_revise_verdict_needs_feedback(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,9 @@ import pytest
 from uplift.agents import DEFAULT_PROMPT_DIR, AgentContext, PromptLibrary
 from uplift.evaluation import run_bench
 from uplift.model import CodeArtifact, Task, extract_code, parse_requirements
-from uplift.pipeline import PipelineConfig, PipelineMode, RunOutcome, RunStatus, build_plan, run_pipeline
+from uplift.pipeline import (
+    BASELINE_MODES, PipelineConfig, PipelineMode, RunOutcome, RunStatus, build_plan, run_pipeline,
+)
 from uplift.transcript import (
     Transcript,
     TranscriptEntry,
@@ -288,6 +290,18 @@ class TestFailures:
         assert outcome.status is RunStatus.FAILED_GENERATION
         assert outcome.failure == "PlanParseError: manager reply contained no TASK lines after a re-ask"
         assert outcome.task_count == 0
+
+
+class TestInputCheck:
+    @pytest.mark.parametrize("mode", list(PipelineMode))
+    @pytest.mark.parametrize("content", ["", " \n\t\u2028"], ids=repr)
+    def test_a_file_with_no_non_blank_line_is_rejected_before_any_call(self, two_requirements, mode, content):
+        backend = seq(CODE_REPLY)
+        spec = "Update the file." if mode in BASELINE_MODES else two_requirements
+        transcript = Transcript("r1")
+        with pytest.raises(ValueError, match="^the source file has no non-blank line$"):
+            run_pipeline(CodeArtifact(content), spec, config(backend, mode), transcript=transcript)
+        assert transcript.entries == [] and backend._next == 0
 
 
 class TestBaseline:

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uplift.backend import ChatMessage, ChatRequest, Role, utf8_encodable
+from uplift.backend import ChatMessage, ChatRequest, ChatResponse, Role, load_script, utf8_encodable
+from uplift.errors import ConfigError
 from uplift.evaluation import (
     ErrorCategory,
     RequirementScoreRecord,
@@ -33,19 +34,37 @@ req_text = st.text(
     max_size=40,
 ).filter(lambda s: s.strip())
 
+# Text weighted toward ASCII and lone surrogates, with any other character too.
+surrogate_text = st.text(
+    st.one_of(
+        st.characters(max_codepoint=127),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+        st.characters(),
+    )
+)
+
 
 class TestUtf8EncodableProperties:
-    @given(
-        st.text(
-            st.one_of(
-                st.characters(max_codepoint=127),
-                st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
-                st.characters(),
-            )
-        )
-    )
+    @given(surrogate_text)
     def test_matches_the_lone_surrogate_search(self, text):
         assert utf8_encodable(text) is (re.search("[\ud800-\udfff]", text) is None)
+
+
+class TestLoadScriptProperties:
+    @given(response=surrogate_text)
+    def test_a_response_loads_exactly_when_it_is_a_non_empty_reply(self, tmp_path_factory, response):
+        try:
+            ChatResponse(response)
+            reply = bool(response)
+        except ValueError:
+            reply = False
+        path = tmp_path_factory.getbasetemp() / "script.json"
+        path.write_text(json.dumps([{"response": response}]), encoding="utf-8")  # "\ud800" escapes
+        try:
+            loaded = load_script(path).replies == (response,)
+        except ConfigError:
+            loaded = False
+        assert loaded is reply
 
 
 class TestCountLocProperties:
