@@ -45,25 +45,14 @@ class ChatMessage:
     role: Role
     content: str
 
-    def __post_init__(self):
-        if not isinstance(self.role, Role) or not isinstance(self.content, str):
-            raise ValueError("a message's role must be a Role and its content a str")
-        if self.role in (Role.SYSTEM, Role.USER) and not self.content:
-            raise ValueError(f"{self.role.value} message content must be non-empty")
-
 
 @dataclass(frozen=True)
 class ChatRequest:
+    """What AgentContext.call sends: a system message first, each system and
+    user message non-empty, and the run's model. _ask and call, which build it, keep that."""
+
     messages: tuple[ChatMessage, ...]
     model: str
-
-    def __post_init__(self):
-        if not isinstance(self.model, str):
-            raise ValueError(f"model must be a str, not {type(self.model).__name__}")
-        if not self.messages or not all(isinstance(m, ChatMessage) for m in self.messages):
-            raise ValueError("a request needs at least one message, each a ChatMessage")
-        if self.messages[0].role is not Role.SYSTEM:
-            raise ValueError("the first message must have the system role")
 
     def to_payload(self) -> dict[str, Any]:
         return {
@@ -232,7 +221,11 @@ class HttpBackend:
             choice = body["choices"][0]
             reply = ChatResponse(content=choice["message"]["content"])
         except (KeyError, IndexError, TypeError, ValueError):
-            raise BackendExhausted(f"malformed completion body: {json.dumps(body)[:200]}") from None
+            try:
+                shown = json.dumps(body)[:200]
+            except (TypeError, ValueError, RecursionError):  # bytes, a cycle, deep nesting
+                shown = f"a {type(body).__name__} that JSON cannot encode"
+            raise BackendExhausted(f"malformed completion body: {shown}") from None
         if (reason := choice.get("finish_reason")) in ("length", "content_filter"):
             raise BackendExhausted(f"incomplete reply: finish_reason {reason!r}")
         return reply

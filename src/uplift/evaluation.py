@@ -396,7 +396,8 @@ def run_bench(
     parallelism: int = 1,
 ) -> list[RunOutcome]:
     """Repeat a case `repetitions` times, persisting one transcript and (for
-    completed runs) one updated file per run. The run files of an earlier
+    completed runs) one updated file per run. The outcomes carry no
+    final_code: the updated file holds it. The run files of an earlier
     bench into out_dir beyond `repetitions` are deleted.
 
     backend_factory(i) supplies the backend of 1-based repetition i. Without
@@ -428,7 +429,8 @@ def run_bench(
         elif isinstance(backend, ScriptedBackend):
             backend = ScriptedBackend(backend.replies)
         run_config = replace(config, backend=backend)
-        return run_once(code, spec, run_config, f"run-{i:03d}", out_path, original_path.suffix)
+        outcome = run_once(code, spec, run_config, f"run-{i:03d}", out_path, original_path.suffix)
+        return replace(outcome, final_code=None)
 
     indexes = range(1, repetitions + 1)
     if parallelism > 1:

@@ -111,20 +111,14 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class RunOutcome(RunRecord):
-    """A live run: its record, plus the code and counts its transcript summary holds."""
+    """A live run: its record, plus the code and counts its transcript summary holds.
+    run_pipeline sets failure exactly when the run failed, and final_code only when it completed."""
 
     final_code: CodeArtifact | None
     task_count: int
     finalizer_invocations: int
     # "<Type>: <message>" of the exception that ended a failed run; None on a completed one.
     failure: str | None = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        if (self.status is RunStatus.FAILED_GENERATION) is (self.failure is None):
-            raise ValueError("a run carries a failure exactly when it failed")
-        if self.failure is not None and self.final_code is not None:
-            raise ValueError("a failed run cannot carry final code")
 
 
 def build_plan(ctx: AgentContext, requirements: RequirementSet, mode: PipelineMode) -> TaskPlan:

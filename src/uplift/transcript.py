@@ -99,17 +99,14 @@ class Transcript:
 
     def record(self, agent: str, request: ChatRequest, **fields: Any) -> TranscriptEntry:
         """Append an exchange as the next step; `fields` are its other TranscriptEntry fields.
-        The request is the ChatRequest sent, whose checks keep to_line valid; any other is a ValueError."""
-        if not isinstance(request, ChatRequest):
-            raise ValueError(f"a transcript request is a ChatRequest, not {type(request).__name__}")
+        The request is the ChatRequest that AgentContext.call built and sent."""
         entry = TranscriptEntry(len(self.entries) + 1, agent, request, **fields)
         self.entries.append(entry)
         return entry
 
     def annotate_last(self, *flags: str) -> None:
-        """Attach flags to the most recent exchange (parser fallbacks etc.)."""
-        if not self.entries:
-            raise ValueError("no exchange to annotate")
+        """Attach flags to the most recent exchange (parser fallbacks etc.).
+        _ask calls it only after a call has recorded one."""
         self.entries[-1].flags.update(flags)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uplift
@@ -31,11 +31,11 @@ from uplift.errors import (
     ScriptExhausted,
 )
 from uplift.evaluation import run_bench, run_once
-from uplift.pipeline import PipelineConfig, PipelineMode, RunStatus, run_pipeline
-from uplift.model import CodeArtifact
+from uplift.pipeline import PipelineConfig, PipelineMode, RunOutcome, RunStatus, run_pipeline
+from uplift.model import CodeArtifact, extract_code, parse_requirements
 from uplift.transcript import Transcript, dump_record
 
-from conftest import ACCEPT_REPLY, CODE_REPLY, SECTIONS_REPLY, FakeTransport, run_records, seq
+from conftest import ACCEPT_REPLY, CODE_REPLY, REVISE_REPLY, SECTIONS_REPLY, FakeTransport, run_records, seq
 
 
 def request_with(user: str = "hello") -> ChatRequest:
@@ -43,32 +43,8 @@ def request_with(user: str = "hello") -> ChatRequest:
 
 
 class TestChatTypes:
-    def test_first_message_must_be_system(self):
-        with pytest.raises(ValueError):
-            ChatRequest(messages=(ChatMessage(Role.USER, "hi"),), model="m")
-
-    def test_messages_must_be_non_empty(self):
-        with pytest.raises(ValueError):
-            ChatRequest(messages=(), model="m")
-
-    def test_system_and_user_content_non_empty(self):
-        with pytest.raises(ValueError):
-            ChatMessage(Role.USER, "")
-        ChatMessage(Role.ASSISTANT, "")  # assistant may be empty
-
     def test_payload_omits_unset_sampling_fields(self):
         assert set(request_with().to_payload()) == {"model", "messages"}
-
-    # A plain str role is rejected too: the payload writes a Role's value.
-    @pytest.mark.parametrize("role, content", [(Role.USER, None), (Role.ASSISTANT, 5), (1, "hi"), ("user", "hi")])
-    def test_message_role_and_content_are_checked(self, role, content):
-        with pytest.raises(ValueError, match="^a message's role must be a Role and its content a str$"):
-            ChatMessage(role, content)
-
-    @pytest.mark.parametrize("model", [None, 4, b"m"])
-    def test_model_must_be_a_str(self, model):
-        with pytest.raises(ValueError, match="^model must be a str, not "):
-            ChatRequest(messages=(ChatMessage(Role.SYSTEM, "sys"),), model=model)
 
     @pytest.mark.parametrize("content", [5, None, b"x", "\ud800"], ids=repr)
     def test_response_content_must_be_a_str_a_transcript_can_hold(self, content):
@@ -615,6 +591,71 @@ class TestCompletionBodyFuzz:
         assert response == ChatResponse(expected)
 
 
+# One transport attempt: an OSError, or any status with any JSON value as its body.
+attempts = st.builds(OSError, st.text(max_size=10)) | st.tuples(
+    st.sampled_from([200, 400, 429, 500, 503]) | st.integers(100, 599), completion_bodies() | json_values
+)
+# The spec, and the replies of a completed run, of each mode the property drives.
+WHOLE_RUNS = {
+    PipelineMode.BASELINE_ZSL: ("Upgrade the code.", (CODE_REPLY,)),
+    PipelineMode.SYSTEM_SINGLE_TASK: (
+        parse_requirements("Requirement1: Upgrade the code."),
+        (SECTIONS_REPLY, CODE_REPLY, REVISE_REPLY, CODE_REPLY, ACCEPT_REPLY),
+    ),
+}
+
+
+@st.composite
+def endpoint_attempts(draw, mode):
+    """What an endpoint returns, attempt by attempt: each reply a completed run
+    needs, or a drawn one, as a 200 body with any finish_reason; each after
+    up to two drawn attempts."""
+    drawn = []
+    for reply in WHOLE_RUNS[mode][1]:
+        drawn += draw(st.lists(attempts, max_size=2))
+        choice = {"message": {"content": draw(st.just(reply) | st.just(reply) | replies)}}
+        drawn.append((200, {"choices": [{**choice, "finish_reason": draw(finish_reasons)}]}))
+    return drawn
+
+
+class TestWholeRunThroughAnyEndpoint:
+    @pytest.mark.parametrize("mode", list(WHOLE_RUNS), ids=lambda m: m.value)
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_a_run_ends_recorded_whatever_the_endpoint_returns(self, tmp_path_factory, mode, data):
+        pending = iter(data.draw(endpoint_attempts(mode)))
+
+        def transport(endpoint, payload, api_key, timeout):
+            attempt = next(pending, None)
+            if attempt is None or isinstance(attempt, OSError):
+                raise attempt or OSError("connection refused")
+            return attempt
+
+        backend = HttpBackend("http://x", transport=transport, sleep=lambda _: None)
+        config = PipelineConfig(mode=mode, backend=backend)
+        out = tmp_path_factory.mktemp("run")
+        with mock.patch.dict(os.environ, {"LLM_API_KEY": "k"}):
+            outcome = run_once(CodeArtifact("<?php echo 1;"), WHOLE_RUNS[mode][0], config, "run-001", out, ".php")
+        assert isinstance(outcome, RunOutcome)
+        assert (outcome.failure is None) is (outcome.status is RunStatus.COMPLETED)
+        assert outcome.failure is None or outcome.final_code is None
+        lines = (out / "run-001.jsonl").read_text(encoding="utf-8").split("\n")
+        assert lines.pop() == ""
+        *exchanges, summary = [json.loads(line) for line in lines]
+        assert lines == [dump_record(record) for record in (*exchanges, summary)]
+        assert (summary["record"], summary["status"], summary["failure"]) == (
+            "summary", outcome.status.value, outcome.failure
+        )
+        for exchange in exchanges:
+            request = dump_record(exchange["request"])
+            assert exchange["request_digest"] == sha256(request.encode("utf-8")).hexdigest()
+            response = exchange["response"]
+            assert exchange["response_digest"] == ("" if response is None else sha256(response.encode()).hexdigest())
+        if outcome.final_code is not None:  # the code of the last whole reply that carried a file
+            code = [e["response"] for e in exchanges if e["agent"] in ("baseline", "executor", "finalizer")][-1]
+            assert outcome.final_code.content == extract_code(code)
+
+
 def test_each_exchange_records_the_payload_posted(monkeypatch, two_requirements, tmp_path):
     # Quotes, a backslash, a tab and non-ASCII text: each must be written as json writes it.
     code = CodeArtifact('<?php echo "caf\u00e9 \\ \t \u2028 \U0001f600"; ?>')
@@ -630,6 +671,19 @@ def test_each_exchange_records_the_payload_posted(monkeypatch, two_requirements,
     for line, payload in zip(lines, transport.payloads):
         posted = dump_record(payload)
         assert f'"request": {posted}, "request_digest": "{sha256(posted.encode()).hexdigest()}"' in line
+
+
+def cyclic_body():
+    body = {}
+    body["choices"] = body
+    return body
+
+
+def deeply_nested_body():
+    body = []
+    for _ in range(100_000):
+        body = [body]
+    return body
 
 
 class TestNullContentRun:
@@ -723,6 +777,21 @@ class TestNullContentRun:
         *exchanges, summary = run_records(tmp_path / "run-001.jsonl")
         assert [e["error"] for e in exchanges] == [summary["failure"]] == [outcome.failure]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run-001.jsonl"]
+
+    # Bodies an injected transport can return and json.dumps cannot encode.
+    @pytest.mark.parametrize(
+        "make_body, kind",
+        [(cyclic_body, "dict"), (lambda: {"choices": b"x"}, "dict"), (deeply_nested_body, "list")],
+        ids=["cycle", "bytes", "deep"],
+    )
+    def test_a_body_json_cannot_encode_is_named_by_its_type(self, monkeypatch, tmp_path, make_body, kind):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        backend = HttpBackend("http://x", transport=FakeTransport((200, make_body())), sleep=lambda _: None)
+        config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=backend)
+        outcome = run_once(CodeArtifact("<?php echo 1;"), "Upgrade the code.", config, "run-001", tmp_path, ".php")
+        assert outcome.failure == f"BackendExhausted: malformed completion body: a {kind} that JSON cannot encode"
+        *exchanges, summary = run_records(tmp_path / "run-001.jsonl")
+        assert [e["error"] for e in exchanges] == [summary["failure"]] == [outcome.failure]
 
     def test_bench_returns_every_outcome(self, monkeypatch, fixtures_dir, tmp_path):
         monkeypatch.setenv("LLM_API_KEY", "k")

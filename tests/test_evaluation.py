@@ -27,7 +27,7 @@ from uplift.evaluation import (
 )
 from uplift.pipeline import PipelineConfig, PipelineMode, RunRecord, RunStatus
 
-from conftest import run_records
+from conftest import run_records, seq
 
 
 def brute_force_sd(values):
@@ -405,6 +405,14 @@ class TestRunBench:
         for outcome in outcomes:
             *exchanges, _summary = run_records(tmp_path / f"{outcome.run_id}.jsonl")
             assert [e["response"] for e in exchanges] == list(backend.replies)
+
+    def test_outcomes_hold_no_code_the_updated_files_hold_it(self, fixtures_dir, tmp_path):
+        code = "<?php echo $this->Html->link('x'); ?>"
+        config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=seq(f"```php\n{code}\n```"))
+        outcomes = run_bench(fixtures_dir / "case_view_zsl", config, 3, out_dir=tmp_path)
+        assert [(o.status, o.loc, o.final_code) for o in outcomes] == [(RunStatus.COMPLETED, 1, None)] * 3
+        for i in (1, 2, 3):
+            assert (tmp_path / f"run-00{i}.updated.php").read_text(encoding="utf-8") == code + "\n"
 
     def test_zero_repetitions_rejected(self, fixtures_dir, tmp_path):
         case = fixtures_dir / "case_view"
