@@ -21,7 +21,7 @@ from .backend import DEFAULT_MODEL, HttpBackend, load_script, utf8_encodable
 from .errors import ConfigError, DanglingReference, PlanParseError, UpliftError
 from .evaluation import (
     aggregate, check_label, check_parallelism, check_repetitions, emit_report, ingest_ledger,
-    ingest_replaced_functions, ingest_scores, load_spec, read_bench_index, report_rows, run_bench, run_once,
+    ingest_replaced_functions, ingest_scores, load_spec, read_bench_index, run_bench, run_once,
     write_bench_index,
 )
 from .model import artifact_from_file, load_json, load_requirements
@@ -198,8 +198,7 @@ def cmd_report(args: argparse.Namespace, config: dict[str, Any]) -> int:
     metrics = aggregate(records, errors, scores, args.label, replaced_functions=replaced)
     out_dir = Path(args.out) if args.out else case_out
     out_dir.mkdir(parents=True, exist_ok=True)
-    emit_report([metrics], out_dir / "report.csv")
-    (row,) = report_rows([metrics])
+    (row,) = emit_report([metrics], out_dir / "report.csv")
     print(" ".join(f"{name}={_line_cell(cell)}" for name, cell in row.items() if cell))
     return EXIT_OK
 

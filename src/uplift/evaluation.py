@@ -14,6 +14,7 @@ import io
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -39,6 +40,9 @@ T = TypeVar("T")
 
 # A run with more distinct mistakes than this counts as failed.
 FAILED_ERROR_THRESHOLD = 7
+# The highest requirement index a score may cite: a report has one column per
+# index up to the highest, so one row must not ask for millions.
+MAX_REQUIREMENT_INDEX = 1000
 check_repetitions = at_least(1)
 check_parallelism = at_least(1)
 
@@ -97,6 +101,8 @@ class RequirementScoreRecord:
     def __post_init__(self):
         if self.requirement_index < 1:
             raise ValueError("requirement_index must be positive")
+        if self.requirement_index > MAX_REQUIREMENT_INDEX:
+            raise ValueError(f"requirement_index must be at most {MAX_REQUIREMENT_INDEX}")
         if self.value not in (0, 1):
             raise ValueError("value must be 0 or 1")
 
@@ -133,10 +139,15 @@ def population_sd(values: Sequence[float]) -> float:
     return statistics.pstdev(sorted(values))
 
 
-def _mean(values: Sequence[float]) -> float:
+def _mean(values: Sequence[float], figure: str = "mean") -> float:
+    """statistics.fmean's sum and divide, of the sorted values; 0.0 for none.
+    A sum beyond a float raises ValueError naming the figure."""
     if not values:
         return 0.0
-    return math.fsum(sorted(values)) / len(values)  # statistics.fmean's sum and divide
+    try:
+        return math.fsum(sorted(values)) / len(values)
+    except OverflowError as exc:
+        raise ValueError(f"{figure} overflows a float: {exc}") from None
 
 
 def _numbered_rows(stream: TextIO, source: str) -> Iterator[tuple[int, list[str]]]:
@@ -278,68 +289,47 @@ def aggregate(
     score_map = {(s.run_id, s.requirement_index): s.value for s in scores}
     if len(score_map) != len(scores):
         raise ValueError("duplicate (run_id, requirement_index) among scores")
-    for collection, kind in ((errors, "error"), (scores, "score")):
-        for item in collection:
-            if item.run_id not in known:
-                raise DanglingReference(f"{kind} record cites unknown run_id {item.run_id!r}")
-    for run_id in replaced_functions or {}:
+    cited = [
+        *(("error record", err.run_id) for err in errors),
+        *(("score record", score.run_id) for score in scores),
+        *(("replaced-functions row", run_id) for run_id in replaced_functions or {}),
+    ]
+    for kind, run_id in cited:
         if run_id not in known:
-            raise DanglingReference(f"replaced-functions row cites unknown run_id {run_id!r}")
+            raise DanglingReference(f"{kind} cites unknown run_id {run_id!r}")
 
     errors = _first_per_mistake(errors)  # one mistake counts once, as in read_ledger
-    distinct: dict[str, set[str]] = {}
-    for err in errors:
-        distinct.setdefault(err.run_id, set()).add(err.mistake_id)
+    mistakes = Counter(err.run_id for err in errors)
+    completed = [
+        r for r in records
+        if r.status is not RunStatus.FAILED_GENERATION and mistakes[r.run_id] <= FAILED_ERROR_THRESHOLD
+    ]
+    error_counts = [mistakes[r.run_id] for r in completed]
 
-    def is_failed(rec: RunRecord) -> bool:
-        return (
-            rec.status is RunStatus.FAILED_GENERATION
-            or len(distinct.get(rec.run_id, ())) > FAILED_ERROR_THRESHOLD
-        )
-
-    completed = [r for r in records if not is_failed(r)]
-    completed_ids = {r.run_id for r in completed}
-    error_counts = [len(distinct.get(r.run_id, ())) for r in completed]
-
+    # Each completed run's 0/1 score of every requirement index; a failed run scores 0 on each.
     indices = range(1, max((s.requirement_index for s in scores), default=0) + 1)
-    requirement_means: tuple[float, ...] | None = None
-    requirement_total: float | None = None
-    if scores:
-        means = []
-        for index in indices:
-            values = [
-                score_map.get((r.run_id, index), 0) if r.run_id in completed_ids else 0
-                for r in records
-            ]
-            means.append(_mean(values))
-        requirement_means = tuple(means)
-        requirement_total = sum(requirement_means)
+    passed = [[score_map.get((r.run_id, i), 0) for i in indices] for r in completed]
+    failed = [[0] * len(indices)] * (len(records) - len(completed))
+    requirement_means = tuple(map(_mean, zip(*passed, *failed))) if scores else None
 
-    def fully_correct(rec: RunRecord) -> bool:
-        if distinct.get(rec.run_id):
-            return False
-        return all(score_map.get((rec.run_id, i), 0) == 1 for i in indices)
-
-    category_counts = {category: 0 for category in ErrorCategory}
-    for err in errors:
-        category_counts[err.category] += 1
+    categories = Counter(err.category for err in errors)
 
     mean_rf: float | None = None
     if replaced_functions is not None:
-        mean_rf = _mean([replaced_functions.get(r.run_id, 0) for r in completed])
+        mean_rf = _mean([replaced_functions.get(r.run_id, 0) for r in completed], "mean_replaced_functions")
 
     return AggregateMetrics(
         method_label=label,
         mean_errors=_mean(error_counts),
         sd_errors=population_sd(error_counts) if error_counts else 0.0,
-        mean_loc=_mean([r.loc for r in completed]),
-        mean_duration_seconds=_mean([r.duration_seconds for r in completed]),
+        mean_loc=_mean([r.loc for r in completed], "mean_loc"),
+        mean_duration_seconds=_mean([r.duration_seconds for r in completed], "mean_duration_seconds"),
         runs_total=len(records),
         runs_failed=len(records) - len(completed),
-        fully_correct_runs=sum(1 for r in completed if fully_correct(r)),
-        category_counts=category_counts,
+        fully_correct_runs=sum(1 for r, row in zip(completed, passed) if not mistakes[r.run_id] and all(row)),
+        category_counts={category: categories[category] for category in ErrorCategory},
         requirement_means=requirement_means,
-        requirement_total=requirement_total,
+        requirement_total=None if requirement_means is None else sum(requirement_means),
         mean_replaced_functions=mean_rf,
     )
 
@@ -497,9 +487,9 @@ def report_rows(metrics: Sequence[AggregateMetrics]) -> list[dict[str, str]]:
     return rows
 
 
-def emit_report(metrics: Sequence[AggregateMetrics], path: str | Path) -> None:
+def emit_report(metrics: Sequence[AggregateMetrics], path: str | Path) -> list[dict[str, str]]:
     """Write report.csv, one report_rows row per aggregate, plus the
-    category-count JSON sidecar.
+    category-count JSON sidecar, and return the rows.
 
     Deterministic: identical metrics re-emit byte-identical files.
     """
@@ -521,3 +511,4 @@ def emit_report(metrics: Sequence[AggregateMetrics], path: str | Path) -> None:
         for m in metrics
     }
     sidecar.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return rows

@@ -97,12 +97,10 @@ class Transcript:
         self.run_id = run_id
         self.entries: list[TranscriptEntry] = []
 
-    def record(self, agent: str, request: ChatRequest, **fields: Any) -> TranscriptEntry:
+    def record(self, agent: str, request: ChatRequest, **fields: Any) -> None:
         """Append an exchange as the next step; `fields` are its other TranscriptEntry fields.
         The request is the ChatRequest that AgentContext.call built and sent."""
-        entry = TranscriptEntry(len(self.entries) + 1, agent, request, **fields)
-        self.entries.append(entry)
-        return entry
+        self.entries.append(TranscriptEntry(len(self.entries) + 1, agent, request, **fields))
 
     def annotate_last(self, *flags: str) -> None:
         """Attach flags to the most recent exchange (parser fallbacks etc.).

@@ -1015,6 +1015,7 @@ class TestReport:
             ("rf", "run-001,5", "repeats row 2's key 'run-001'"),
             ("index", "run-001,completed,1.000,3", "repeats row 2's key 'run-001'"),
             ("scores", "run-001,0,1", "requirement_index must be positive"),
+            ("scores", "run-001,1001,1", "requirement_index must be at most 1000"),
         ],
     )
     def test_bad_row_exits_2_naming_its_row(self, workdir, capsys, name, row, message):
@@ -1025,6 +1026,38 @@ class TestReport:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: row 4: {paths[name]}: {message}\n"
         assert not (out_dir / "report.csv").exists()
+
+    def test_a_score_at_the_highest_index_is_reported(self, workdir, capsys):
+        out_dir = self.bench(workdir, reps=2)
+        paths, argv = self.write_inputs(workdir, out_dir)
+        with open(paths["scores"], "a", encoding="utf-8") as fh:
+            fh.write("run-001,1000,1\n")
+        assert main(argv) == 0
+        header = (out_dir / "report.csv").read_text(encoding="utf-8").splitlines()[0].split(",")
+        assert header.count("requirement_mean_1000") == 1 and "requirement_mean_1001" not in header
+        assert "requirement_mean_1000=0.500" in capsys.readouterr().out.split()
+
+    # Each input whose mean leaves a float's range: one huge loc, two
+    # durations whose sum passes the largest float, one huge --rf count.
+    @pytest.mark.parametrize(
+        "name, rows, figure",
+        [
+            ("index", ["run-001,completed,1.000,1" + "0" * 400, "run-002,completed,1.000,3"], "mean_loc"),
+            ("index", ["run-001,completed,1e308,3", "run-002,completed,1e308,3"], "mean_duration_seconds"),
+            ("rf", ["run-001,1" + "0" * 400, "run-002,1"], "mean_replaced_functions"),
+        ],
+    )
+    def test_an_overflowing_mean_exits_2_naming_it(self, workdir, capsys, name, rows, figure):
+        out_dir = self.bench(workdir, reps=2)
+        paths, argv = self.write_inputs(workdir, out_dir)
+        header = paths[name].read_text(encoding="utf-8").splitlines()[0]
+        paths[name].write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {figure} overflows a float: ") and err.count("\n") == 1
+        assert not (out_dir / "report.csv").exists()
+        assert not (out_dir / "report.categories.json").exists()
 
     @pytest.mark.parametrize("name", ["ledger", "scores", "rf", "index"])
     def test_blank_rows_are_skipped(self, workdir, capsys, name):

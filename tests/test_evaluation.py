@@ -10,6 +10,7 @@ import pytest
 from uplift.backend import load_script
 from uplift.errors import ConfigError, DanglingReference
 from uplift.evaluation import (
+    MAX_REQUIREMENT_INDEX,
     ErrorCategory,
     ErrorRecord,
     RequirementScoreRecord,
@@ -166,6 +167,15 @@ class TestIngestScores:
         with pytest.raises(ConfigError, match=r"^row 2: .*: value must be 0 or 1$"):
             ingest_scores(path)
 
+    def test_requirement_index_is_capped(self, tmp_path):
+        assert RequirementScoreRecord("run-001", MAX_REQUIREMENT_INDEX, 1).requirement_index == 1000
+        with pytest.raises(ValueError, match="^requirement_index must be at most 1000$"):
+            RequirementScoreRecord("run-001", MAX_REQUIREMENT_INDEX + 1, 1)
+        path = tmp_path / "scores.csv"
+        path.write_text("run_id,requirement_index,value\nrun-001,1001,1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"^row 2: .*: requirement_index must be at most 1000$"):
+            ingest_scores(path)
+
 
 class TestIngestReplacedFunctions:
     def test_parse(self, tmp_path):
@@ -317,12 +327,41 @@ class TestAggregate:
 
     def test_dangling_references(self):
         outcomes = [completed("run-001")]
-        with pytest.raises(DanglingReference):
+        with pytest.raises(DanglingReference, match="^error record cites unknown run_id 'run-999'$"):
             aggregate(outcomes, [error("run-999", "m")], [], "x")
-        with pytest.raises(DanglingReference):
+        with pytest.raises(DanglingReference, match="^score record cites unknown run_id 'run-999'$"):
             aggregate(outcomes, [], [RequirementScoreRecord("run-999", 1, 1)], "x")
-        with pytest.raises(DanglingReference):
+        with pytest.raises(DanglingReference, match="^replaced-functions row cites unknown run_id 'run-999'$"):
             aggregate(outcomes, [], [], "x", replaced_functions={"run-999": 1})
+
+    def test_the_first_dangling_reference_is_named_errors_then_scores_then_replaced_functions(self):
+        outcomes = [completed("run-001")]
+        errors = [error("run-001", "m"), error("run-008", "m")]
+        scores = [RequirementScoreRecord("run-007", 1, 1)]
+        replaced = {"run-006": 1}
+        with pytest.raises(DanglingReference, match="^error record cites unknown run_id 'run-008'$"):
+            aggregate(outcomes, errors, scores, "x", replaced_functions=replaced)
+        with pytest.raises(DanglingReference, match="^score record cites unknown run_id 'run-007'$"):
+            aggregate(outcomes, errors[:1], scores, "x", replaced_functions=replaced)
+
+    # Each mean that can leave a float's range: a huge loc, two durations
+    # summing past the largest float, and a huge replaced-function count.
+    @pytest.mark.parametrize(
+        "outcomes, replaced, figure",
+        [
+            ([completed("run-001", loc=10**400)], None, "mean_loc"),
+            ([completed("run-001", duration=1e308), completed("run-002", duration=1e308)], None,
+             "mean_duration_seconds"),
+            ([completed("run-001")], {"run-001": 10**400}, "mean_replaced_functions"),
+        ],
+    )
+    def test_an_overflowing_mean_raises_value_error_naming_it(self, outcomes, replaced, figure):
+        with pytest.raises(ValueError, match=f"^{figure} overflows a float: "):
+            aggregate(outcomes, [], [], "x", replaced_functions=replaced)
+
+    def test_a_large_finite_mean_is_kept(self):
+        metrics = aggregate([completed("run-001", duration=1e308), completed("run-002", duration=0.0)], [], [], "x")
+        assert metrics.mean_duration_seconds == 5e307
 
     def test_mean_errors_equals_independent_recount(self):
         import random

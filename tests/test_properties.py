@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import random
 import re
 import statistics
+from fractions import Fraction
 from hashlib import sha256
 
 import pytest
@@ -16,7 +18,9 @@ from hypothesis import strategies as st
 from uplift.backend import ChatMessage, ChatRequest, ChatResponse, Role, load_script, utf8_encodable
 from uplift.errors import ConfigError
 from uplift.evaluation import (
+    FAILED_ERROR_THRESHOLD,
     ErrorCategory,
+    ErrorRecord,
     RequirementScoreRecord,
     _mean,
     aggregate,
@@ -248,6 +252,34 @@ class TestLedgerProperties:
         assert sum(metrics.category_counts.values()) == len(records)
 
 
+@st.composite
+def aggregate_inputs(draw):
+    """Completed and failed runs; a shuffled ledger with 0 to 10 distinct
+    mistakes per run, so some cross the threshold of 7, and some
+    (run_id, mistake_id) pairs repeated, maybe under another category;
+    scores over indices 1-6 with gaps; and maybe a replaced-functions map.
+    Durations are quarters, so every sum is exact."""
+    statuses = draw(st.lists(st.sampled_from(RunStatus), min_size=1, max_size=6))
+    outcomes = [
+        RunRecord(
+            f"run-{i:03d}", status, draw(st.integers(0, 4000)) / 4,
+            draw(st.integers(0, 10**6)) if status is RunStatus.COMPLETED else None,
+        )
+        for i, status in enumerate(statuses, start=1)
+    ]
+    errors = []
+    for r in outcomes:
+        mistakes = [f"m{i}" for i in range(draw(st.integers(0, 10)))]
+        repeats = draw(st.lists(st.sampled_from(mistakes), max_size=5)) if mistakes else []
+        errors += [ErrorRecord(r.run_id, m, draw(st.sampled_from(ErrorCategory)), "d") for m in mistakes + repeats]
+    errors = draw(st.permutations(errors))
+    run_ids = st.sampled_from([r.run_id for r in outcomes])
+    scored = draw(st.dictionaries(st.tuples(run_ids, st.integers(1, 6)), st.integers(0, 1), max_size=20))
+    scores = [RequirementScoreRecord(run_id, index, value) for (run_id, index), value in scored.items()]
+    replaced = draw(st.none() | st.dictionaries(run_ids, st.integers(0, 50)))
+    return outcomes, errors, scores, replaced
+
+
 class TestAggregateProperties:
     @given(ledger_rows, st.randoms(use_true_random=False))
     def test_permutation_invariance(self, rows, rng):
@@ -268,6 +300,54 @@ class TestAggregateProperties:
             rng.shuffle(pool)
         shuffled = aggregate(outcomes, records, scores, "x")
         assert base == shuffled
+
+    @given(aggregate_inputs())
+    def test_every_figure_equals_a_per_run_recount(self, inputs):
+        outcomes, errors, scores, replaced = inputs
+        metrics = aggregate(outcomes, errors, scores, "x", replaced_functions=replaced)
+
+        mistakes = {r.run_id: set() for r in outcomes}
+        first_category = {}
+        for e in errors:
+            mistakes[e.run_id].add(e.mistake_id)
+            first_category.setdefault((e.run_id, e.mistake_id), e.category)
+        done = [
+            r for r in outcomes
+            if r.status is RunStatus.COMPLETED and len(mistakes[r.run_id]) <= FAILED_ERROR_THRESHOLD
+        ]
+        counts = [len(mistakes[r.run_id]) for r in done]
+        score = {(s.run_id, s.requirement_index): s.value for s in scores}
+        indices = range(1, max((s.requirement_index for s in scores), default=0) + 1)
+
+        def exact_mean(values):  # every value here sums exactly, so one rounding
+            return float(Fraction(sum(values), len(values))) if values else 0.0
+
+        assert metrics.runs_total == len(outcomes)
+        assert metrics.runs_failed == len(outcomes) - len(done)
+        mean = exact_mean(counts)
+        assert metrics.mean_errors == mean
+        assert metrics.sd_errors == pytest.approx(
+            math.sqrt(sum((c - mean) ** 2 for c in counts) / len(counts)) if counts else 0.0, rel=1e-12, abs=1e-12
+        )
+        assert metrics.mean_loc == exact_mean([r.loc for r in done])
+        assert metrics.mean_duration_seconds == exact_mean([Fraction(r.duration_seconds) for r in done])
+        assert metrics.fully_correct_runs == sum(
+            1 for r in done if not mistakes[r.run_id] and all(score.get((r.run_id, i)) == 1 for i in indices)
+        )
+        assert metrics.category_counts == {
+            c: sum(1 for category in first_category.values() if category is c) for c in ErrorCategory
+        }
+        if scores:
+            means = tuple(
+                float(Fraction(sum(score.get((r.run_id, i), 0) for r in done), len(outcomes))) for i in indices
+            )
+            assert (metrics.requirement_means, metrics.requirement_total) == (means, sum(means))
+        else:
+            assert (metrics.requirement_means, metrics.requirement_total) == (None, None)
+        if replaced is None:
+            assert metrics.mean_replaced_functions is None
+        else:
+            assert metrics.mean_replaced_functions == exact_mean([replaced.get(r.run_id, 0) for r in done])
 
 
 # Every code point but surrogates, with the ones JSON escapes or that break
