@@ -24,7 +24,7 @@ from .evaluation import (
     ingest_replaced_functions, ingest_scores, load_spec, read_bench_index, run_bench, run_once,
     write_bench_index,
 )
-from .model import artifact_from_file, load_json, load_requirements
+from .model import artifact_from_file, load_json, load_requirements, number
 from .pipeline import (
     MAX_LOOP_ITERATIONS, PipelineConfig, PipelineMode, RunStatus, build_plan, check_max_loop_iterations,
     check_type,
@@ -58,8 +58,10 @@ class Setting:
 
     @property
     def argument(self) -> dict[str, Any]:
-        """add_argument's options for the flag."""
+        """add_argument's options for the flag. An int flag's value is read by
+        model.number, the rule of every whole number a user writes."""
         kind = getattr(self.type, "__args__", (self.type,))[0]  # str for str | None
+        kind = number if kind is int else kind
         return {"dest": self.key, "type": kind, "choices": self.choices or None, "help": self.help}
 
 

@@ -18,11 +18,11 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
+from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence, TextIO, TypeVar
 
 from .backend import Backend, ScriptedBackend, utf8_encodable
 from .errors import ConfigError, DanglingReference
-from .model import CodeArtifact, RequirementSet, artifact_from_file, load_requirements, read_text
+from .model import CodeArtifact, RequirementSet, artifact_from_file, load_requirements, number, read_text
 from .pipeline import (
     BASELINE_MODES, PipelineConfig, PipelineMode, RunOutcome, RunRecord, RunStatus, at_least, check_type,
     run_pipeline,
@@ -150,65 +150,55 @@ def _mean(values: Sequence[float], figure: str = "mean") -> float:
         raise ValueError(f"{figure} overflows a float: {exc}") from None
 
 
-def _numbered_rows(stream: TextIO, source: str) -> Iterator[tuple[int, list[str]]]:
-    """(N, cells) of each CSV row, from N = 1, for _read_csv."""
-    row_number = 0
-    try:
-        for row_number, row in enumerate(csv.reader(stream), start=1):
-            yield row_number, row
-    except csv.Error as exc:
-        raise ConfigError(f"row {row_number + 1}: {source}: {exc}") from None
-
-
 def _read_csv(
     stream: TextIO,
-    expected_header: list[str],
+    header: list[str],
     source: str,
-    parse: Callable[..., T],
+    record: Callable[..., T],
+    columns: Sequence[Callable[[str], object]],
     key: Callable[[T], Hashable] | None = None,
     runs: Collection[str] | None = None,
 ) -> list[T]:
-    """parse(*stripped cells) of each non-blank row, in order. A bad header
-    is a ConfigError naming the source. A row with the wrong number of
-    fields, a ValueError from parse, or a key(record) that repeats an
-    earlier row's is a ConfigError starting "row N: <source>: ". So is the
-    ConfigError of a row csv cannot read, such as one over the field limit
-    (process-wide, so left as it is). A DanglingReference from parse, or of
-    a row whose run_id, its first cell, is not in runs when runs is given,
-    gets the same start."""
-    rows = _numbered_rows(stream, source)
-    _, header = next(rows, (1, None))
-    if header is None:
-        raise ConfigError(f"{source}: empty file, expected header {','.join(expected_header)}")
-    if [h.strip() for h in header] != expected_header:
-        raise ConfigError(
-            f"{source}: bad header {','.join(header)!r}, expected {','.join(expected_header)}"
-        )
+    """record(*cells) of each non-blank row, in order, each cell read by its
+    column's rule from its stripped text. A bad header is a ConfigError
+    naming the source. A row with the wrong number of fields, a ValueError
+    from a rule or from record, or a key(record) that repeats an earlier
+    row's is a ConfigError starting "row N: <source>: ". So is a row csv
+    cannot read, such as one over the field limit (process-wide, so left as
+    it is). A DanglingReference from a rule, or of a row whose run_id, its
+    first cell, is not in runs when runs is given, gets the same start."""
+    reader = csv.reader(stream)
+    row_number = 0  # of the last row read
     records: list[T] = []
     first_rows: dict[Hashable, int] = {}
-    for row_number, row in rows:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        where = f"row {row_number}: {source}"
-        if len(row) != len(expected_header):
-            raise ConfigError(f"{where}: expected {len(expected_header)} fields")
-        try:
-            record = parse(*(cell.strip() for cell in row))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-        except DanglingReference as exc:
-            raise DanglingReference(f"{where}: {exc}") from None
-        if runs is not None and row[0].strip() not in runs:
-            raise DanglingReference(f"{where}: cites unknown run_id {row[0].strip()!r}")
-        first = first_rows.setdefault(key(record), row_number) if key else row_number
-        if first != row_number:
-            raise ConfigError(f"{where}: repeats row {first}'s key {key(record)!r}")
-        records.append(record)
+    try:
+        found = next(reader, None)
+        if found is None:
+            raise ConfigError(f"{source}: empty file, expected header {','.join(header)}")
+        if [h.strip() for h in found] != header:
+            raise ConfigError(f"{source}: bad header {','.join(found)!r}, expected {','.join(header)}")
+        row_number = 1
+        for row_number, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            where = f"row {row_number}: {source}"
+            if len(row) != len(header):
+                raise ConfigError(f"{where}: expected {len(header)} fields")
+            try:
+                made = record(*(rule(cell.strip()) for rule, cell in zip(columns, row)))
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            except DanglingReference as exc:
+                raise DanglingReference(f"{where}: {exc}") from None
+            if runs is not None and row[0].strip() not in runs:
+                raise DanglingReference(f"{where}: cites unknown run_id {row[0].strip()!r}")
+            first = first_rows.setdefault(key(made), row_number) if key else row_number
+            if first != row_number:
+                raise ConfigError(f"{where}: repeats row {first}'s key {key(made)!r}")
+            records.append(made)
+    except csv.Error as exc:
+        raise ConfigError(f"row {row_number + 1}: {source}: {exc}") from None
     return records
-
-
-def _ledger_row(run_id: str, mistake_id: str, category: str, description: str) -> ErrorRecord:
-    return ErrorRecord(run_id, mistake_id, parse_category(category), description)
 
 
 def _first_per_mistake(records: Iterable[ErrorRecord]) -> list[ErrorRecord]:
@@ -225,7 +215,8 @@ def read_ledger(
     """Parse error records from CSV text. Every row is checked, against runs
     too when given, and rows that repeat a (run_id, mistake_id) collapse to
     the first."""
-    return _first_per_mistake(_read_csv(stream, LEDGER_HEADER, source, _ledger_row, runs=runs))
+    records = _read_csv(stream, LEDGER_HEADER, source, ErrorRecord, (str, str, parse_category, str), runs=runs)
+    return _first_per_mistake(records)
 
 
 def _csv_stream(path: str | Path) -> TextIO:
@@ -239,27 +230,18 @@ def ingest_ledger(path: str | Path, runs: Collection[str] | None = None) -> list
     return read_ledger(_csv_stream(path), str(path), runs)
 
 
-def _score_row(run_id: str, index: str, value: str) -> RequirementScoreRecord:
-    return RequirementScoreRecord(run_id=run_id, requirement_index=int(index), value=int(value))
-
-
 def ingest_scores(path: str | Path, runs: Collection[str] | None = None) -> list[RequirementScoreRecord]:
     return _read_csv(
-        _csv_stream(path), SCORES_HEADER, str(path), _score_row, key=lambda r: (r.run_id, r.requirement_index),
-        runs=runs,
+        _csv_stream(path), SCORES_HEADER, str(path), RequirementScoreRecord, (str, number, number),
+        key=lambda r: (r.run_id, r.requirement_index), runs=runs,
     )
-
-
-def _replaced_functions_row(run_id: str, count: str) -> tuple[str, int]:
-    if int(count) < 0:
-        raise ValueError(f"negative count {count}")
-    return run_id, int(count)
 
 
 def ingest_replaced_functions(path: str | Path, runs: Collection[str] | None = None) -> dict[str, int]:
-    return dict(
-        _read_csv(_csv_stream(path), RF_HEADER, str(path), _replaced_functions_row, key=lambda r: r[0], runs=runs)
+    rows = _read_csv(
+        _csv_stream(path), RF_HEADER, str(path), lambda *cells: cells, (str, number), key=lambda r: r[0], runs=runs
     )
+    return dict(rows)
 
 
 def aggregate(
@@ -445,12 +427,9 @@ def write_bench_index(outcomes: Sequence[RunRecord], path: str | Path) -> None:
             )
 
 
-def _index_row(run_id: str, status: str, duration: str, loc: str) -> RunRecord:
-    return RunRecord(run_id, RunStatus(status), float(duration), int(loc) if loc else None)
-
-
 def read_bench_index(path: str | Path) -> list[RunRecord]:
-    return _read_csv(_csv_stream(path), INDEX_HEADER, str(path), _index_row, key=lambda r: r.run_id)
+    columns = (str, RunStatus, lambda cell: number(cell, float), lambda cell: number(cell) if cell else None)
+    return _read_csv(_csv_stream(path), INDEX_HEADER, str(path), RunRecord, columns, key=lambda r: r.run_id)
 
 
 def _fmt(value: float | int | None) -> str:

@@ -143,6 +143,17 @@ def read_text(path: str | Path) -> str:
         raise ConfigError(f"{path}: not UTF-8: byte {exc.start}: {exc.reason}") from None
 
 
+def number(text: str, kind: type[int] | type[float] = int) -> int | float:
+    """The number a user writes as text, a CSV cell or a flag's value. A whole
+    number (int) is ASCII digits only: no sign, no `_`, no other script's
+    digits. A float is what float() reads from ASCII text with no `_`. Other
+    text is a ValueError naming it."""
+    if not text.isascii() or "_" in text or (kind is int and not text.isdigit()):
+        rule = "whole number (ASCII digits only)" if kind is int else "number (ASCII, no _)"
+        raise ValueError(f"{text!r} is not a {rule}")
+    return kind(text)
+
+
 def load_json(path: str | Path) -> object:
     """read_text(path) parsed as JSON; a parse error is a ConfigError naming the file."""
     text = read_text(path)

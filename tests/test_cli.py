@@ -559,6 +559,15 @@ class TestFlags:
         assert self.bench_config(workdir, monkeypatch, config)[key] == in_file
         assert self.bench_config(workdir, monkeypatch, config, flag, value)[key] == given
 
+    @pytest.mark.parametrize("flag, value", [("--reps", "1_0"), ("--reps", "٢"), ("--max-loop", "٢")])
+    def test_an_int_flag_takes_ascii_digits_only(self, workdir, monkeypatch, capsys, flag, value):
+        monkeypatch.setattr(cli, "cmd_bench", lambda args, settings: pytest.fail("bench ran"))
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "case_view", "--script", "case_view/script.json", flag, value, "--out", "fresh"])
+        assert info.value.code == 2
+        assert f"argument {flag}: invalid number value: {value!r}" in capsys.readouterr().err
+        assert not (workdir / "fresh").exists()
+
     def test_script_switches_the_backend_kind_to_script(self, workdir, monkeypatch):
         config = {"backend": {"kind": "http", "endpoint": "http://127.0.0.1:9/v1"}}
         assert self.bench_config(workdir, monkeypatch, config)["backend.kind"] == "http"
@@ -887,7 +896,7 @@ class TestReport:
         out_dir = workdir / "out"
         out_dir.mkdir()
         (out_dir / "index.csv").write_text(
-            "run_id,status,duration_seconds,loc\nrun-001,completed,nan,-3\n", encoding="utf-8"
+            "run_id,status,duration_seconds,loc\nrun-001,completed,nan,3\n", encoding="utf-8"
         )
         ledger = workdir / "ledger.csv"
         ledger.write_text("run_id,mistake_id,category,description\n", encoding="utf-8")
@@ -1016,6 +1025,11 @@ class TestReport:
             ("index", "run-001,completed,1.000,3", "repeats row 2's key 'run-001'"),
             ("scores", "run-001,0,1", "requirement_index must be positive"),
             ("scores", "run-001,1001,1", "requirement_index must be at most 1000"),
+            ("scores", "run-001,1_0,1", "'1_0' is not a whole number (ASCII digits only)"),
+            ("scores", "run-001,1,١", "'١' is not a whole number (ASCII digits only)"),
+            ("scores", "run-001,+1,1", "'+1' is not a whole number (ASCII digits only)"),
+            ("rf", "run-001,٤", "'٤' is not a whole number (ASCII digits only)"),
+            ("rf", "run-001,+3", "'+3' is not a whole number (ASCII digits only)"),
         ],
     )
     def test_bad_row_exits_2_naming_its_row(self, workdir, capsys, name, row, message):

@@ -189,7 +189,7 @@ class TestIngestReplacedFunctions:
         with pytest.raises(ConfigError, match=r"^row 3: .*: repeats row 2's key 'run-001'$"):
             ingest_replaced_functions(path)
         path.write_text("run_id,replaced_functions\nrun-001,-1\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match=r"^row 2: .*: negative count -1$"):
+        with pytest.raises(ConfigError, match=r"^row 2: .*: '-1' is not a whole number \(ASCII digits only\)$"):
             ingest_replaced_functions(path)
 
 
@@ -536,8 +536,10 @@ class TestBenchIndex:
             ("run-001,completed,inf,3", "duration inf is not a finite non-negative number"),
             ("run-001,completed,-inf,3", "duration -inf is not a finite non-negative number"),
             ("run-001,completed,-0.5,3", "duration -0.5 is not a finite non-negative number"),
-            ("run-001,completed,1.0,-3", "negative loc -3"),
-            ("run-001,completed,nan,-3", "duration nan is not a finite non-negative number"),
+            ("run-001,completed,1.0,-3", "'-3' is not a whole number (ASCII digits only)"),
+            ("run-001,failed_generation,nan,7", "duration nan is not a finite non-negative number"),
+            ("run-001,completed,1.0,٣", "'٣' is not a whole number (ASCII digits only)"),
+            ("run-001,completed,1_0.5,3", "'1_0.5' is not a number (ASCII, no _)"),
             (",completed,1.000,3", "run_id must be non-empty"),
             ("run-001,completed,1.0,", "a completed run needs a loc"),
             ("run-001,failed_generation,1.0,7", "a failed_generation run cannot have a loc"),
@@ -550,6 +552,10 @@ class TestBenchIndex:
         with pytest.raises(ConfigError) as raised:
             read_bench_index(path)
         assert str(raised.value) == f"row 3: {path}: {message}"
+
+    def test_a_negative_loc_is_refused_by_the_record(self):
+        with pytest.raises(ValueError, match="^negative loc -3$"):
+            RunRecord("run-001", RunStatus.COMPLETED, 1.0, -3)
 
 
 class TestEmitReport:

@@ -27,7 +27,7 @@ from uplift.evaluation import (
     population_sd,
     read_ledger,
 )
-from uplift.model import RequirementSet, count_loc, extract_code, parse_requirements, render_requirements
+from uplift.model import RequirementSet, count_loc, extract_code, number, parse_requirements, render_requirements
 from uplift.pipeline import RunRecord, RunStatus
 from uplift.transcript import TranscriptEntry, dump_record
 
@@ -52,6 +52,20 @@ class TestUtf8EncodableProperties:
     @given(surrogate_text)
     def test_matches_the_lone_surrogate_search(self, text):
         assert utf8_encodable(text) is (re.search("[\ud800-\udfff]", text) is None)
+
+
+class TestNumberProperties:
+    @given(st.integers(min_value=0))
+    def test_a_whole_number_reads_back(self, n):
+        assert number(str(n)) == n
+
+    # "_", a sign, or a digit of another script: Python's int() takes each of them.
+    refused = st.sampled_from("_+-") | st.characters(whitelist_categories=("Nd",), min_codepoint=128)
+
+    @given(st.text(), refused, st.text())
+    def test_a_separator_sign_or_other_digit_is_no_whole_number(self, before, mark, after):
+        with pytest.raises(ValueError):
+            number(before + mark + after)
 
 
 class TestLoadScriptProperties:
