@@ -20,11 +20,10 @@ from .agents import DEFAULT_PROMPT_DIR, AgentContext, PromptLibrary, render_task
 from .backend import DEFAULT_MODEL, HttpBackend, load_script, utf8_encodable
 from .errors import ConfigError, DanglingReference, PlanParseError, UpliftError
 from .evaluation import (
-    aggregate, check_label, check_parallelism, check_repetitions, emit_report, ingest_ledger,
-    ingest_replaced_functions, ingest_scores, load_spec, read_bench_index, run_bench, run_once,
-    write_bench_index,
+    aggregate, case_files, check_label, check_parallelism, check_repetitions, emit_report, ingest_ledger,
+    ingest_replaced_functions, ingest_scores, read_bench_index, run_bench, write_bench_index,
 )
-from .model import artifact_from_file, load_json, load_requirements, number
+from .model import load_json, load_requirements, number
 from .pipeline import (
     MAX_LOOP_ITERATIONS, PipelineConfig, PipelineMode, RunStatus, build_plan, check_max_loop_iterations,
     check_type,
@@ -161,13 +160,9 @@ def cmd_plan(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
 
 def cmd_run(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    pconfig = pipeline_config(config)
     input_path = Path(args.input)
-    code = artifact_from_file(input_path)
-    spec = load_spec(args.spec, pconfig.mode)
     out_dir = Path(args.out or "out") / input_path.stem
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outcome = run_once(code, spec, pconfig, "run-001", out_dir, input_path.suffix)
+    (outcome,) = run_bench(input_path, args.spec, pipeline_config(config), 1, out_dir=out_dir)
     loc = "-" if outcome.loc is None else outcome.loc
     print(
         f"{outcome.run_id} status={outcome.status.value} "
@@ -181,7 +176,8 @@ def cmd_bench(args: argparse.Namespace, config: dict[str, Any]) -> int:
     pconfig = pipeline_config(config)
     out_dir = Path(args.out or "out") / case_dir.resolve().name  # "." and ".." name no directory
     outcomes = run_bench(
-        case_dir, pconfig, config["bench.repetitions"], out_dir=out_dir, parallelism=config["bench.parallelism"]
+        *case_files(case_dir, pconfig.mode), pconfig, config["bench.repetitions"],
+        out_dir=out_dir, parallelism=config["bench.parallelism"],
     )
     write_bench_index(outcomes, out_dir / "index.csv")
     failed = sum(1 for o in outcomes if o.status is RunStatus.FAILED_GENERATION)

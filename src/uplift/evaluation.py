@@ -22,7 +22,7 @@ from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence, 
 
 from .backend import Backend, ScriptedBackend, utf8_encodable
 from .errors import ConfigError, DanglingReference
-from .model import CodeArtifact, RequirementSet, artifact_from_file, load_requirements, number, read_text
+from .model import artifact_from_file, load_requirements, number, read_text
 from .pipeline import (
     BASELINE_MODES, PipelineConfig, PipelineMode, RunOutcome, RunRecord, RunStatus, at_least, check_type,
     run_pipeline,
@@ -34,7 +34,7 @@ SCORES_HEADER = ["run_id", "requirement_index", "value"]
 RF_HEADER = ["run_id", "replaced_functions"]
 INDEX_HEADER = ["run_id", "status", "duration_seconds", "loc"]
 # The files run_bench writes per run: run-NNN.jsonl and run-NNN.updated.<ext>.
-RUN_FILE = re.compile(r"run-(\d{3}|[1-9]\d{3,})\.(?:jsonl|updated\.[^.]+)")
+RUN_FILE = re.compile(r"run-([0-9]{3}|[1-9][0-9]{3,})\.(?:jsonl|updated\.[^.]+)")
 
 T = TypeVar("T")
 
@@ -316,50 +316,24 @@ def aggregate(
     )
 
 
-def _find_original(case_dir: Path) -> Path:
+def case_files(case_dir: str | Path, mode: PipelineMode) -> tuple[Path, Path]:
+    """A case directory's original.<ext> and the spec file that mode reads:
+    prompt.txt in a baseline mode, else requirements.txt."""
+    case_dir = Path(case_dir)
     if not case_dir.is_dir():
         raise ConfigError(f"case directory not found: {case_dir}")
     candidates = sorted(p for p in case_dir.glob("original.*") if p.is_file())
     if len(candidates) != 1:
         raise ConfigError(f"{case_dir}: expected exactly one original.<ext> file, found {len(candidates)}")
-    return candidates[0]
-
-
-def load_spec(path: str | Path, mode: PipelineMode) -> RequirementSet | str:
-    """A run's spec: the prompt text in a baseline mode, else the requirements.
-    A blank prompt file is rejected here, before any output exists."""
-    if mode in BASELINE_MODES:
-        text = read_text(path)
-        if not text.strip():
-            raise ConfigError(f"{path}: baseline prompt text must be non-empty")
-        return text
-    return load_requirements(path)
-
-
-def run_once(
-    code: CodeArtifact,
-    spec: RequirementSet | str,
-    config: PipelineConfig,
-    run_id: str,
-    out_dir: Path,
-    suffix: str,
-) -> RunOutcome:
-    """Execute one run and write its artifacts to out_dir: <run_id>.jsonl,
-    plus <run_id>.updated<suffix> when the run completed. A failed run
-    deletes the .updated file an earlier run of the same id left there."""
-    transcript = Transcript(run_id)
-    outcome = run_pipeline(code, spec, config, transcript=transcript)
-    write_transcript(outcome, transcript.entries, out_dir / f"{run_id}.jsonl")
-    updated = out_dir / f"{run_id}.updated{suffix}"
-    if outcome.final_code is None:
-        updated.unlink(missing_ok=True)
-    else:
-        updated.write_text(outcome.final_code.content + "\n", encoding="utf-8")
-    return outcome
+    spec_path = case_dir / ("prompt.txt" if mode in BASELINE_MODES else "requirements.txt")
+    if not spec_path.is_file():
+        raise ConfigError(f"{case_dir}: {mode.value} mode needs a {spec_path.name}")
+    return candidates[0], spec_path
 
 
 def run_bench(
-    case_dir: str | Path,
+    original: str | Path,
+    spec_path: str | Path,
     config: PipelineConfig,
     repetitions: int,
     *,
@@ -367,10 +341,14 @@ def run_bench(
     backend_factory: Callable[[int], Backend] | None = None,
     parallelism: int = 1,
 ) -> list[RunOutcome]:
-    """Repeat a case `repetitions` times, persisting one transcript and (for
-    completed runs) one updated file per run. The outcomes carry no
-    final_code: the updated file holds it. The run files of an earlier
-    bench into out_dir beyond `repetitions` are deleted.
+    """Update the file `original` `repetitions` times, to the spec in
+    spec_path: its prompt text in a baseline mode, else its requirements. A
+    blank prompt is rejected before any output exists. Run i writes
+    run-NNN.jsonl (NNN is i, three digits at least) to out_dir and, when it
+    completed, run-NNN.updated<original's suffix>; a failed run deletes the
+    .updated file an earlier run of the same id left there. The run files of
+    an earlier bench into out_dir beyond `repetitions` are deleted. The
+    outcomes carry no final_code: the updated file holds it.
 
     backend_factory(i) supplies the backend of 1-based repetition i. Without
     it, each repetition replays a ScriptedBackend's replies from the start,
@@ -380,13 +358,14 @@ def run_bench(
     """
     check_repetitions("repetitions", repetitions)
     check_parallelism("parallelism", parallelism)
-    case_dir = Path(case_dir)
-    original_path = _find_original(case_dir)
-    code = artifact_from_file(original_path)
-    spec_path = case_dir / ("prompt.txt" if config.mode in BASELINE_MODES else "requirements.txt")
-    if not spec_path.is_file():
-        raise ConfigError(f"{case_dir}: {config.mode.value} mode needs a {spec_path.name}")
-    spec = load_spec(spec_path, config.mode)
+    original = Path(original)
+    code = artifact_from_file(original)
+    if config.mode in BASELINE_MODES:
+        spec = read_text(spec_path)
+        if not spec.strip():
+            raise ConfigError(f"{spec_path}: baseline prompt text must be non-empty")
+    else:
+        spec = load_requirements(spec_path)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     for path in out_path.iterdir():
@@ -400,8 +379,15 @@ def run_bench(
             backend = backend_factory(i)
         elif isinstance(backend, ScriptedBackend):
             backend = ScriptedBackend(backend.replies)
-        run_config = replace(config, backend=backend)
-        outcome = run_once(code, spec, run_config, f"run-{i:03d}", out_path, original_path.suffix)
+        run_id = f"run-{i:03d}"
+        transcript = Transcript(run_id)
+        outcome = run_pipeline(code, spec, replace(config, backend=backend), transcript=transcript)
+        write_transcript(outcome, transcript.entries, out_path / f"{run_id}.jsonl")
+        updated = out_path / f"{run_id}.updated{original.suffix}"
+        if outcome.final_code is None:
+            updated.unlink(missing_ok=True)
+        else:
+            updated.write_text(outcome.final_code.content + "\n", encoding="utf-8")
         return replace(outcome, final_code=None)
 
     indexes = range(1, repetitions + 1)

@@ -30,10 +30,10 @@ from uplift.errors import (
     CredentialMissing,
     ScriptExhausted,
 )
-from uplift.evaluation import run_bench, run_once
+from uplift.evaluation import case_files, run_bench
 from uplift.pipeline import PipelineConfig, PipelineMode, RunOutcome, RunStatus, run_pipeline
 from uplift.model import CodeArtifact, extract_code, parse_requirements
-from uplift.transcript import Transcript, dump_record
+from uplift.transcript import Transcript, dump_record, write_transcript
 
 from conftest import ACCEPT_REPLY, CODE_REPLY, REVISE_REPLY, SECTIONS_REPLY, FakeTransport, run_records, seq
 
@@ -634,8 +634,10 @@ class TestWholeRunThroughAnyEndpoint:
         backend = HttpBackend("http://x", transport=transport, sleep=lambda _: None)
         config = PipelineConfig(mode=mode, backend=backend)
         out = tmp_path_factory.mktemp("run")
+        transcript = Transcript("run-001")
         with mock.patch.dict(os.environ, {"LLM_API_KEY": "k"}):
-            outcome = run_once(CodeArtifact("<?php echo 1;"), WHOLE_RUNS[mode][0], config, "run-001", out, ".php")
+            outcome = run_pipeline(CodeArtifact("<?php echo 1;"), WHOLE_RUNS[mode][0], config, transcript=transcript)
+        write_transcript(outcome, transcript.entries, out / "run-001.jsonl")
         assert isinstance(outcome, RunOutcome)
         assert (outcome.failure is None) is (outcome.status is RunStatus.COMPLETED)
         assert outcome.failure is None or outcome.final_code is None
@@ -663,7 +665,9 @@ def test_each_exchange_records_the_payload_posted(monkeypatch, two_requirements,
     transport = FakeTransport(ok_body(SECTIONS_REPLY), ok_body(CODE_REPLY), ok_body(ACCEPT_REPLY))
     backend = HttpBackend("http://x", transport=transport)
     config = PipelineConfig(mode=PipelineMode.SYSTEM_SINGLE_TASK, backend=backend)
-    outcome = run_once(code, two_requirements, config, "run-001", tmp_path, ".php")
+    transcript = Transcript("run-001")
+    outcome = run_pipeline(code, two_requirements, config, transcript=transcript)
+    write_transcript(outcome, transcript.entries, tmp_path / "run-001.jsonl")
     assert outcome.status is RunStatus.COMPLETED
     # Split on "\n" alone: U+2028 stands raw inside a line.
     *lines, _summary, _ = (tmp_path / "run-001.jsonl").read_text(encoding="utf-8").split("\n")
@@ -723,13 +727,11 @@ class TestNullContentRun:
         assert outcome.status is RunStatus.COMPLETED and outcome.failure is None
         assert [e.error for e in transcript.entries] == [None] * 3 and transport.calls == 3
 
-    def test_lone_surrogate_reply_is_a_recorded_failed_run(
-        self, monkeypatch, original_code, two_requirements, tmp_path
-    ):
+    def test_lone_surrogate_reply_is_a_recorded_failed_run(self, monkeypatch, fixtures_dir, tmp_path):
         monkeypatch.setenv("LLM_API_KEY", "k")
         backend = self.null_executor_backend(ok_body("```php\n<?php echo 1; // \ud800\n```"))
         config = PipelineConfig(mode=PipelineMode.SYSTEM_SINGLE_TASK, backend=backend)
-        outcome = run_once(original_code, two_requirements, config, "run-001", tmp_path, ".php")
+        (outcome,) = run_bench(*case_files(fixtures_dir / "case_view", config.mode), config, 1, out_dir=tmp_path)
         assert outcome.failure.startswith("BackendExhausted: malformed completion body")
         *exchanges, summary = run_records(tmp_path / "run-001.jsonl")
         assert [e["agent"] for e in exchanges] == ["prompt_maker", "executor"]
@@ -744,7 +746,7 @@ class TestNullContentRun:
                 return ChatResponse(content=content)
 
         config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=Reply())
-        outcomes = run_bench(fixtures_dir / "case_view_zsl", config, 2, out_dir=tmp_path)
+        outcomes = run_bench(*case_files(fixtures_dir / "case_view_zsl", config.mode), config, 2, out_dir=tmp_path)
         assert [o.status for o in outcomes] == [RunStatus.FAILED_GENERATION] * 2
         for outcome in outcomes:
             *exchanges, summary = run_records(tmp_path / f"{outcome.run_id}.jsonl")
@@ -758,7 +760,7 @@ class TestNullContentRun:
                 return "```php\n<?php echo 1;\n```"
 
         config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=Text())
-        (outcome,) = run_bench(fixtures_dir / "case_view_zsl", config, 1, out_dir=tmp_path)
+        (outcome,) = run_bench(*case_files(fixtures_dir / "case_view_zsl", config.mode), config, 1, out_dir=tmp_path)
         assert outcome.status is RunStatus.FAILED_GENERATION
         *exchanges, summary = run_records(tmp_path / "run-001.jsonl")
         assert [e["error"] for e in exchanges] == [summary["failure"]] == [outcome.failure]
@@ -771,12 +773,15 @@ class TestNullContentRun:
         body["choices"][0]["finish_reason"] = "length"
         backend = HttpBackend("http://x", transport=FakeTransport((status, body)), sleep=lambda _: None)
         config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=backend)
-        outcome = run_once(CodeArtifact("\n".join(lines)), "Upgrade the code.", config, "run-001", tmp_path, ".php")
+        (tmp_path / "view.php").write_text("\n".join(lines), encoding="utf-8")
+        (tmp_path / "prompt.txt").write_text("Upgrade the code.", encoding="utf-8")
+        out = tmp_path / "out"
+        (outcome,) = run_bench(tmp_path / "view.php", tmp_path / "prompt.txt", config, 1, out_dir=out)
         assert (outcome.status, outcome.loc) == (RunStatus.FAILED_GENERATION, None)
         assert outcome.failure == "BackendExhausted: incomplete reply: finish_reason 'length'"
-        *exchanges, summary = run_records(tmp_path / "run-001.jsonl")
+        *exchanges, summary = run_records(out / "run-001.jsonl")
         assert [e["error"] for e in exchanges] == [summary["failure"]] == [outcome.failure]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["run-001.jsonl"]
+        assert sorted(p.name for p in out.iterdir()) == ["run-001.jsonl"]
 
     # Bodies an injected transport can return and json.dumps cannot encode.
     @pytest.mark.parametrize(
@@ -788,7 +793,9 @@ class TestNullContentRun:
         monkeypatch.setenv("LLM_API_KEY", "k")
         backend = HttpBackend("http://x", transport=FakeTransport((200, make_body())), sleep=lambda _: None)
         config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=backend)
-        outcome = run_once(CodeArtifact("<?php echo 1;"), "Upgrade the code.", config, "run-001", tmp_path, ".php")
+        transcript = Transcript("run-001")
+        outcome = run_pipeline(CodeArtifact("<?php echo 1;"), "Upgrade the code.", config, transcript=transcript)
+        write_transcript(outcome, transcript.entries, tmp_path / "run-001.jsonl")
         assert outcome.failure == f"BackendExhausted: malformed completion body: a {kind} that JSON cannot encode"
         *exchanges, summary = run_records(tmp_path / "run-001.jsonl")
         assert [e["error"] for e in exchanges] == [summary["failure"]] == [outcome.failure]
@@ -797,7 +804,7 @@ class TestNullContentRun:
         monkeypatch.setenv("LLM_API_KEY", "k")
         config = PipelineConfig(mode=PipelineMode.SYSTEM_SINGLE_TASK, backend=self.null_executor_backend())
         outcomes = run_bench(
-            fixtures_dir / "case_view",
+            *case_files(fixtures_dir / "case_view", config.mode),
             config,
             4,
             out_dir=tmp_path,

@@ -167,6 +167,17 @@ class TestRun:
         assert not (workdir / "out/original/run-001.updated.php").exists()
         assert (workdir / "out/original/run-001.jsonl").is_file()
 
+    def test_run_removes_the_surplus_run_files_of_an_earlier_bench(self, workdir):
+        # A run is a one-repetition bench: a bench of a case directory named
+        # "original" writes where a run of original.php does.
+        shutil.copytree(workdir / "case_view", workdir / "original")
+        assert main(["bench", "original", "--script", "case_view/script.json", "--reps", "2"]) == 0
+        out = workdir / "out/original"
+        assert (out / "run-002.jsonl").is_file() and (out / "run-002.updated.php").is_file()
+        argv = ["run", "case_view/original.php", "case_view/requirements.txt", "--script", "case_view/script.json"]
+        assert main(argv) == 0
+        assert sorted(p.name for p in out.glob("run-*")) == ["run-001.jsonl", "run-001.updated.php"]
+
     def test_config_file_drives_mode_and_script(self, workdir, capsys):
         write_script(workdir / "s.json", SINGLE_TASK_RUN_SCRIPT)
         (workdir / "uplift.json").write_text(
@@ -717,6 +728,8 @@ class TestBench:
         out = workdir / "out/case_view"
         assert main(argv + ["3"]) == 0
         kept = ["run-3.jsonl", "run-003.updated.php.bak", "run-0003.jsonl", "notes.txt"]
+        # Arabic-Indic, Gujarati and fullwidth digits: a run is numbered in ASCII digits only.
+        kept += ["run-\u0660\u0660\u0665.jsonl", "run-\u0ae6\u0ae6\u0aeb.jsonl", "run-\uff10\uff10\uff15.jsonl"]
         for name in kept:
             (out / name).write_text("kept", encoding="utf-8")
         assert main(argv + ["2"]) == 0

@@ -15,6 +15,7 @@ from uplift.evaluation import (
     ErrorRecord,
     RequirementScoreRecord,
     aggregate,
+    case_files,
     emit_report,
     ingest_ledger,
     ingest_replaced_functions,
@@ -387,7 +388,7 @@ class TestRunBench:
             mode=PipelineMode.SYSTEM_MANAGER, backend=load_script(case / "script.json")
         )
         outcomes = run_bench(
-            case,
+            *case_files(case, config.mode),
             config,
             10,
             out_dir=tmp_path,
@@ -412,7 +413,7 @@ class TestRunBench:
             return load_script(good)
 
         config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=load_script(good))
-        outcomes = run_bench(case, config, 10, out_dir=tmp_path, backend_factory=factory)
+        outcomes = run_bench(*case_files(case, config.mode), config, 10, out_dir=tmp_path, backend_factory=factory)
         statuses = [o.status for o in outcomes]
         assert statuses.count(RunStatus.COMPLETED) == 9
         assert statuses.count(RunStatus.FAILED_GENERATION) == 1
@@ -427,7 +428,7 @@ class TestRunBench:
                 raise RuntimeError("boom \ud800")
 
         config = PipelineConfig(PipelineMode.BASELINE_ZSL, Boom())
-        outcomes = run_bench(fixtures_dir / "case_view_zsl", config, 2, out_dir=tmp_path)
+        outcomes = run_bench(*case_files(fixtures_dir / "case_view_zsl", config.mode), config, 2, out_dir=tmp_path)
         assert [o.status for o in outcomes] == [RunStatus.FAILED_GENERATION] * 2
         for run in ("run-001", "run-002"):
             *exchanges, summary = run_records(tmp_path / f"{run}.jsonl")
@@ -439,7 +440,7 @@ class TestRunBench:
         case = fixtures_dir / "case_view"
         backend = load_script(case / "script.json")
         config = PipelineConfig(mode=PipelineMode.SYSTEM_MANAGER, backend=backend)
-        outcomes = run_bench(case, config, 3, out_dir=tmp_path, parallelism=parallelism)
+        outcomes = run_bench(*case_files(case, config.mode), config, 3, out_dir=tmp_path, parallelism=parallelism)
         assert [o.status for o in outcomes] == [RunStatus.COMPLETED] * 3
         for outcome in outcomes:
             *exchanges, _summary = run_records(tmp_path / f"{outcome.run_id}.jsonl")
@@ -448,10 +449,23 @@ class TestRunBench:
     def test_outcomes_hold_no_code_the_updated_files_hold_it(self, fixtures_dir, tmp_path):
         code = "<?php echo $this->Html->link('x'); ?>"
         config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=seq(f"```php\n{code}\n```"))
-        outcomes = run_bench(fixtures_dir / "case_view_zsl", config, 3, out_dir=tmp_path)
+        outcomes = run_bench(*case_files(fixtures_dir / "case_view_zsl", config.mode), config, 3, out_dir=tmp_path)
         assert [(o.status, o.loc, o.final_code) for o in outcomes] == [(RunStatus.COMPLETED, 1, None)] * 3
         for i in (1, 2, 3):
             assert (tmp_path / f"run-00{i}.updated.php").read_text(encoding="utf-8") == code + "\n"
+
+    def test_any_file_pair_is_a_case(self, fixtures_dir, tmp_path):
+        # A run's inputs need not be named original.<ext> and requirements.txt.
+        case = fixtures_dir / "case_view"
+        (tmp_path / "view.ctp").write_bytes((case / "original.php").read_bytes())
+        (tmp_path / "spec.md").write_bytes((case / "requirements.txt").read_bytes())
+        config = PipelineConfig(mode=PipelineMode.SYSTEM_MANAGER, backend=load_script(case / "script.json"))
+        (outcome,) = run_bench(tmp_path / "view.ctp", tmp_path / "spec.md", config, 1, out_dir=tmp_path / "pair")
+        assert outcome.status is RunStatus.COMPLETED
+        assert sorted(p.name for p in (tmp_path / "pair").iterdir()) == ["run-001.jsonl", "run-001.updated.ctp"]
+        run_bench(*case_files(case, config.mode), config, 1, out_dir=tmp_path / "case")
+        updated = (tmp_path / "pair/run-001.updated.ctp").read_bytes()
+        assert updated == (tmp_path / "case/run-001.updated.php").read_bytes()
 
     def test_zero_repetitions_rejected(self, fixtures_dir, tmp_path):
         case = fixtures_dir / "case_view"
@@ -459,13 +473,13 @@ class TestRunBench:
             mode=PipelineMode.SYSTEM_MANAGER, backend=load_script(case / "script.json")
         )
         with pytest.raises(ValueError):
-            run_bench(case, config, 0, out_dir=tmp_path)
+            run_bench(*case_files(case, config.mode), config, 0, out_dir=tmp_path)
 
     def test_zero_parallelism_rejected(self, fixtures_dir, tmp_path):
         case = fixtures_dir / "case_view"
         config = PipelineConfig(mode=PipelineMode.SYSTEM_MANAGER, backend=load_script(case / "script.json"))
         with pytest.raises(ValueError, match=r"^parallelism must be >= 1$"):
-            run_bench(case, config, 2, out_dir=tmp_path, parallelism=0)
+            run_bench(*case_files(case, config.mode), config, 2, out_dir=tmp_path, parallelism=0)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -476,12 +490,15 @@ class TestRunBench:
     ):
         case = fixtures_dir / "case_view"
         config = PipelineConfig(mode=PipelineMode.SYSTEM_MANAGER, backend=load_script(case / "script.json"))
-        run_bench(case, config, 3, out_dir=tmp_path)
+        run_bench(*case_files(case, config.mode), config, 3, out_dir=tmp_path)
         earlier = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert {"run-003.jsonl", "run-003.updated.php"} <= set(earlier)
         counts = {"repetitions": 2, "parallelism": 1, setting: value}
         with pytest.raises(ValueError, match=f"^{setting} must be of type int, got {value!r}$"):
-            run_bench(case, config, counts["repetitions"], out_dir=tmp_path, parallelism=counts["parallelism"])
+            run_bench(
+                *case_files(case, config.mode), config, counts["repetitions"], out_dir=tmp_path,
+                parallelism=counts["parallelism"],
+            )
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == earlier
 
     def test_parallel_runs_stay_ordered(self, fixtures_dir, tmp_path):
@@ -490,7 +507,7 @@ class TestRunBench:
             mode=PipelineMode.BASELINE_ZSL, backend=load_script(case / "script.json")
         )
         outcomes = run_bench(
-            case,
+            *case_files(case, config.mode),
             config,
             6,
             out_dir=tmp_path,
@@ -501,13 +518,13 @@ class TestRunBench:
     def test_missing_case_inputs(self, tmp_path):
         config = PipelineConfig(mode=PipelineMode.SYSTEM_MANAGER, backend=None)
         with pytest.raises(ConfigError):
-            run_bench(tmp_path, config, 1, out_dir=tmp_path / "out")
+            run_bench(*case_files(tmp_path, config.mode), config, 1, out_dir=tmp_path / "out")
 
     def test_missing_case_directory_is_named_as_such(self, tmp_path):
         config = PipelineConfig(mode=PipelineMode.SYSTEM_MANAGER, backend=None)
         case = tmp_path / "no_case"
         with pytest.raises(ConfigError) as raised:
-            run_bench(case, config, 1, out_dir=tmp_path / "out")
+            run_bench(*case_files(case, config.mode), config, 1, out_dir=tmp_path / "out")
         assert str(raised.value) == f"case directory not found: {case}"
         assert not (tmp_path / "out").exists()
 

@@ -29,8 +29,7 @@ import pytest
 
 from uplift.backend import API_KEY_ENV, HttpBackend
 from uplift.cli import _FLAGS, main
-from uplift.evaluation import run_once, write_bench_index
-from uplift.model import artifact_from_file
+from uplift.evaluation import case_files, run_bench, write_bench_index
 from uplift.pipeline import PipelineConfig, PipelineMode
 
 from conftest import FIXTURES, FakeTransport, untimed
@@ -124,19 +123,27 @@ HTTP_RUNS = {
 }
 
 
+class _KeyedBackend:
+    """An HttpBackend whose calls see LLM_API_KEY set to key: "" for a missing credential."""
+
+    def __init__(self, key: str, replies: list):
+        self.key = key
+        self.backend = HttpBackend(HTTP_ENDPOINT, transport=FakeTransport(*replies), sleep=lambda _: None)
+
+    def complete(self, request):
+        with mock.patch.dict(os.environ, {API_KEY_ENV: self.key}):
+            return self.backend.complete(request)
+
+
 def _http_runs(work: Path, out: Path) -> None:
     """The failures an HTTP backend raises, recorded as failed runs:
     BackendExhausted after retries and on a malformed body, and
     CredentialMissing."""
-    case = work / "case_view_zsl"
-    code = artifact_from_file(case / "original.php")
-    prompt = (case / "prompt.txt").read_text(encoding="utf-8")
-    outcomes = []
-    for run_id, (key, replies) in HTTP_RUNS.items():
-        backend = HttpBackend(HTTP_ENDPOINT, transport=FakeTransport(*replies), sleep=lambda _: None)
-        config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=backend)
-        with mock.patch.dict(os.environ, {API_KEY_ENV: key}):
-            outcomes.append(run_once(code, prompt, config, run_id, out, ".php"))
+    backends = [_KeyedBackend(key, replies) for key, replies in HTTP_RUNS.values()]
+    config = PipelineConfig(mode=PipelineMode.BASELINE_ZSL, backend=backends[0])
+    files = case_files(work / "case_view_zsl", config.mode)
+    outcomes = run_bench(*files, config, len(backends), out_dir=out, backend_factory=lambda i: backends[i - 1])
+    assert [o.run_id for o in outcomes] == list(HTTP_RUNS)
     write_bench_index(outcomes, out / "index.csv")
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from uplift.agents import DEFAULT_PROMPT_DIR, AgentContext, PromptLibrary
 from uplift.backend import Role
-from uplift.evaluation import run_bench
+from uplift.evaluation import case_files, run_bench
 from uplift.model import CodeArtifact, Task, extract_code, parse_requirements
 from uplift.pipeline import (
     BASELINE_MODES, PipelineConfig, PipelineMode, RunStatus, build_plan, run_pipeline,
@@ -636,7 +636,7 @@ class TestFaultInjection:
     def test_a_fault_at_any_exchange_ends_the_run_recorded(self, fixtures_dir, tmp_path, mode):
         script = FAULT_SCRIPTS[mode]
         case = fixtures_dir / ("case_view_zsl" if mode is PipelineMode.BASELINE_ZSL else "case_view")
-        clean = run_bench(case, config(seq(*script), mode), 1, out_dir=tmp_path / "clean")
+        clean = run_bench(*case_files(case, mode), config(seq(*script), mode), 1, out_dir=tmp_path / "clean")
         assert clean[0].status is RunStatus.COMPLETED and clean[0].failure is None
         *exchanges, summary = run_records(tmp_path / "clean/run-001.jsonl")
         assert len(exchanges) == len(script)
@@ -645,7 +645,7 @@ class TestFaultInjection:
         for k in range(1, len(script) + 1):
             out = tmp_path / f"k{k}"
             outcomes = run_bench(
-                case,
+                *case_files(case, mode),
                 config(seq(), mode),
                 len(FAULTS),
                 out_dir=out,
@@ -669,7 +669,7 @@ class TestFaultInjection:
                 raise RuntimeError("no str")
 
         (outcome,) = run_bench(
-            fixtures_dir / "case_view_zsl",
+            *case_files(fixtures_dir / "case_view_zsl", PipelineMode.BASELINE_ZSL),
             config(seq(), PipelineMode.BASELINE_ZSL),
             1,
             out_dir=tmp_path,
@@ -686,7 +686,7 @@ class TestFaultInjection:
         case = fixtures_dir / ("case_view_zsl" if mode is PipelineMode.BASELINE_ZSL else "case_view")
         with pytest.raises(stop):
             run_bench(
-                case,
+                *case_files(case, mode),
                 config(seq(), mode),
                 2,
                 out_dir=tmp_path,
@@ -756,7 +756,7 @@ class TestWhatRunsSend:
         case = fixtures_dir / ("case_view_zsl" if mode in BASELINE_MODES else "case_view")
         for k in range(len(script) + 1):  # k = 0: no fault
             run_bench(
-                case, config(seq(), mode, model="m-1"), 1, out_dir=tmp_path / f"k{k}",
+                *case_files(case, mode), config(seq(), mode, model="m-1"), 1, out_dir=tmp_path / f"k{k}",
                 backend_factory=lambda i: FaultAt(script, k, FAULTS[0]),
             )
         self.check(runs)
