@@ -20,8 +20,8 @@ from .agents import DEFAULT_PROMPT_DIR, AgentContext, PromptLibrary, render_task
 from .backend import DEFAULT_MODEL, HttpBackend, load_script, utf8_encodable
 from .errors import ConfigError, DanglingReference, PlanParseError, UpliftError
 from .evaluation import (
-    aggregate, case_files, check_label, check_parallelism, check_repetitions, emit_report, ingest_ledger,
-    ingest_replaced_functions, ingest_scores, read_bench_index, run_bench, write_bench_index,
+    INDEX_FILE, aggregate, case_files, check_label, check_parallelism, check_repetitions, emit_report,
+    ingest_ledger, ingest_replaced_functions, ingest_scores, read_bench_index, run_bench, write_bench_index,
 )
 from .model import load_json, load_requirements, number
 from .pipeline import (
@@ -179,16 +179,16 @@ def cmd_bench(args: argparse.Namespace, config: dict[str, Any]) -> int:
         *case_files(case_dir, pconfig.mode), pconfig, config["bench.repetitions"],
         out_dir=out_dir, parallelism=config["bench.parallelism"],
     )
-    write_bench_index(outcomes, out_dir / "index.csv")
+    write_bench_index(outcomes, out_dir / INDEX_FILE)
     failed = sum(1 for o in outcomes if o.status is RunStatus.FAILED_GENERATION)
-    print(f"{len(outcomes)} runs ({failed} failed) -> {out_dir / 'index.csv'}")
+    print(f"{len(outcomes)} runs ({failed} failed) -> {out_dir / INDEX_FILE}")
     return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace, config: dict[str, Any]) -> int:
     check_label("--label", args.label)  # before any input is read, so a bad label leaves no output touched
     case_out = Path(args.case_out_dir)
-    records = read_bench_index(case_out / "index.csv")
+    records = read_bench_index(case_out / INDEX_FILE)
     runs = {r.run_id for r in records}
     errors = ingest_ledger(args.ledger, runs)
     scores = ingest_scores(args.scores, runs) if args.scores else []

@@ -33,8 +33,9 @@ LEDGER_HEADER = ["run_id", "mistake_id", "category", "description"]
 SCORES_HEADER = ["run_id", "requirement_index", "value"]
 RF_HEADER = ["run_id", "replaced_functions"]
 INDEX_HEADER = ["run_id", "status", "duration_seconds", "loc"]
-# The files run_bench writes per run: run-NNN.jsonl and run-NNN.updated.<ext>.
-RUN_FILE = re.compile(r"run-([0-9]{3}|[1-9][0-9]{3,})\.(?:jsonl|updated\.[^.]+)")
+INDEX_FILE = "index.csv"
+# The files run_bench writes per run: run-NNN.jsonl and run-NNN.updated<ext>.
+RUN_FILE = re.compile(r"run-(?:[0-9]{3}|[1-9][0-9]{3,})\.(?:jsonl|updated(?:\.[^.]+)?)")
 
 T = TypeVar("T")
 
@@ -343,12 +344,11 @@ def run_bench(
 ) -> list[RunOutcome]:
     """Update the file `original` `repetitions` times, to the spec in
     spec_path: its prompt text in a baseline mode, else its requirements. A
-    blank prompt is rejected before any output exists. Run i writes
-    run-NNN.jsonl (NNN is i, three digits at least) to out_dir and, when it
-    completed, run-NNN.updated<original's suffix>; a failed run deletes the
-    .updated file an earlier run of the same id left there. The run files of
-    an earlier bench into out_dir beyond `repetitions` are deleted. The
-    outcomes carry no final_code: the updated file holds it.
+    blank prompt is rejected before any output exists. First the record an
+    earlier bench or run left in out_dir goes: every run file (RUN_FILE) and
+    the INDEX_FILE. Then run i writes run-NNN.jsonl (NNN is i, three digits
+    at least) to out_dir and, when it completed, run-NNN.updated<original's
+    suffix>. The outcomes carry no final_code: the updated file holds it.
 
     backend_factory(i) supplies the backend of 1-based repetition i. Without
     it, each repetition replays a ScriptedBackend's replies from the start,
@@ -369,8 +369,7 @@ def run_bench(
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     for path in out_path.iterdir():
-        match = RUN_FILE.fullmatch(path.name)
-        if match and int(match.group(1)) > repetitions:
+        if path.name == INDEX_FILE or RUN_FILE.fullmatch(path.name):
             path.unlink()
 
     def one_run(i: int) -> RunOutcome:
@@ -383,11 +382,10 @@ def run_bench(
         transcript = Transcript(run_id)
         outcome = run_pipeline(code, spec, replace(config, backend=backend), transcript=transcript)
         write_transcript(outcome, transcript.entries, out_path / f"{run_id}.jsonl")
-        updated = out_path / f"{run_id}.updated{original.suffix}"
-        if outcome.final_code is None:
-            updated.unlink(missing_ok=True)
-        else:
-            updated.write_text(outcome.final_code.content + "\n", encoding="utf-8")
+        if outcome.final_code is not None:
+            (out_path / f"{run_id}.updated{original.suffix}").write_text(
+                outcome.final_code.content + "\n", encoding="utf-8"
+            )
         return replace(outcome, final_code=None)
 
     indexes = range(1, repetitions + 1)

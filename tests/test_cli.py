@@ -145,11 +145,15 @@ class TestRun:
         user = exchange["request"]["messages"][1]
         assert user["role"] == "user" and user["content"].startswith(raw)
 
-    def test_codeless_reply_exits_4_without_output_file(self, workdir, capsys):
-        argv = ["run", "case_view/original.php", "case_view/requirements.txt", "--mode", "system_single_task"]
-        # A completed run first writes run-001.updated.php into the same directory.
+    # A file with no suffix is updated to run-001.updated.
+    @pytest.mark.parametrize("name", ["original.php", "original"])
+    def test_codeless_reply_exits_4_without_output_file(self, workdir, capsys, name):
+        (workdir / "case_view" / name).write_bytes((workdir / "case_view/original.php").read_bytes())
+        updated = workdir / "out/original" / f"run-001.updated{Path(name).suffix}"
+        argv = ["run", f"case_view/{name}", "case_view/requirements.txt", "--mode", "system_single_task"]
+        # A completed run first writes run-001.updated<suffix> into the same directory.
         assert main(argv + ["--script", write_script(workdir / "ok.json", SINGLE_TASK_RUN_SCRIPT)]) == 0
-        assert (workdir / "out/original/run-001.updated.php").is_file()
+        assert updated.is_file()
         capsys.readouterr()
         script = write_script(
             workdir / "s.json",
@@ -164,7 +168,7 @@ class TestRun:
         code = main(argv + ["--script", script])
         assert code == 4
         assert "status=failed_generation" in capsys.readouterr().out
-        assert not (workdir / "out/original/run-001.updated.php").exists()
+        assert not updated.exists()
         assert (workdir / "out/original/run-001.jsonl").is_file()
 
     def test_run_removes_the_surplus_run_files_of_an_earlier_bench(self, workdir):
@@ -177,6 +181,13 @@ class TestRun:
         argv = ["run", "case_view/original.php", "case_view/requirements.txt", "--script", "case_view/script.json"]
         assert main(argv) == 0
         assert sorted(p.name for p in out.glob("run-*")) == ["run-001.jsonl", "run-001.updated.php"]
+        # The bench's index.csv goes with its runs: a report cannot score the deleted run-002.
+        assert not (out / "index.csv").exists()
+        (workdir / "ledger.csv").write_text(
+            "run_id,mistake_id,category,description\nrun-002,m1,content,a missed call\n", encoding="utf-8"
+        )
+        assert main(["report", "out/original", "ledger.csv", "--label", "x"]) == 2
+        assert not (out / "report.csv").exists()
 
     def test_config_file_drives_mode_and_script(self, workdir, capsys):
         write_script(workdir / "s.json", SINGLE_TASK_RUN_SCRIPT)
@@ -735,6 +746,33 @@ class TestBench:
         assert main(argv + ["2"]) == 0
         run_files = {f"run-{i:03d}{ext}" for i in (1, 2) for ext in (".jsonl", ".updated.php")}
         assert {p.name for p in out.iterdir()} == run_files | {"index.csv", *kept}
+
+    def test_a_rebench_after_a_suffix_change_leaves_one_updated_file_per_run(self, workdir):
+        argv = ["bench", "case_view", "--script", "case_view/script.json", "--reps", "2"]
+        assert main(argv) == 0
+        (workdir / "case_view/original.php").rename(workdir / "case_view/original.ctp")
+        assert main(argv) == 0
+        run_files = {f"run-00{i}{ext}" for i in (1, 2) for ext in (".jsonl", ".updated.ctp")}
+        assert {p.name for p in (workdir / "out/case_view").iterdir()} == run_files | {"index.csv"}
+
+    def test_an_aborted_bench_leaves_no_earlier_bench_files(self, workdir, monkeypatch, capsys):
+        import uplift.evaluation
+
+        argv = ["bench", "case_view", "--script", "case_view/script.json", "--reps", "3"]
+        assert main(argv) == 0
+        write_transcript = uplift.evaluation.write_transcript
+
+        def full_on_run_2(outcome, entries, path):
+            if outcome.run_id == "run-002":
+                raise OSError("No space left on device")
+            write_transcript(outcome, entries, path)
+
+        monkeypatch.setattr(uplift.evaluation, "write_transcript", full_on_run_2)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        out = workdir / "out/case_view"
+        assert sorted(p.name for p in out.iterdir()) == ["run-001.jsonl", "run-001.updated.php"]
 
     def test_script_and_templates_are_read_once(self, workdir, monkeypatch):
         import uplift.agents
