@@ -20,7 +20,7 @@ from .agents import DEFAULT_PROMPT_DIR, AgentContext, PromptLibrary, render_task
 from .backend import DEFAULT_MODEL, HttpBackend, load_script, utf8_encodable
 from .errors import ConfigError, DanglingReference, PlanParseError, UpliftError
 from .evaluation import (
-    INDEX_FILE, aggregate, case_files, check_label, check_parallelism, check_repetitions, emit_report,
+    INDEX_FILE, REPORT_FILE, aggregate, case_files, check_label, check_parallelism, check_repetitions, emit_report,
     ingest_ledger, ingest_replaced_functions, ingest_scores, read_bench_index, run_bench, write_bench_index,
 )
 from .model import load_json, load_requirements, number
@@ -196,7 +196,7 @@ def cmd_report(args: argparse.Namespace, config: dict[str, Any]) -> int:
     metrics = aggregate(records, errors, scores, args.label, replaced_functions=replaced)
     out_dir = Path(args.out) if args.out else case_out
     out_dir.mkdir(parents=True, exist_ok=True)
-    (row,) = emit_report([metrics], out_dir / "report.csv")
+    (row,) = emit_report([metrics], out_dir / REPORT_FILE)
     print(" ".join(f"{name}={_line_cell(cell)}" for name, cell in row.items() if cell))
     return EXIT_OK
 
@@ -232,13 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     flags(run, "--config", "--script", "--mode", "--max-loop", "--out")
     run.set_defaults(func=cmd_run)
 
-    bench = sub.add_parser("bench", help="repeat a case and write an index.csv")
+    bench = sub.add_parser("bench", help=f"repeat a case and write an {INDEX_FILE}")
     bench.add_argument("case_dir", help="directory with original.<ext> and requirements.txt/prompt.txt")
     flags(bench, *_FLAGS)
     bench.set_defaults(func=cmd_bench)
 
     report = sub.add_parser("report", help="aggregate bench artifacts against a human error ledger")
-    report.add_argument("case_out_dir", help="bench output directory containing index.csv")
+    report.add_argument("case_out_dir", help=f"bench output directory containing {INDEX_FILE}")
     report.add_argument("ledger", help="error ledger CSV")
     report.add_argument("--scores", default=None, help="requirement score CSV")
     report.add_argument("--rf", default=None, help="replaced-functions sidecar CSV")

@@ -33,8 +33,9 @@ LEDGER_HEADER = ["run_id", "mistake_id", "category", "description"]
 SCORES_HEADER = ["run_id", "requirement_index", "value"]
 RF_HEADER = ["run_id", "replaced_functions"]
 INDEX_HEADER = ["run_id", "status", "duration_seconds", "loc"]
-INDEX_FILE = "index.csv"
-# The files run_bench writes per run: run-NNN.jsonl and run-NNN.updated<ext>.
+# A case output directory's record, which a bench or run deletes before its first run: the index, the report
+# and its sidecar (P's stem + SIDECAR_SUFFIX beside a report at P), and each run's run-NNN.jsonl and .updated<ext>.
+INDEX_FILE, REPORT_FILE, SIDECAR_SUFFIX = "index.csv", "report.csv", ".categories.json"
 RUN_FILE = re.compile(r"run-(?:[0-9]{3}|[1-9][0-9]{3,})\.(?:jsonl|updated(?:\.[^.]+)?)")
 
 T = TypeVar("T")
@@ -332,6 +333,12 @@ def case_files(case_dir: str | Path, mode: PipelineMode) -> tuple[Path, Path]:
     return candidates[0], spec_path
 
 
+def in_record(name: str) -> bool:
+    """Whether a file of this name in a case output directory is part of its record."""
+    sidecar = Path(REPORT_FILE).stem + SIDECAR_SUFFIX
+    return name in (INDEX_FILE, REPORT_FILE, sidecar) or bool(RUN_FILE.fullmatch(name))
+
+
 def run_bench(
     original: str | Path,
     spec_path: str | Path,
@@ -345,10 +352,10 @@ def run_bench(
     """Update the file `original` `repetitions` times, to the spec in
     spec_path: its prompt text in a baseline mode, else its requirements. A
     blank prompt is rejected before any output exists. First the record an
-    earlier bench or run left in out_dir goes: every run file (RUN_FILE) and
-    the INDEX_FILE. Then run i writes run-NNN.jsonl (NNN is i, three digits
-    at least) to out_dir and, when it completed, run-NNN.updated<original's
-    suffix>. The outcomes carry no final_code: the updated file holds it.
+    earlier bench or run left in out_dir goes: every file in_record accepts.
+    Then run i writes run-NNN.jsonl (NNN is i, three digits at least) to
+    out_dir and, when it completed, run-NNN.updated<original's suffix>. The
+    outcomes carry no final_code: the updated file holds it.
 
     backend_factory(i) supplies the backend of 1-based repetition i. Without
     it, each repetition replays a ScriptedBackend's replies from the start,
@@ -369,7 +376,7 @@ def run_bench(
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     for path in out_path.iterdir():
-        if path.name == INDEX_FILE or RUN_FILE.fullmatch(path.name):
+        if in_record(path.name):
             path.unlink()
 
     def one_run(i: int) -> RunOutcome:
@@ -400,15 +407,7 @@ def write_bench_index(outcomes: Sequence[RunRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(INDEX_HEADER)
-        for rec in outcomes:
-            writer.writerow(
-                [
-                    rec.run_id,
-                    rec.status.value,
-                    f"{rec.duration_seconds:.3f}",
-                    "" if rec.loc is None else rec.loc,
-                ]
-            )
+        writer.writerows([r.run_id, r.status.value, f"{r.duration_seconds:.3f}", _fmt(r.loc)] for r in outcomes)
 
 
 def read_bench_index(path: str | Path) -> list[RunRecord]:
@@ -451,8 +450,8 @@ def report_rows(metrics: Sequence[AggregateMetrics]) -> list[dict[str, str]]:
 
 
 def emit_report(metrics: Sequence[AggregateMetrics], path: str | Path) -> list[dict[str, str]]:
-    """Write report.csv, one report_rows row per aggregate, plus the
-    category-count JSON sidecar, and return the rows.
+    """Write the report CSV to path, one report_rows row per aggregate, plus
+    the category-count JSON sidecar beside it, and return the rows.
 
     Deterministic: identical metrics re-emit byte-identical files.
     """
@@ -468,7 +467,7 @@ def emit_report(metrics: Sequence[AggregateMetrics], path: str | Path) -> list[d
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    sidecar = path.with_name(path.stem + ".categories.json")
+    sidecar = path.with_name(path.stem + SIDECAR_SUFFIX)
     payload = {
         m.method_label: {category.value: m.category_counts.get(category, 0) for category in ErrorCategory}
         for m in metrics

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from uplift import cli
+from uplift import cli, evaluation
 from uplift.agents import DEFAULT_PROMPT_DIR as PROMPTS_DIR
 from uplift.backend import ScriptedBackend
 from uplift.cli import build_parser, main
@@ -178,14 +178,16 @@ class TestRun:
         assert main(["bench", "original", "--script", "case_view/script.json", "--reps", "2"]) == 0
         out = workdir / "out/original"
         assert (out / "run-002.jsonl").is_file() and (out / "run-002.updated.php").is_file()
-        argv = ["run", "case_view/original.php", "case_view/requirements.txt", "--script", "case_view/script.json"]
-        assert main(argv) == 0
-        assert sorted(p.name for p in out.glob("run-*")) == ["run-001.jsonl", "run-001.updated.php"]
-        # The bench's index.csv goes with its runs: a report cannot score the deleted run-002.
-        assert not (out / "index.csv").exists()
         (workdir / "ledger.csv").write_text(
             "run_id,mistake_id,category,description\nrun-002,m1,content,a missed call\n", encoding="utf-8"
         )
+        assert main(["report", "out/original", "ledger.csv", "--label", "x"]) == 0
+        assert (out / "report.csv").is_file() and (out / "report.categories.json").is_file()
+        argv = ["run", "case_view/original.php", "case_view/requirements.txt", "--script", "case_view/script.json"]
+        assert main(argv) == 0
+        assert sorted(p.name for p in out.glob("run-*")) == ["run-001.jsonl", "run-001.updated.php"]
+        # The bench's index.csv and report go with its runs: nothing scores the deleted run-002.
+        assert sorted(p.name for p in out.iterdir()) == ["run-001.jsonl", "run-001.updated.php"]
         assert main(["report", "out/original", "ledger.csv", "--label", "x"]) == 2
         assert not (out / "report.csv").exists()
 
@@ -738,14 +740,38 @@ class TestBench:
         argv = ["bench", "case_view", "--script", "case_view/script.json", "--reps"]
         out = workdir / "out/case_view"
         assert main(argv + ["3"]) == 0
-        kept = ["run-3.jsonl", "run-003.updated.php.bak", "run-0003.jsonl", "notes.txt"]
+        kept = ["run-3.jsonl", "run-003.updated.php.bak", "run-0003.jsonl", "notes.txt", "report.csv.bak"]
         # Arabic-Indic, Gujarati and fullwidth digits: a run is numbered in ASCII digits only.
         kept += ["run-\u0660\u0660\u0665.jsonl", "run-\u0ae6\u0ae6\u0aeb.jsonl", "run-\uff10\uff10\uff15.jsonl"]
         for name in kept:
             (out / name).write_text("kept", encoding="utf-8")
+        # A hand ledger kept beside the runs, and reports of the three runs: one there, one elsewhere.
+        kept.append("ledger.csv")
+        (out / "ledger.csv").write_text(
+            "run_id,mistake_id,category,description\nrun-003,m1,content,a missed call\n", encoding="utf-8"
+        )
+        report = ["report", "out/case_view", "out/case_view/ledger.csv", "--label", "a"]
+        assert main(report) == 0 and main(report + ["--out", "elsewhere"]) == 0
+        elsewhere = {p.name: p.read_bytes() for p in (workdir / "elsewhere").iterdir()}
+        assert sorted(elsewhere) == ["report.categories.json", "report.csv"]
         assert main(argv + ["2"]) == 0
         run_files = {f"run-{i:03d}{ext}" for i in (1, 2) for ext in (".jsonl", ".updated.php")}
+        # The report there went with the runs it scored; the one written elsewhere stays as it was.
         assert {p.name for p in out.iterdir()} == run_files | {"index.csv", *kept}
+        assert {p.name: p.read_bytes() for p in (workdir / "elsewhere").iterdir()} == elsewhere
+
+    def test_every_file_a_bench_and_report_write_is_in_the_record(self, workdir):
+        # run_bench deletes what in_record accepts: a file that a command writes into a case output
+        # directory, but that in_record does not name, would outlive the bench it belongs to.
+        assert main(["bench", "case_view", "--script", "case_view/script.json", "--reps", "2"]) == 0
+        ledger = workdir / "ledger.csv"
+        ledger.write_text("run_id,mistake_id,category,description\nrun-001,m1,content,a missed call\n")
+        assert main(["report", "out/case_view", str(ledger), "--label", "a"]) == 0
+        names = sorted(p.name for p in (workdir / "out/case_view").iterdir())
+        assert {"index.csv", "report.csv", "report.categories.json", "run-002.updated.php"} <= set(names)
+        assert all(evaluation.in_record(name) for name in names), names
+        for name in ("ledger.csv", "run-0001.jsonl", "run-\u0660\u0660\u0665.jsonl", "report.csv.bak", "notes.txt"):
+            assert not evaluation.in_record(name), name
 
     def test_a_rebench_after_a_suffix_change_leaves_one_updated_file_per_run(self, workdir):
         argv = ["bench", "case_view", "--script", "case_view/script.json", "--reps", "2"]
