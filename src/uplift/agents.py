@@ -4,7 +4,8 @@ and the single-call baseline op.
 Each operation renders its role template and hands it to ``_ask``: one call,
 a marker-based parse that ignores surrounding prose, at most one re-ask, and
 a flag on the last exchange when no reply parsed. The three roles that return
-a file ask through ``_ask_code``.
+a file ask through ``_ask_code``. A user message is built from parts, so the
+file texts it carries are the run's CodeArtifact contents, not copies.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .backend import ChatMessage, ChatRequest, ChatResponse, Role
 from .errors import ConfigError, FailedGeneration, PlanParseError, PromptSpecParseError
 from .model import (
     CodeArtifact, Decision, RequirementSet, Task, TaskPlan, Verdict, extract_code, marked_lines, read_text,
-    render_requirements,
 )
 from .transcript import Transcript, error_text
 
@@ -43,6 +43,7 @@ DEFAULT_PROMPT_DIR = Path(__file__).parent / "prompts"
 # Fixed framing shared by the system executor/finalizer calls and the bare
 # baseline modes, so baselines and pipeline run under the same output rule.
 RETURN_ONLY_CODE = "Return only the complete updated code."
+_RETURN_ONLY_CODE_TAIL = f"\n\n{RETURN_ONLY_CODE}"
 
 # Baselines run without the pipeline's prompt assets on purpose: they are the
 # control condition, so their framing stays fixed in code.
@@ -144,20 +145,21 @@ def _ask(
     ctx: AgentContext,
     agent: str,
     system: str,
-    user: str,
+    user: tuple[str, ...],
     parse: Callable[[str], T | None],
     flag: str,
     correction: str | None = None,
     **where: int | None,
 ) -> T | None:
-    """Send [system, user] and parse the reply; given a correction, re-ask once
-    with the reply and the correction appended. When no reply parses, flag the
-    last exchange and return None, for the caller to raise or fall back on."""
-    messages = [ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, user)]
+    """Send [system, user], the user text as its parts, and parse the reply;
+    given a correction, re-ask once with the reply and the correction
+    appended. When no reply parses, flag the last exchange and return None,
+    for the caller to raise or fall back on."""
+    messages = [ChatMessage(Role.SYSTEM, (system,)), ChatMessage(Role.USER, user)]
     reply = ctx.call(agent, messages, **where).content
     parsed = parse(reply)
     if parsed is None and correction is not None:
-        reask = [*messages, ChatMessage(Role.ASSISTANT, reply), ChatMessage(Role.USER, correction)]
+        reask = [*messages, ChatMessage(Role.ASSISTANT, (reply,)), ChatMessage(Role.USER, (correction,))]
         parsed = parse(ctx.call(agent, reask, **where, flags=("re_ask",)).content)
     if parsed is None:
         ctx.transcript.annotate_last(flag)
@@ -165,14 +167,15 @@ def _ask(
 
 
 def _ask_code(
-    ctx: AgentContext, agent: str, system: str, body: str, task_ordinal: int, iteration: int
+    ctx: AgentContext, agent: str, system: str, body: tuple[str, ...], task_ordinal: int, iteration: int
 ) -> CodeArtifact:
-    """Ask for a whole file: body, then the return-only-code directive. A reply
-    without code is flagged no_code and fails the generation; no re-ask."""
-    user = f"{body}\n\n{RETURN_ONLY_CODE}"
+    """Ask for a whole file: the body's parts, then the return-only-code
+    directive. A reply without code is flagged no_code and fails the
+    generation; no re-ask."""
     # extract_code is looked up here at call time, so a tracer may wrap it.
     content = _ask(
-        ctx, agent, system, user, extract_code, "no_code", task_ordinal=task_ordinal, iteration=iteration
+        ctx, agent, system, (*body, _RETURN_ONLY_CODE_TAIL), extract_code, "no_code",
+        task_ordinal=task_ordinal, iteration=iteration,
     )
     if content is None:
         raise FailedGeneration(f"{agent} reply for task {task_ordinal} contained no code")
@@ -196,8 +199,7 @@ def render_tasks(plan: TaskPlan) -> str:
 def manager_plan(ctx: AgentContext, requirements: RequirementSet) -> TaskPlan:
     """Ask the manager to decompose the requirements into ordered tasks."""
     system = ctx.config.prompts.render("manager")
-    user = render_requirements(requirements)
-    plan = _ask(ctx, "manager", system, user, _parse_plan, "plan_unparsed", _REASK_TASKS)
+    plan = _ask(ctx, "manager", system, (requirements.rendered,), _parse_plan, "plan_unparsed", _REASK_TASKS)
     if plan is None:
         raise PlanParseError("manager reply contained no TASK lines after a re-ask")
     return plan
@@ -210,8 +212,7 @@ def manager_confirm(ctx: AgentContext, plan: TaskPlan, requirements: Requirement
     the run; the exchange is flagged in the transcript.
     """
     system = ctx.config.prompts.render("manager_confirm", tasks=render_tasks(plan))
-    user = render_requirements(requirements)
-    return _ask(ctx, "manager", system, user, _parse_plan, "confirm_fallback") or plan
+    return _ask(ctx, "manager", system, (requirements.rendered,), _parse_plan, "confirm_fallback") or plan
 
 
 def _parse_sections(text: str) -> dict[str, str] | None:
@@ -231,7 +232,7 @@ def make_prompt(ctx: AgentContext, task: Task, code: CodeArtifact) -> str:
     executor template filled with the three sections of its reply."""
     system = ctx.config.prompts.render("prompt_maker", task=task.description)
     sections = _ask(
-        ctx, "prompt_maker", system, code.content, _parse_sections, "sections_unparsed", _REASK_SECTIONS,
+        ctx, "prompt_maker", system, (code.content,), _parse_sections, "sections_unparsed", _REASK_SECTIONS,
         task_ordinal=task.ordinal,
     )
     if sections is None:
@@ -243,7 +244,7 @@ def make_prompt(ctx: AgentContext, task: Task, code: CodeArtifact) -> str:
 
 def execute(ctx: AgentContext, task: Task, prompt: str, code: CodeArtifact) -> CodeArtifact:
     """Run the one-shot prompt, as the system message, against the current file."""
-    return _ask_code(ctx, "executor", prompt, code.content, task.ordinal, 0)
+    return _ask_code(ctx, "executor", prompt, (code.content,), task.ordinal, 0)
 
 
 def verify(
@@ -265,10 +266,10 @@ def verify(
     """
     system = ctx.config.prompts.render("verifier", task=task.description)
     if original.content == before.content:
-        shown = f"BEFORE THIS TASK (unchanged ORIGINAL FILE):\n{before.content}\n\n"
+        shown = ("BEFORE THIS TASK (unchanged ORIGINAL FILE):\n", before.content)
     else:
-        shown = f"ORIGINAL FILE:\n{original.content}\n\nBEFORE THIS TASK:\n{before.content}\n\n"
-    user = f"{shown}AFTER THIS TASK:\n{after.content}"
+        shown = ("ORIGINAL FILE:\n", original.content, "\n\nBEFORE THIS TASK:\n", before.content)
+    user = (*shown, "\n\nAFTER THIS TASK:\n", after.content)
     verdict = _ask(
         ctx, "verifier", system, user, _parse_verdict, "verdict_fallback", _REASK_VERDICT,
         task_ordinal=task.ordinal, iteration=iteration,
@@ -300,10 +301,10 @@ def _parse_verdict(text: str) -> Verdict | None:
 def finalize(ctx: AgentContext, task: Task, code: CodeArtifact, feedback: str, iteration: int) -> CodeArtifact:
     """Revise rejected code according to a REVISE verdict's feedback, as pass ``iteration`` of the task."""
     system = ctx.config.prompts.render("finalizer", task=task.description, feedback=feedback)
-    return _ask_code(ctx, "finalizer", system, code.content, task.ordinal, iteration)
+    return _ask_code(ctx, "finalizer", system, (code.content,), task.ordinal, iteration)
 
 
 def baseline(ctx: AgentContext, prompt_text: str, code: CodeArtifact) -> CodeArtifact:
     """The bare ZSL/OSL call: the user-authored prompt, then the file and the
     return-only-code directive, recorded as task 1, iteration 0."""
-    return _ask_code(ctx, "baseline", BASELINE_SYSTEM, f"{prompt_text}\n\n{code.content}", 1, 0)
+    return _ask_code(ctx, "baseline", BASELINE_SYSTEM, (prompt_text, "\n\n", code.content), 1, 0)

@@ -42,8 +42,17 @@ class Role(str, Enum):
 
 @dataclass(frozen=True)
 class ChatMessage:
+    """A message's text is its parts, in order: a user message holds the run's
+    file texts themselves, not a copy of them. A bare str would be taken as
+    one part per character, so every builder passes a tuple."""
+
     role: Role
-    content: str
+    parts: tuple[str, ...]
+
+    @property
+    def content(self) -> str:
+        """The text a backend reads: the parts joined, anew on every read."""
+        return "".join(self.parts)
 
 
 @dataclass(frozen=True)
@@ -60,11 +69,25 @@ class ChatRequest:
             "messages": [{"role": m.role.value, "content": m.content} for m in self.messages],
         }
 
-    def to_json(self) -> str:
+    def to_json(self, escaped: dict[str, str] | None = None) -> str:
         """to_payload() as transcript.dump_record writes it, from a template
-        (a Role is a str, so _quote writes its value)."""
-        messages = [f'{{"content": {_quote(m.content)}, "role": {_quote(m.role)}}}' for m in self.messages]
-        return f'{{"messages": [{", ".join(messages)}], "model": {_quote(self.model)}}}'
+        (a Role is a str, so _quote writes its value). JSON escapes a string
+        one code point at a time, so a content is its parts escaped one by
+        one; escaped maps each part met so far to that escape, so a caller
+        that shares it across requests escapes each distinct text once."""
+        if escaped is None:
+            escaped = {}
+        out = ['{"messages": [']
+        for i, m in enumerate(self.messages):
+            out.append('{"content": "' if i == 0 else ', {"content": "')
+            for part in m.parts:
+                text = escaped.get(part)
+                if text is None:
+                    text = escaped[part] = _quote(part)[1:-1]
+                out.append(text)
+            out.append(f'", "role": {_quote(m.role)}}}')
+        out.append(f'], "model": {_quote(self.model)}}}')
+        return "".join(out)
 
 
 @dataclass(frozen=True)

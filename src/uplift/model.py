@@ -42,6 +42,12 @@ class RequirementSet:
     def __post_init__(self):
         _check_texts("RequirementSet", "requirement", self.requirements)
 
+    @cached_property
+    def rendered(self) -> str:
+        """render_requirements(self), made on first read: the manager's two
+        requests, and a bench's runs, hold this one text."""
+        return render_requirements(self)
+
 
 @dataclass(frozen=True)
 class Task:

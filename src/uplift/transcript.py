@@ -61,12 +61,13 @@ class TranscriptEntry:
     error: str | None = None
     flags: set[str] = field(default_factory=set)
 
-    def to_line(self, run_id: str) -> str:
+    def to_line(self, run_id: str, escaped: dict[str, str] | None = None) -> str:
         """The exchange as one line, stamped with its run's id: the 13 keys
         in sorted order, written as dump_record writes the record. Strings
         go through dump_record's escaper and numbers through the reprs its
-        encoder uses. The request's text, ChatRequest.to_json(), is both hashed and spliced in."""
-        request = self.request.to_json()
+        encoder uses. The request's text, ChatRequest.to_json(escaped), is
+        both hashed and spliced in."""
+        request = self.request.to_json(escaped)
         response = self.response
         error = self.error
         iteration = self.iteration
@@ -114,13 +115,16 @@ def write_transcript(run: "RunOutcome", entries: Iterable[TranscriptEntry], path
     field but final_code and loc, which it gives as final_loc.
 
     Each line is written as soon as it is encoded, so one line at a time is
-    held, not the whole transcript. A write that stops part-way leaves the
+    held, not the whole transcript, beside one escape of each distinct
+    request part: the lines share one table, so a file text that many
+    requests carry is escaped once. A write that stops part-way leaves the
     exchange lines written so far and no summary: an unfinished run."""
     summary = {f.name: getattr(run, f.name) for f in fields(run) if f.name not in ("final_code", "loc")}
     summary.update(record="summary", status=run.status.value, final_loc=run.loc)
+    escaped: dict[str, str] = {}
     with open(path, "w", encoding="utf-8") as out:
         for entry in entries:
-            print(entry.to_line(run.run_id), file=out)
+            print(entry.to_line(run.run_id, escaped), file=out)
         print(dump_record(summary), file=out)
 
 

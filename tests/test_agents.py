@@ -50,7 +50,7 @@ class TestCall:
     """AgentContext.call records one exchange per backend call, on success
     and on a backend failure alike."""
 
-    MESSAGES = (ChatMessage(Role.SYSTEM, "be brief"), ChatMessage(Role.USER, "hello"))
+    MESSAGES = (ChatMessage(Role.SYSTEM, ("be brief",)), ChatMessage(Role.USER, ("hello",)))
 
     def test_success_records_the_backend_latency(self):
         class Slow:
@@ -82,7 +82,7 @@ class TestCall:
         assert entry.response is None
         assert entry.error == "BackendExhausted: all 3 attempts failed"
         assert entry.latency_seconds >= 0.05
-        assert entry.request.messages[1] == ChatMessage(Role.USER, "hello")
+        assert entry.request.messages[1] == ChatMessage(Role.USER, ("hello",))
 
 
 class TestTemplates:

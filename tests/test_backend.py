@@ -39,7 +39,7 @@ from conftest import ACCEPT_REPLY, CODE_REPLY, REVISE_REPLY, SECTIONS_REPLY, Fak
 
 
 def request_with(user: str = "hello") -> ChatRequest:
-    return ChatRequest(messages=(ChatMessage(Role.SYSTEM, "sys"), ChatMessage(Role.USER, user)), model="m")
+    return ChatRequest(messages=(ChatMessage(Role.SYSTEM, ("sys",)), ChatMessage(Role.USER, (user,))), model="m")
 
 
 class TestChatTypes:

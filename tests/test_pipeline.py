@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import re
 import shutil
@@ -489,10 +490,10 @@ class TestTranscriptInvariants:
         )
         to_line = TranscriptEntry.to_line
 
-        def third_fails(entry, run_id):
+        def third_fails(entry, run_id, escaped):
             if entry.step == 3:
                 raise RuntimeError("encoding failed")
-            return to_line(entry, run_id)
+            return to_line(entry, run_id, escaped)
 
         monkeypatch.setattr(TranscriptEntry, "to_line", third_fails)
         path = tmp_path / "t.jsonl"
@@ -595,6 +596,52 @@ class TestVerifierMessage:
             f"BEFORE THIS TASK:\n{task_one_output.content}\n\n"
             f"AFTER THIS TASK:\n{task_one_output.content}"
         )
+
+
+class TestRequestsHoldTheFileOnce:
+    """A user message holds the run's file texts themselves, not copies: among
+    the long parts of every user message of a run, each distinct text is one
+    object, and the input's and the outcome's code are among them."""
+
+    @staticmethod
+    def check(code, requirements, backend):
+        transcript = Transcript("r1")
+        config_ = config(backend, PipelineMode.SYSTEM_MANAGER)
+        outcome = run_pipeline(code, requirements, config_, transcript=transcript)
+        assert outcome.status is RunStatus.COMPLETED
+        parts = [
+            part
+            for entry in transcript.entries
+            for message in entry.request.messages
+            if message.role is Role.USER
+            for part in message.parts
+            if len(part) >= 200
+        ]
+        # Every part is alive in the transcript, so no two of them share an id.
+        objects = {id(part): part for part in parts}
+        assert len(objects) == len(set(parts))
+        assert id(code.content) in objects and id(outcome.final_code.content) in objects
+        return len(parts), len(objects)
+
+    def test_the_case_view_fixture(self, fixtures_dir):
+        from uplift.backend import load_script
+        from uplift.model import artifact_from_file, load_requirements
+
+        case = fixtures_dir / "case_view"
+        parts, objects = self.check(
+            artifact_from_file(case / "original.php"),
+            load_requirements(case / "requirements.txt"),
+            load_script(case / "script.json"),
+        )
+        # The requirements, the input and each of the two tasks' code.
+        assert (parts, objects) == (11, 4)
+
+    def test_a_2000_line_benchmark_case(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        case = importlib.import_module("inputs").build_case(1, 2000, 3)
+        # The input and, per task, the executor's and the finalizer's code.
+        parts = self.check(CodeArtifact(case.code), parse_requirements(case.requirements), seq(*case.replies))
+        assert parts == (25, 7)
 
 
 class FaultAt:
@@ -730,6 +777,8 @@ class TestWhatRunsSend:
             for request in requests:
                 assert request.messages[0].role is Role.SYSTEM
                 assert all(isinstance(m.role, Role) and type(m.content) is str for m in request.messages)
+                # A bare str would pass as parts, one per character.
+                assert all(type(m.parts) is tuple and all(type(p) is str for p in m.parts) for m in request.messages)
                 assert all(m.content for m in request.messages if m.role is not Role.ASSISTANT)
                 assert request.model == config.model
             assert (outcome.failure is not None) is (outcome.status is RunStatus.FAILED_GENERATION)

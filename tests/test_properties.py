@@ -380,10 +380,18 @@ EXCHANGE_KEYS = {
 }
 
 
+@st.composite
+def split(draw, text: str) -> tuple[str, ...]:
+    """text cut at random points into parts, empty ones included."""
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=len(text)), max_size=4)))
+    bounds = [0, *cuts, len(text)]
+    return tuple(text[start:end] for start, end in zip(bounds, bounds[1:]))
+
+
 def messages_as(role: Role):
     # A system or user message needs content; an assistant's may be empty.
     content = line_text if role is Role.ASSISTANT else line_text.filter(bool)
-    return st.builds(ChatMessage, st.just(role), content)
+    return st.builds(ChatMessage, st.just(role), content.flatmap(split))
 
 
 chat_requests = st.builds(
@@ -407,6 +415,23 @@ def transcript_entries(draw):
         error=draw(st.none() | line_text),
         flags=draw(st.sets(line_text, max_size=4)),
     )
+
+
+class TestRequestJsonProperties:
+    """A content escaped part by part is the content escaped whole, however
+    it is split and whatever an escape table shared across requests holds."""
+
+    @given(chat_requests)
+    def test_json_is_dump_record_of_the_payload(self, chat_request):
+        assert chat_request.to_json() == dump_record(chat_request.to_payload())
+
+    @given(st.lists(chat_requests, min_size=1, max_size=4))
+    def test_one_table_shared_across_requests(self, requests):
+        escaped: dict[str, str] = {}
+        # The second pass finds every part in the table.
+        for request in [*requests, *requests]:
+            assert request.to_json(escaped) == dump_record(request.to_payload())
+        assert set(escaped) == {part for request in requests for m in request.messages for part in m.parts}
 
 
 class TestTranscriptLineProperties:
