@@ -25,7 +25,7 @@ from .evaluation import (
 )
 from .model import load_json, load_requirements, number
 from .pipeline import (
-    MAX_LOOP_ITERATIONS, PipelineConfig, PipelineMode, RunStatus, build_plan, check_max_loop_iterations,
+    MAX_LOOP_ITERATIONS, PLANNERS, PipelineConfig, PipelineMode, RunStatus, check_max_loop_iterations,
     check_type,
 )
 from .transcript import Transcript
@@ -154,7 +154,7 @@ def pipeline_config(config: dict[str, Any]) -> PipelineConfig:
 def cmd_plan(args: argparse.Namespace, config: dict[str, Any]) -> int:
     requirements = load_requirements(args.requirements)
     ctx = AgentContext(pipeline_config(config), Transcript("plan"))
-    plan = build_plan(ctx, requirements, PipelineMode.SYSTEM_MANAGER)
+    plan = PLANNERS[PipelineMode.SYSTEM_MANAGER](ctx, requirements)
     print(render_tasks(plan))
     return EXIT_OK
 

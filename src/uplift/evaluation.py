@@ -24,7 +24,7 @@ from .backend import Backend, ScriptedBackend, utf8_encodable
 from .errors import ConfigError, DanglingReference
 from .model import artifact_from_file, load_requirements, number, read_text
 from .pipeline import (
-    BASELINE_MODES, PipelineConfig, PipelineMode, RunOutcome, RunRecord, RunStatus, at_least, check_type,
+    PLANNERS, PipelineConfig, PipelineMode, RunOutcome, RunRecord, RunStatus, at_least, check_type,
     run_pipeline,
 )
 from .transcript import Transcript, write_transcript
@@ -327,7 +327,7 @@ def case_files(case_dir: str | Path, mode: PipelineMode) -> tuple[Path, Path]:
     candidates = sorted(p for p in case_dir.glob("original.*") if p.is_file())
     if len(candidates) != 1:
         raise ConfigError(f"{case_dir}: expected exactly one original.<ext> file, found {len(candidates)}")
-    spec_path = case_dir / ("prompt.txt" if mode in BASELINE_MODES else "requirements.txt")
+    spec_path = case_dir / ("requirements.txt" if mode in PLANNERS else "prompt.txt")
     if not spec_path.is_file():
         raise ConfigError(f"{case_dir}: {mode.value} mode needs a {spec_path.name}")
     return candidates[0], spec_path
@@ -367,12 +367,12 @@ def run_bench(
     check_parallelism("parallelism", parallelism)
     original = Path(original)
     code = artifact_from_file(original)
-    if config.mode in BASELINE_MODES:
+    if config.mode in PLANNERS:
+        spec = load_requirements(spec_path)
+    else:
         spec = read_text(spec_path)
         if not spec.strip():
             raise ConfigError(f"{spec_path}: baseline prompt text must be non-empty")
-    else:
-        spec = load_requirements(spec_path)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     for path in out_path.iterdir():

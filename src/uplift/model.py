@@ -95,10 +95,6 @@ class Verdict:
     decision: Decision
     feedback: str = ""
 
-    def __post_init__(self):
-        if self.decision is Decision.REVISE and not self.feedback.strip():
-            raise ValueError("a revise verdict requires non-empty feedback")
-
 
 def marked_lines(text: str, marker: re.Pattern[str]) -> list[tuple[re.Match[str], list[str]]]:
     """(match, following lines) for each line of text that marker matches,

@@ -57,7 +57,14 @@ class PipelineMode(str, Enum):
     BASELINE_OSL = "baseline_osl"
 
 
-BASELINE_MODES = (PipelineMode.BASELINE_ZSL, PipelineMode.BASELINE_OSL)
+# Each system mode's planner, which makes the run's tasks from its requirements.
+# A mode with no row is a baseline: one call carrying the user's prompt text.
+# The manager's row looks its agents up here at call time, so a tracer may wrap them.
+PLANNERS: dict[PipelineMode, Callable[[AgentContext, RequirementSet], TaskPlan]] = {
+    PipelineMode.SYSTEM_MANAGER: lambda ctx, reqs: manager_confirm(ctx, manager_plan(ctx, reqs), reqs),
+    PipelineMode.SYSTEM_PER_REQUIREMENT: lambda ctx, reqs: TaskPlan(reqs.requirements),
+    PipelineMode.SYSTEM_SINGLE_TASK: lambda ctx, reqs: TaskPlan((" ".join(reqs.requirements),)),
+}
 
 
 class RunStatus(str, Enum):
@@ -121,16 +128,6 @@ class RunOutcome(RunRecord):
     failure: str | None = None
 
 
-def build_plan(ctx: AgentContext, requirements: RequirementSet, mode: PipelineMode) -> TaskPlan:
-    """The run's tasks, in the way the system mode makes them."""
-    if mode is PipelineMode.SYSTEM_MANAGER:
-        plan = manager_plan(ctx, requirements)
-        return manager_confirm(ctx, plan, requirements)
-    if mode is PipelineMode.SYSTEM_PER_REQUIREMENT:
-        return TaskPlan(requirements.requirements)
-    return TaskPlan((" ".join(requirements.requirements),))
-
-
 def run_pipeline(
     code: CodeArtifact,
     spec: RequirementSet | str,
@@ -154,7 +151,7 @@ def run_pipeline(
     failed_generation, with failure set to "<Type>: <message>".
     KeyboardInterrupt and SystemExit still propagate.
     """
-    prompted = config.mode in BASELINE_MODES
+    prompted = config.mode not in PLANNERS
     if isinstance(spec, str) is not prompted:
         raise ValueError(f"{config.mode.value} mode cannot run a {type(spec).__name__} spec")
     if prompted and not spec.strip():
@@ -171,21 +168,18 @@ def run_pipeline(
         if prompted:
             final = baseline(ctx, spec, code)
         else:
-            plan = build_plan(ctx, spec, config.mode)
+            plan = PLANNERS[config.mode](ctx, spec)
             task_count = len(plan.descriptions)
             current = code
             for task in plan:
-                prompt = make_prompt(ctx, task, current)
-                candidate = execute(ctx, task, prompt, current)
+                candidate = execute(ctx, task, make_prompt(ctx, task, current), current)
                 iteration = 0  # finalizer passes that returned code for this task
-                try:
+                verdict = verify(ctx, task, current, candidate, code, iteration)
+                while verdict.decision is Decision.REVISE and iteration < config.max_loop_iterations:
+                    candidate = finalize(ctx, task, candidate, verdict.feedback, iteration + 1)
+                    iteration += 1
+                    finalizer_invocations += 1
                     verdict = verify(ctx, task, current, candidate, code, iteration)
-                    while verdict.decision is Decision.REVISE and iteration < config.max_loop_iterations:
-                        candidate = finalize(ctx, task, candidate, verdict.feedback, iteration + 1)
-                        iteration += 1
-                        verdict = verify(ctx, task, current, candidate, code, iteration)
-                finally:
-                    finalizer_invocations += iteration
                 current = candidate
             final = current
     except Exception as exc:

@@ -181,11 +181,6 @@ class TestDomainTypes:
         descriptions = tuple(agents.parse_task_lines(text))
         assert not descriptions or TaskPlan(descriptions).descriptions == descriptions
 
-    def test_revise_verdict_needs_feedback(self):
-        with pytest.raises(ValueError):
-            Verdict(decision=Decision.REVISE, feedback="")
-        assert Verdict(decision=Decision.ACCEPT).feedback == ""
-
 
 # Reference oracles: each marked-reply parser as it stood when every one of
 # them walked its lines with its own state machine. The differential property

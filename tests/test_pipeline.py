@@ -15,7 +15,7 @@ from uplift.backend import Role
 from uplift.evaluation import case_files, run_bench
 from uplift.model import CodeArtifact, Task, extract_code, parse_requirements
 from uplift.pipeline import (
-    BASELINE_MODES, PipelineConfig, PipelineMode, RunStatus, build_plan, run_pipeline,
+    PLANNERS, PipelineConfig, PipelineMode, RunStatus, run_pipeline,
 )
 from uplift.transcript import (
     Transcript,
@@ -139,8 +139,14 @@ class TestSystemModes:
     def test_plans_number_tasks_by_requirement_position(self, mode, tasks):
         requirements = parse_requirements("Requirement7: late\nRequirement2: early\nRequirement2: two\nlines")
         ctx = AgentContext(config(seq(), mode), Transcript("r1"))
-        assert list(build_plan(ctx, requirements, mode)) == tasks
+        assert list(PLANNERS[mode](ctx, requirements)) == tasks
         assert ctx.transcript.entries == []
+
+    def test_the_system_modes_are_the_modes_with_a_planner(self):
+        # A new mode is given a planner, or is a baseline on purpose.
+        assert set(PLANNERS) == {
+            PipelineMode.SYSTEM_MANAGER, PipelineMode.SYSTEM_PER_REQUIREMENT, PipelineMode.SYSTEM_SINGLE_TASK
+        }
 
     def test_baseline_mode_rejected(self, original_code, two_requirements):
         with pytest.raises(ValueError):
@@ -288,7 +294,7 @@ class TestInputCheck:
     @pytest.mark.parametrize("content", ["", " \n\t\u2028"], ids=repr)
     def test_a_file_with_no_non_blank_line_is_rejected_before_any_call(self, two_requirements, mode, content):
         backend = seq(CODE_REPLY)
-        spec = "Update the file." if mode in BASELINE_MODES else two_requirements
+        spec = two_requirements if mode in PLANNERS else "Update the file."
         transcript = Transcript("r1")
         with pytest.raises(ValueError, match="^the source file has no non-blank line$"):
             run_pipeline(CodeArtifact(content), spec, config(backend, mode), transcript=transcript)
@@ -801,8 +807,8 @@ class TestWhatRunsSend:
 
     @pytest.mark.parametrize("mode", list(PipelineMode), ids=lambda m: m.value)
     def test_fault_runs(self, runs, fixtures_dir, tmp_path, mode):
-        script = FAULT_SCRIPTS[PipelineMode.BASELINE_ZSL if mode in BASELINE_MODES else mode]
-        case = fixtures_dir / ("case_view_zsl" if mode in BASELINE_MODES else "case_view")
+        script = FAULT_SCRIPTS[mode if mode in PLANNERS else PipelineMode.BASELINE_ZSL]
+        case = fixtures_dir / ("case_view" if mode in PLANNERS else "case_view_zsl")
         for k in range(len(script) + 1):  # k = 0: no fault
             run_bench(
                 *case_files(case, mode), config(seq(), mode, model="m-1"), 1, out_dir=tmp_path / f"k{k}",
