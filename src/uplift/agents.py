@@ -182,14 +182,11 @@ def _ask_code(
     return CodeArtifact(content)
 
 
-def parse_task_lines(text: str) -> list[str]:
-    """Descriptions from ``TASK n:`` lines, in order of appearance."""
-    return [match.group(2).strip() for match, _ in marked_lines(text, _TASK_LINE_RE)]
-
-
 def _parse_plan(text: str) -> TaskPlan | None:
-    descriptions = parse_task_lines(text)
-    return TaskPlan(tuple(descriptions)) if descriptions else None
+    """The plan of the ``TASK n:`` lines' descriptions, in order of appearance;
+    None when there is no such line."""
+    descriptions = tuple(match.group(2).strip() for match, _ in marked_lines(text, _TASK_LINE_RE))
+    return TaskPlan(descriptions) if descriptions else None
 
 
 def render_tasks(plan: TaskPlan) -> str:

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence, TextIO, TypeVar
+from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .backend import Backend, ScriptedBackend, utf8_encodable
 from .errors import ConfigError, DanglingReference
@@ -153,37 +153,37 @@ def _mean(values: Sequence[float], figure: str = "mean") -> float:
 
 
 def _read_csv(
-    stream: TextIO,
+    path: str | Path,
     header: list[str],
-    source: str,
     record: Callable[..., T],
     columns: Sequence[Callable[[str], object]],
     key: Callable[[T], Hashable] | None = None,
     runs: Collection[str] | None = None,
 ) -> list[T]:
-    """record(*cells) of each non-blank row, in order, each cell read by its
-    column's rule from its stripped text. A bad header is a ConfigError
-    naming the source. A row with the wrong number of fields, a ValueError
-    from a rule or from record, or a key(record) that repeats an earlier
-    row's is a ConfigError starting "row N: <source>: ". So is a row csv
-    cannot read, such as one over the field limit (process-wide, so left as
-    it is). A DanglingReference from a rule, or of a row whose run_id, its
-    first cell, is not in runs when runs is given, gets the same start."""
-    reader = csv.reader(stream)
+    """record(*cells) of each non-blank row of the user's CSV file at path, as
+    model.read_text reads it, in order, each cell read by its column's rule
+    from its stripped text. A bad header is a ConfigError naming the path. A
+    row with the wrong number of fields, a ValueError from a rule or from
+    record, or a key(record) that repeats an earlier row's is a ConfigError
+    starting "row N: <path>: ". So is a row csv cannot read, such as one over
+    the field limit (process-wide, so left as it is). A DanglingReference from
+    a rule, or of a row whose run_id, its first cell, is not in runs when runs
+    is given, gets the same start."""
+    reader = csv.reader(io.StringIO(read_text(path)))
     row_number = 0  # of the last row read
     records: list[T] = []
     first_rows: dict[Hashable, int] = {}
     try:
         found = next(reader, None)
         if found is None:
-            raise ConfigError(f"{source}: empty file, expected header {','.join(header)}")
+            raise ConfigError(f"{path}: empty file, expected header {','.join(header)}")
         if [h.strip() for h in found] != header:
-            raise ConfigError(f"{source}: bad header {','.join(found)!r}, expected {','.join(header)}")
+            raise ConfigError(f"{path}: bad header {','.join(found)!r}, expected {','.join(header)}")
         row_number = 1
         for row_number, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            where = f"row {row_number}: {source}"
+            where = f"row {row_number}: {path}"
             if len(row) != len(header):
                 raise ConfigError(f"{where}: expected {len(header)} fields")
             try:
@@ -199,7 +199,7 @@ def _read_csv(
                 raise ConfigError(f"{where}: repeats row {first}'s key {key(made)!r}")
             records.append(made)
     except csv.Error as exc:
-        raise ConfigError(f"row {row_number + 1}: {source}: {exc}") from None
+        raise ConfigError(f"row {row_number + 1}: {path}: {exc}") from None
     return records
 
 
@@ -211,39 +211,24 @@ def _first_per_mistake(records: Iterable[ErrorRecord]) -> list[ErrorRecord]:
     return list(first.values())
 
 
-def read_ledger(
-    stream: TextIO, source: str = "ledger", runs: Collection[str] | None = None
-) -> list[ErrorRecord]:
-    """Parse error records from CSV text. Every row is checked, against runs
-    too when given, and rows that repeat a (run_id, mistake_id) collapse to
-    the first."""
-    records = _read_csv(stream, LEDGER_HEADER, source, ErrorRecord, (str, str, parse_category, str), runs=runs)
-    return _first_per_mistake(records)
-
-
-def _csv_stream(path: str | Path) -> TextIO:
-    """The user's CSV file at path as model.read_text reads it, for csv.reader."""
-    return io.StringIO(read_text(path))
-
-
 # Each ingest_* checks every row's run_id against runs, when given: the
 # run_ids of the bench index a report reads.
 def ingest_ledger(path: str | Path, runs: Collection[str] | None = None) -> list[ErrorRecord]:
-    return read_ledger(_csv_stream(path), str(path), runs)
+    """The ledger's error records. Every row is checked, and rows that repeat
+    a (run_id, mistake_id) collapse to the first."""
+    records = _read_csv(path, LEDGER_HEADER, ErrorRecord, (str, str, parse_category, str), runs=runs)
+    return _first_per_mistake(records)
 
 
 def ingest_scores(path: str | Path, runs: Collection[str] | None = None) -> list[RequirementScoreRecord]:
     return _read_csv(
-        _csv_stream(path), SCORES_HEADER, str(path), RequirementScoreRecord, (str, number, number),
+        path, SCORES_HEADER, RequirementScoreRecord, (str, number, number),
         key=lambda r: (r.run_id, r.requirement_index), runs=runs,
     )
 
 
 def ingest_replaced_functions(path: str | Path, runs: Collection[str] | None = None) -> dict[str, int]:
-    rows = _read_csv(
-        _csv_stream(path), RF_HEADER, str(path), lambda *cells: cells, (str, number), key=lambda r: r[0], runs=runs
-    )
-    return dict(rows)
+    return dict(_read_csv(path, RF_HEADER, lambda *cells: cells, (str, number), key=lambda r: r[0], runs=runs))
 
 
 def aggregate(
@@ -282,7 +267,7 @@ def aggregate(
         if run_id not in known:
             raise DanglingReference(f"{kind} cites unknown run_id {run_id!r}")
 
-    errors = _first_per_mistake(errors)  # one mistake counts once, as in read_ledger
+    errors = _first_per_mistake(errors)  # one mistake counts once, as in ingest_ledger
     mistakes = Counter(err.run_id for err in errors)
     completed = [
         r for r in records
@@ -411,8 +396,15 @@ def write_bench_index(outcomes: Sequence[RunRecord], path: str | Path) -> None:
 
 
 def read_bench_index(path: str | Path) -> list[RunRecord]:
+    """The index's runs. A run-NNN.jsonl beside it with no row is a ConfigError:
+    a report of the rows alone would leave that run out unseen."""
     columns = (str, RunStatus, lambda cell: number(cell, float), lambda cell: number(cell) if cell else None)
-    return _read_csv(_csv_stream(path), INDEX_HEADER, str(path), RunRecord, columns, key=lambda r: r.run_id)
+    records = _read_csv(path, INDEX_HEADER, RunRecord, columns, key=lambda r: r.run_id)
+    listed = {f"{r.run_id}.jsonl" for r in records}
+    for name in sorted(p.name for p in Path(path).parent.iterdir()):
+        if name.endswith(".jsonl") and RUN_FILE.fullmatch(name) and name not in listed:
+            raise ConfigError(f"{path}: no row for the run file {name}")
+    return records
 
 
 def _fmt(value: float | int | None) -> str:

@@ -44,9 +44,10 @@ class RequirementSet:
 
     @cached_property
     def rendered(self) -> str:
-        """render_requirements(self), made on first read: the manager's two
-        requests, and a bench's runs, hold this one text."""
-        return render_requirements(self)
+        """The inverse of parse_requirements, one ``RequirementN: text`` segment
+        per entry, made on first read: the manager's two requests, and a
+        bench's runs, hold this one text."""
+        return "\n".join(f"Requirement{k}: {text}" for k, text in enumerate(self.requirements, start=1))
 
 
 @dataclass(frozen=True)
@@ -128,11 +129,6 @@ def parse_requirements(raw: str, source_path: str = "") -> RequirementSet:
     if "" in texts:
         raise ConfigError(f"requirement {texts.index('') + 1} has a marker but no text")
     return RequirementSet(texts)
-
-
-def render_requirements(reqs: RequirementSet) -> str:
-    """Inverse of parse_requirements: one ``RequirementN: text`` segment per entry."""
-    return "\n".join(f"Requirement{k}: {text}" for k, text in enumerate(reqs.requirements, start=1))
 
 
 def read_text(path: str | Path) -> str:

@@ -8,6 +8,7 @@ import pytest
 
 from uplift.backend import ScriptedBackend
 from uplift.model import CodeArtifact, parse_requirements
+from uplift.transcript import TIMING_FIELDS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -42,7 +43,7 @@ class FakeTransport:
 
 # A timing key and its value in a run file. Quotes inside a string are
 # escaped, so only a key can match.
-TIMING = re.compile(rb'"(latency_seconds|duration_seconds)": [^,}]+')
+TIMING = re.compile(rb'"(' + "|".join(TIMING_FIELDS).encode() + rb')": [^,}]+')
 
 
 def untimed(path: Path) -> bytes:

@@ -11,7 +11,6 @@ disagreed with its own means; no rule turns these inputs into 0.900.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import random
@@ -25,8 +24,8 @@ from uplift.evaluation import (
     ErrorRecord,
     RequirementScoreRecord,
     aggregate,
+    ingest_ledger,
     population_sd,
-    read_ledger,
 )
 from uplift.model import artifact_from_file, load_requirements, parse_requirements
 from uplift.pipeline import PipelineConfig, PipelineMode, RunRecord, RunStatus, run_pipeline
@@ -116,9 +115,10 @@ def test_criterion_06_requirement_aggregation():
     assert metrics.requirement_total == pytest.approx(1.000, abs=1e-9)
 
 
-def test_criterion_07_randomized_property_suite():
+def test_criterion_07_randomized_property_suite(tmp_path):
     """Dedup idempotence, aggregate permutation invariance, category-count
-    conservation, SD scaling/permutation: 1000 randomized cases each."""
+    conservation, SD scaling/permutation: 1000 randomized cases each. Each
+    ledger is written to one file and read back as report reads it."""
     rng = random.Random(20240901)
     start = time.perf_counter()
 
@@ -131,25 +131,26 @@ def test_criterion_07_randomized_property_suite():
             for _ in range(rng.randint(0, 10))
         ]
 
-    def to_csv(rows):
+    ledger = tmp_path / "ledger.csv"
+
+    def ingest(rows):
         lines = ["run_id,mistake_id,category,description"]
         lines += [f"{r},{m},{c},desc" for r, m, c in rows]
-        return "\n".join(lines) + "\n"
+        ledger.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return ingest_ledger(ledger)
 
     for _ in range(1000):  # dedup idempotence
         rows = random_rows()
-        assert read_ledger(io.StringIO(to_csv(rows))) == read_ledger(
-            io.StringIO(to_csv(rows + rows))
-        )
+        assert ingest(rows) == ingest(rows + rows)
 
     for _ in range(1000):  # category-count conservation
-        records = read_ledger(io.StringIO(to_csv(random_rows())))
+        records = ingest(random_rows())
         outcomes = [RunRecord(r, RunStatus.COMPLETED, 1.0, 10) for r in run_ids]
         metrics = aggregate(outcomes, records, [], "x")
         assert sum(metrics.category_counts.values()) == len(records)
 
     for _ in range(1000):  # aggregate permutation invariance
-        records = read_ledger(io.StringIO(to_csv(random_rows())))
+        records = ingest(random_rows())
         outcomes = []
         for r in run_ids:
             status = rng.choice(list(RunStatus))

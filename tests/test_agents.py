@@ -14,6 +14,7 @@ from uplift.agents import (
     PromptLibrary,
     RETURN_ONLY_CODE,
     TEMPLATE_PLACEHOLDERS,
+    _parse_plan,
     _parse_sections,
     _parse_verdict,
     baseline,
@@ -22,7 +23,6 @@ from uplift.agents import (
     make_prompt,
     manager_confirm,
     manager_plan,
-    parse_task_lines,
     verify,
 )
 from uplift.backend import ChatMessage, ChatResponse, Role
@@ -343,9 +343,9 @@ class TestFinalize:
 
 
 class TestParserProperties:
-    def test_parse_task_lines_tolerates_decoration(self):
+    def test_parse_plan_tolerates_decoration(self):
         text = "- TASK 1: first\n* task 2: second\n3. TASK 3: third"
-        assert parse_task_lines(text) == ["first", "second", "third"]
+        assert _parse_plan(text) == TaskPlan(("first", "second", "third"))
 
     @pytest.mark.parametrize("ascii_letter, letter", [("I", "\u0130"), ("I", "\u0131"), ("S", "\u017f")])
     def test_a_marker_word_with_a_non_ascii_letter_is_prose(self, ascii_letter, letter):

@@ -969,6 +969,17 @@ class TestReport:
         assert capsys.readouterr().err == "error: --label must hold a non-whitespace character\n"
         assert not (workdir / "fresh").exists()
 
+    def test_an_index_cut_short_of_its_runs_exits_2_and_writes_no_report(self, workdir, capsys):
+        out_dir = self.bench(workdir, reps=3)
+        index = out_dir / "index.csv"
+        index.write_text("".join(index.read_text(encoding="utf-8").splitlines(keepends=True)[:2]), encoding="utf-8")
+        ledger = workdir / "ledger.csv"
+        ledger.write_text("run_id,mistake_id,category,description\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(out_dir), str(ledger), "--label", "x"]) == 2
+        assert capsys.readouterr().err == f"error: {index}: no row for the run file run-002.jsonl\n"
+        assert not (out_dir / "report.csv").exists()
+
     def test_non_finite_index_duration_exits_2(self, workdir, capsys):
         out_dir = workdir / "out"
         out_dir.mkdir()

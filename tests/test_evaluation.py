@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import json
 import math
 from pathlib import Path
@@ -23,7 +22,6 @@ from uplift.evaluation import (
     parse_category,
     population_sd,
     read_bench_index,
-    read_ledger,
     run_bench,
     write_bench_index,
 )
@@ -86,23 +84,35 @@ class TestPopulationSd:
 class TestIngestLedger:
     HEADER = "run_id,mistake_id,category,description\n"
 
-    def test_same_mistake_counted_once(self):
+    @pytest.fixture
+    def ledger(self, tmp_path):
+        """A function that writes its text to ledger.csv and returns the path."""
+        path = tmp_path / "ledger.csv"
+
+        def write(text):
+            path.write_text(text, encoding="utf-8")
+            return path
+
+        return write
+
+    def test_same_mistake_counted_once(self, ledger):
         text = (
             self.HEADER
             + "run-001,orm-capitalization,fatal,wrong field case\n"
             + "run-001,orm-capitalization,fatal,wrong field case again\n"
         )
-        records = read_ledger(io.StringIO(text))
+        records = ingest_ledger(ledger(text))
         assert len(records) == 1
         assert records[0].mistake_id == "orm-capitalization"
 
-    def test_header_only_is_empty(self):
-        assert read_ledger(io.StringIO(self.HEADER)) == []
+    def test_header_only_is_empty(self, ledger):
+        assert ingest_ledger(ledger(self.HEADER)) == []
 
-    def test_unknown_category(self):
-        text = self.HEADER + "run-001,m1,syntax,desc\n"
-        with pytest.raises(DanglingReference, match="^row 2: ledger: unknown error category 'syntax'; "):
-            read_ledger(io.StringIO(text))
+    def test_unknown_category(self, ledger):
+        path = ledger(self.HEADER + "run-001,m1,syntax,desc\n")
+        with pytest.raises(DanglingReference) as info:
+            ingest_ledger(path)
+        assert str(info.value).startswith(f"row 2: {path}: unknown error category 'syntax'; ")
 
     def test_category_parsing_variants(self):
         assert parse_category("FATAL") is ErrorCategory.FATAL
@@ -110,39 +120,41 @@ class TestIngestLedger:
         assert parse_category("missing/additional") is ErrorCategory.MISSING_ADDITIONAL
         assert parse_category("Missing Additional") is ErrorCategory.MISSING_ADDITIONAL
 
-    def test_bad_header(self):
+    def test_bad_header(self, ledger):
+        path = ledger("run,mistake\nx,y\n")
         with pytest.raises(ConfigError) as info:
-            read_ledger(io.StringIO("run,mistake\nx,y\n"))
-        assert str(info.value) == "ledger: bad header 'run,mistake', expected run_id,mistake_id,category,description"
+            ingest_ledger(path)
+        assert str(info.value) == f"{path}: bad header 'run,mistake', expected run_id,mistake_id,category,description"
 
-    def test_row_errors_carry_row_number(self):
-        text = self.HEADER + "run-001,m1,fatal,ok\nrun-002,,fatal,missing id\n"
+    def test_row_errors_carry_row_number(self, ledger):
+        path = ledger(self.HEADER + "run-001,m1,fatal,ok\nrun-002,,fatal,missing id\n")
         with pytest.raises(ConfigError) as info:
-            read_ledger(io.StringIO(text))
-        assert str(info.value) == "row 3: ledger: run_id and mistake_id must be non-empty"
+            ingest_ledger(path)
+        assert str(info.value) == f"row 3: {path}: run_id and mistake_id must be non-empty"
 
-    def test_empty_file(self):
+    def test_empty_file(self, ledger):
+        path = ledger("")
         with pytest.raises(ConfigError) as info:
-            read_ledger(io.StringIO(""))
-        assert str(info.value) == "ledger: empty file, expected header run_id,mistake_id,category,description"
+            ingest_ledger(path)
+        assert str(info.value) == f"{path}: empty file, expected header run_id,mistake_id,category,description"
 
-    def test_wrong_field_count_names_its_row(self):
+    def test_wrong_field_count_names_its_row(self, ledger):
+        path = ledger(self.HEADER + "run-001,m1,fatal\n")
         with pytest.raises(ConfigError) as info:
-            read_ledger(io.StringIO(self.HEADER + "run-001,m1,fatal\n"))
-        assert str(info.value) == "row 2: ledger: expected 4 fields"
+            ingest_ledger(path)
+        assert str(info.value) == f"row 2: {path}: expected 4 fields"
 
     @pytest.mark.parametrize(
         "repeat, error", [("run-001,m1,bogus,y", DanglingReference), ("run-001,m1,fatal,", ConfigError)]
     )
-    def test_repeated_rows_are_checked_too(self, repeat, error):
+    def test_repeated_rows_are_checked_too(self, ledger, repeat, error):
+        path = ledger(self.HEADER + "run-001,m1,fatal,x\n" + repeat + "\n")
         with pytest.raises(error) as info:
-            read_ledger(io.StringIO(self.HEADER + "run-001,m1,fatal,x\n" + repeat + "\n"))
-        assert str(info.value).startswith("row 3: ledger: ")
+            ingest_ledger(path)
+        assert str(info.value).startswith(f"row 3: {path}: ")
 
-    def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "ledger.csv"
-        path.write_text(self.HEADER + "run-001,m1,content,desc\n", encoding="utf-8")
-        records = ingest_ledger(path)
+    def test_file_round_trip(self, ledger):
+        records = ingest_ledger(ledger(self.HEADER + "run-001,m1,content,desc\n"))
         assert records == [
             ErrorRecord("run-001", "m1", ErrorCategory.CONTENT, "desc")
         ]
@@ -537,6 +549,19 @@ class TestBenchIndex:
         back = read_bench_index(path)
         assert back[0].run_id == "run-001" and back[0].loc == 24
         assert back[1].status is RunStatus.FAILED_GENERATION and back[1].loc is None
+
+    def test_a_run_file_with_no_row_is_refused(self, tmp_path):
+        path = tmp_path / "index.csv"
+        write_bench_index([completed("run-001")], path)
+        # Neither an updated file nor a name that RUN_FILE does not match is a run of the index.
+        for name in ("run-001.jsonl", "run-002.updated.php", "run-٠٠٣.jsonl", "notes.jsonl"):
+            (tmp_path / name).write_text("", encoding="utf-8")
+        assert [r.run_id for r in read_bench_index(path)] == ["run-001"]
+        for name in ("run-1000.jsonl", "run-004.jsonl"):
+            (tmp_path / name).write_text("", encoding="utf-8")
+        with pytest.raises(ConfigError) as raised:
+            read_bench_index(path)
+        assert str(raised.value) == f"{path}: no row for the run file run-004.jsonl"
 
     def test_bad_status_rejected(self, tmp_path):
         path = tmp_path / "index.csv"

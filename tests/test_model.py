@@ -19,7 +19,6 @@ from uplift.model import (
     count_loc,
     extract_code,
     parse_requirements,
-    render_requirements,
 )
 
 # Pinned by tests/fixtures/loc_oracle.py over tests/fixtures/view_small.txt.
@@ -58,7 +57,7 @@ class TestParseRequirements:
     def test_indices_renumbered_in_file_order(self):
         reqs = parse_requirements("Requirement7: late\nRequirement2: early")
         assert reqs.requirements == ("late", "early")
-        assert render_requirements(reqs) == "Requirement1: late\nRequirement2: early"
+        assert reqs.rendered == "Requirement1: late\nRequirement2: early"
 
     def test_case_insensitive_marker_and_whitespace(self):
         reqs = parse_requirements("  requirement 3 :  spaced out  ")
@@ -74,7 +73,7 @@ class TestParseRequirements:
 
     def test_render_parse_round_trip(self):
         reqs = parse_requirements("Requirement1: alpha\nRequirement2: beta\ngamma")
-        assert parse_requirements(render_requirements(reqs)) == reqs
+        assert parse_requirements(reqs.rendered) == reqs
 
 
 class TestCountLoc:
@@ -177,9 +176,10 @@ class TestDomainTypes:
 
     @given(st.lists(st.sampled_from(["TASK 1:", "x", " ", "\t", "\n", "\x1c", "\x85", "\u2028", "\xa0"])).map("".join))
     def test_task_lines_always_make_a_plan(self, text):
-        # The manager's reply parser yields only what TaskPlan accepts.
-        descriptions = tuple(agents.parse_task_lines(text))
-        assert not descriptions or TaskPlan(descriptions).descriptions == descriptions
+        # The manager's reply parser yields only what TaskPlan accepts: a
+        # plan for a reply with a TASK line, None for one without, no error.
+        plan = agents._parse_plan(text)
+        assert (plan is None) is not any(map(agents._TASK_LINE_RE.match, text.splitlines()))
 
 
 # Reference oracles: each marked-reply parser as it stood when every one of
@@ -256,8 +256,9 @@ def oracle_parse_verdict(text):
     return Verdict(decision=decision, feedback=feedback)
 
 
-def oracle_parse_task_lines(text):
-    return [m.group(2).strip() for line in text.splitlines() if (m := agents._TASK_LINE_RE.match(line))]
+def oracle_parse_plan(text):
+    descriptions = [m.group(2).strip() for line in text.splitlines() if (m := agents._TASK_LINE_RE.match(line))]
+    return TaskPlan(tuple(descriptions)) if descriptions else None
 
 
 FENCES = ["```", "```php", "  ```js  ", "````", "``` x", "a```", "```c++"]
@@ -289,7 +290,7 @@ PARSERS = {
             "> FEEDBACK:  spaced ",
         ],
     ),
-    "parse_task_lines": (agents.parse_task_lines, oracle_parse_task_lines, ["TASK 1: a", "- task 2 : b", "TASK 3:"]),
+    "parse_plan": (agents._parse_plan, oracle_parse_plan, ["TASK 1: a", "- task 2 : b", "TASK 3:"]),
 }
 
 # Every line break str.splitlines() knows.

@@ -531,43 +531,6 @@ class TestTranscriptInvariants:
         assert one(tmp_path / "a.jsonl") == one(tmp_path / "b.jsonl")
 
 
-class TestRandomizedLoopCap:
-    def test_finalizer_per_task_never_exceeds_cap(self, original_code, two_requirements):
-        import random
-
-        rng = random.Random(42)
-        for _ in range(50):
-            cap = rng.randint(0, 3)
-            responses = []
-            for _task in range(2):
-                responses += [SECTIONS_REPLY, CODE_REPLY]
-                finalizes = 0
-                while True:
-                    revise = rng.random() < 0.5
-                    if revise and finalizes < cap:
-                        responses += [REVISE_REPLY, CODE_REPLY]
-                        finalizes += 1
-                        continue
-                    responses.append(REVISE_REPLY if revise else ACCEPT_REPLY)
-                    break
-            transcript = Transcript("rand")
-            run_pipeline(
-                original_code,
-                two_requirements,
-                config(
-                    seq(*responses),
-                    PipelineMode.SYSTEM_PER_REQUIREMENT,
-                    max_loop_iterations=cap,
-                ),
-                transcript=transcript,
-            )
-            per_task = {}
-            for entry in transcript.entries:
-                if entry.agent == "finalizer":
-                    per_task[entry.task_ordinal] = per_task.get(entry.task_ordinal, 0) + 1
-            assert all(count <= cap for count in per_task.values())
-
-
 class TestVerifierMessage:
     def test_first_task_shows_the_file_once_later_tasks_three_sections(
         self, original_code, two_requirements

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import random
@@ -24,10 +23,10 @@ from uplift.evaluation import (
     RequirementScoreRecord,
     _mean,
     aggregate,
+    ingest_ledger,
     population_sd,
-    read_ledger,
 )
-from uplift.model import RequirementSet, count_loc, extract_code, number, parse_requirements, render_requirements
+from uplift.model import RequirementSet, TaskPlan, count_loc, extract_code, number, parse_requirements
 from uplift.pipeline import RunRecord, RunStatus
 from uplift.transcript import TranscriptEntry, dump_record
 
@@ -118,7 +117,7 @@ class TestParseRequirementsProperties:
     @given(st.lists(req_text.map(str.strip), min_size=1, max_size=6))
     def test_render_parse_idempotent(self, texts):
         reqs = RequirementSet(tuple(texts))
-        assert parse_requirements(render_requirements(reqs)) == reqs
+        assert parse_requirements(reqs.rendered) == reqs
 
 
 class TestExtractCodeProperties:
@@ -209,11 +208,11 @@ class TestAgentParserDeafness:
 
     @given(prose, prose)
     def test_task_lines(self, before, after):
-        from uplift.agents import parse_task_lines
+        from uplift.agents import _parse_plan
 
         reply = "TASK 1: first step\nTASK 2: second step"
         wrapped = "\n".join([*before, reply, *after])
-        assert parse_task_lines(wrapped) == parse_task_lines(reply) == ["first step", "second step"]
+        assert _parse_plan(wrapped) == _parse_plan(reply) == TaskPlan(("first step", "second step"))
 
     @given(prose, prose, st.sampled_from(["VERDICT: ACCEPT", "VERDICT: REVISE\nFEEDBACK: bad"]))
     def test_verdicts(self, before, after, reply):
@@ -242,22 +241,30 @@ ledger_rows = st.lists(
 )
 
 
-def rows_to_csv(rows) -> str:
-    lines = ["run_id,mistake_id,category,description"]
-    lines += [f"{r},{m},{c},some description" for r, m, c in rows]
-    return "\n".join(lines) + "\n"
+@pytest.fixture(scope="module")
+def ingest(tmp_path_factory):
+    """A function that writes ledger rows to one file and reads it back with
+    ingest_ledger, as report does. Module-scoped: Hypothesis reruns a test
+    body within one call of a function-scoped fixture."""
+    path = tmp_path_factory.mktemp("ledger") / "ledger.csv"
+
+    def write_and_read(rows):
+        lines = ["run_id,mistake_id,category,description"]
+        lines += [f"{r},{m},{c},some description" for r, m, c in rows]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return ingest_ledger(path)
+
+    return write_and_read
 
 
 class TestLedgerProperties:
-    @given(ledger_rows)
-    def test_dedup_idempotent_under_duplication(self, rows):
-        once = read_ledger(io.StringIO(rows_to_csv(rows)))
-        twice = read_ledger(io.StringIO(rows_to_csv(rows + rows)))
-        assert once == twice
+    @given(rows=ledger_rows)
+    def test_dedup_idempotent_under_duplication(self, ingest, rows):
+        assert ingest(rows) == ingest(rows + rows)
 
-    @given(ledger_rows)
-    def test_category_counts_conserve_records(self, rows):
-        records = read_ledger(io.StringIO(rows_to_csv(rows)))
+    @given(rows=ledger_rows)
+    def test_category_counts_conserve_records(self, ingest, rows):
+        records = ingest(rows)
         outcomes = [
             RunRecord(r, RunStatus.COMPLETED, 1.0, 10)
             for r in ["run-001", "run-002", "run-003"]
@@ -295,9 +302,9 @@ def aggregate_inputs(draw):
 
 
 class TestAggregateProperties:
-    @given(ledger_rows, st.randoms(use_true_random=False))
-    def test_permutation_invariance(self, rows, rng):
-        records = read_ledger(io.StringIO(rows_to_csv(rows)))
+    @given(rows=ledger_rows, rng=st.randoms(use_true_random=False))
+    def test_permutation_invariance(self, ingest, rows, rng):
+        records = ingest(rows)
         outcomes = [
             RunRecord("run-001", RunStatus.COMPLETED, 1.5, 10),
             RunRecord("run-002", RunStatus.COMPLETED, 2.5, 30),
